@@ -18,7 +18,6 @@ from .chi import (
     witness_alpha,
 )
 from .coalg import (
-    CarryProfile,
     coproduct,
     counit,
     gaussian_binomial,

@@ -399,7 +399,7 @@ def cmd_rep_analyze(args) -> int:
         )
     if wanted:
         payload["chi"] = {
-            f"y^{k}": reps.chi_of_rep(rep, k).render() for k in wanted
+            f"y^{k}": reps.chi_from_reduction(rep, red, k).render() for k in wanted
         }
     if args.format == "json":
         _print_json(payload)

@@ -10,9 +10,7 @@ exterior splittings by the usual shuffle parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .mono import CohClass, Monomial, NotInvariant, is_invariant, weight
+from .mono import CohClass, Monomial, NotInvariant, is_invariant
 
 
 def base_p_digits(p: int, m: int) -> list[int]:
@@ -42,21 +40,6 @@ def lucas_binomial(p: int, m: int, k: int) -> int:
             den = den * (i + 1) % p
         result = result * num * pow(den, p - 2, p) % p
     return result
-
-
-@dataclass(frozen=True)
-class CarryProfile:
-    """A base-p addition instance: the parts to be summed."""
-
-    p: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.parts):
-            raise ValueError("parts must be >= 0")
-
-    def carry_free(self) -> bool:
-        return no_carry(self.p, self.parts)
 
 
 def no_carry(p: int, parts) -> bool:
@@ -184,15 +167,3 @@ def iterated_coproduct(p: int, r: int, m: Monomial, n: int) -> dict:
 def counit(c: CohClass) -> int:
     """Coefficient of the degree-zero monomial."""
     return c.coefficient(Monomial.unit(c.r))
-
-
-def weight_additive_check(p: int, m: Monomial) -> bool:
-    """Every splitting produced by the coproduct preserves total weight
-    and lands in the invariant basis on both sides."""
-    w = weight(m, p)
-    for (left, right), _ in coproduct(p, m.r, m).items():
-        if weight(left, p) + weight(right, p) != w:
-            return False
-        if not (is_invariant(left, p) and is_invariant(right, p)):
-            return False
-    return True

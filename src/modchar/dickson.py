@@ -108,9 +108,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=None)
-
     def is_homogeneous(self, d):
         return all(sum(e) == d for e in self.terms)
 
@@ -215,14 +212,6 @@ class TotalClass:
                 out[d] = out[d].add(prod) if d in out else prod
         return TotalClass(self.p, self.nvars, dmax, out)
 
-    def truncate(self, dmax) -> "TotalClass":
-        return TotalClass(
-            self.p,
-            self.nvars,
-            dmax,
-            {d: c for d, c in self.components.items() if d <= dmax},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, TotalClass)
@@ -311,11 +300,6 @@ def dickson_total(p: int, n: int) -> TotalClass:
         by_degree.setdefault(d, {})[e] = c
     comps = {d: MultiPoly(p, nvars, t) for d, t in by_degree.items()}
     return TotalClass(p, nvars, p**n, comps)
-
-
-def dickson_invariant(p: int, n: int, d: int) -> MultiPoly:
-    """Degree-d component of the total Dickson class."""
-    return dickson_total(p, n).component(d)
 
 
 def alternating_chi_total(p: int, n: int, dmax: int) -> TotalClass:

@@ -21,6 +21,11 @@ class DimensionError(ValueError):
     """Shape mismatch between matrices, vectors or subspaces."""
 
 
+def is_int(x) -> bool:
+    """True for a genuine integer: bool is an int subclass but not one here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -127,8 +132,8 @@ class FieldCtx:
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
-        if r < 1:
-            raise FieldError(f"r = {r} must be >= 1")
+        if not 1 <= r <= 8:
+            raise FieldError(f"extension degree r = {r} outside supported range 1..8")
         if modulus is None:
             modulus = find_irreducible(p, r)
         modulus = tuple(c % p for c in modulus)
@@ -179,10 +184,11 @@ class FieldCtx:
         return (c % self.p,) + (0,) * (self.r - 1)
 
     def from_coeffs(self, coeffs):
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+        if not isinstance(coeffs, (list, tuple)) or not all(map(is_int, coeffs)):
+            raise FieldError(f"element {coeffs!r} is not a list of integer coefficients")
         if len(coeffs) != self.r:
             raise FieldError(f"element needs {self.r} coefficients, got {len(coeffs)}")
-        return coeffs
+        return tuple(c % self.p for c in coeffs)
 
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.r):
@@ -297,23 +303,6 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, r={self.r})"
 
 
-def ff_arith(ctx: FieldCtx, a, b, op: str):
-    """Dispatch a single field operation by name."""
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "sub":
-        return ctx.sub(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    if op == "div":
-        return ctx.div(a, b)
-    if op == "inv":
-        return ctx.inv(a)
-    if op == "pow":
-        return ctx.pow(a, b)
-    raise FieldError(f"unknown field operation {op!r}")
-
-
 class MatrixFF:
     """Immutable dense matrix over a FieldCtx (rows of element tuples)."""
 
@@ -332,22 +321,14 @@ class MatrixFF:
         return cls(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, ctx, m, n):
-        z = ctx.zero
-        return cls(ctx, [[z] * n for _ in range(m)])
-
-    @classmethod
     def from_ints(cls, ctx, rows):
-        """Build from integer entries (r = 1) or coefficient lists (r > 1)."""
+        """Build from rows (lists) of integer entries or coefficient lists;
+        booleans are not integers."""
         out = []
         for row in rows:
-            new = []
-            for e in row:
-                if isinstance(e, int):
-                    new.append(ctx.scalar(e))
-                else:
-                    new.append(ctx.from_coeffs(e))
-            out.append(new)
+            if not isinstance(row, (list, tuple)):
+                raise FieldError(f"row {row!r} is not a list")
+            out.append([ctx.scalar(e) if is_int(e) else ctx.from_coeffs(e) for e in row])
         return cls(ctx, out)
 
     @property

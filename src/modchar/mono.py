@@ -291,10 +291,6 @@ class TensorClass:
     def zero(cls, p, r, n) -> "TensorClass":
         return cls(p, r, n, {})
 
-    @classmethod
-    def from_class(cls, c: CohClass) -> "TensorClass":
-        return cls(c.p, c.r, 1, {(m,): v for m, v in c.terms.items()})
-
     def _check(self, other: "TensorClass"):
         if (self.p, self.r, self.n) != (other.p, other.r, other.n):
             raise ContextMismatch("TensorClass context mismatch")

@@ -1,6 +1,11 @@
 """Matrix representations of elementary abelian p-groups over GF(p^r):
-constructions, the socle filtration by augmentation-ideal annihilators,
-and the reduction of class computations to a basic representation.
+constructions, the socle filtration, and the reduction of class
+computations to a basic representation.
+
+The filtration is computed by quotient iteration, and classify stops at
+its second stage J_1.  socle_filtration_by_annihilators is an
+independent second route kept as a reference: verify's filtration suite
+and the tests compare it with the first, production calls do not.
 
 The abstract group is always F_p^s on the listed generators, even over
 an extension field; redundant generators are allowed and absorbed by the
@@ -114,37 +119,17 @@ def fixed_space(rep: Rep) -> Subspace:
     return space
 
 
-def socle_filtration(rep: Rep) -> list[Subspace]:
-    """Ascending chain J_0 <= J_1 <= ... ending at the full space, J_i
-    the vectors killed by the (i+1)-st power of the augmentation ideal.
-
-    Computed by quotient iteration (J_i pulls back the fixed space of
-    the quotient by J_{i-1}) and independently by annihilators of
-    generator-difference products; the two must agree."""
-    by_quotient = socle_filtration_by_quotients(rep)
-    by_annihilator = socle_filtration_by_annihilators(rep)
-    if by_quotient != by_annihilator:
-        raise AssertionError(
-            "socle filtration mismatch between quotient iteration and "
-            "augmentation-ideal annihilators"
-        )
-    full = Subspace.full(rep.ctx, rep.dim)
-    for prev, cur in zip(by_quotient, by_quotient[1:]):
-        if prev.dim >= cur.dim:
-            raise AssertionError("socle filtration failed to grow strictly")
-    if by_quotient[-1] != full:
-        raise AssertionError("socle filtration did not reach the full space")
-    return by_quotient
-
-
-def socle_filtration_by_quotients(rep: Rep) -> list[Subspace]:
+def _socle_stages(rep: Rep):
+    """Yield J_0 <= J_1 <= ... up to the full space by quotient
+    iteration: J_i pulls back the fixed space of the quotient by
+    J_{i-1}, i.e. the vectors every generator difference sends into it."""
     ctx = rep.ctx
     ident = MatrixFF.identity(ctx, rep.dim)
     diffs = [g.sub(ident) for g in rep.generators]
     full = Subspace.full(ctx, rep.dim)
-    stages = [fixed_space(rep)]
-    while stages[-1] != full:
-        prev = stages[-1]
+    prev = fixed_space(rep)
+    yield prev
+    while prev != full:
         cur = full
         for d in diffs:
             cur = ff.intersect(cur, ff.preimage(d, prev))
@@ -152,8 +137,20 @@ def socle_filtration_by_quotients(rep: Rep) -> list[Subspace]:
             raise AssertionError(
                 "socle filtration stalled (is the action unipotent?)"
             )
-        stages.append(cur)
-    return stages
+        yield cur
+        prev = cur
+
+
+def socle_filtration(rep: Rep) -> list[Subspace]:
+    """Ascending chain J_0 < J_1 < ... ending at the full space, J_i
+    the vectors killed by the (i+1)-st power of the augmentation ideal,
+    computed by quotient iteration.  socle_filtration_by_annihilators
+    is the independent second route; verify's filtration suite and the
+    tests compare the two."""
+    return list(_socle_stages(rep))
+
+
+socle_filtration_by_quotients = socle_filtration
 
 
 def socle_filtration_by_annihilators(rep: Rep) -> list[Subspace]:
@@ -413,10 +410,10 @@ def classify(rep: Rep) -> Reduction:
     require_valid(rep)
     if rep.dim < 2:
         return Reduction("zero")
-    stages = socle_filtration(rep)
+    stages = list(itertools.islice(_socle_stages(rep), 2))
     if stages[0].dim != 1:
         return Reduction("zero")
-    j1 = stages[1] if len(stages) > 1 else stages[0]
+    j1 = stages[-1]
     kernel_group = _trivial_subgroup(rep, j1)
     s = rep.rank
     m = s - kernel_group.dim
@@ -536,14 +533,19 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
 
 def chi_of_rep(rep: Rep, k: int) -> MultiPoly:
     """The y^k class of an arbitrary prime-field rep, as a polynomial in
-    one variable per generator: zero verdict gives 0, otherwise the
-    basic answer for the quotient rank pulled back along the projection."""
+    one variable per generator (see chi_from_reduction)."""
+    return chi_from_reduction(rep, classify(rep), k)
+
+
+def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> MultiPoly:
+    """The y^k class of a prime-field rep from its classify() result:
+    zero verdict gives 0, otherwise the basic answer for the quotient
+    rank pulled back along the projection."""
     if rep.ctx.r != 1:
         raise ValueError("polynomial classes of arbitrary reps need r = 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     p = rep.ctx.p
-    red = classify(rep)
     if red.verdict == "zero":
         return MultiPoly.zero(p, rep.rank)
     base = chi_via_power_sum(p, red.quotient_rank, k)
@@ -599,31 +601,40 @@ def rep_to_dict(rep: Rep, basepoint=None) -> dict:
 def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
     """Parse the JSON representation file shape; returns the rep and the
     optional basepoint.  Raises ValueError with field context on bad
-    input."""
+    input: p, r, dim and every entry must be JSON integers (booleans are
+    not), matrices, rows and coefficient lists JSON arrays, and dim >= 1."""
     try:
-        p = int(obj["p"])
-        r = int(obj.get("r", 1))
-        dim = int(obj["dim"])
+        p, r, dim = obj["p"], obj.get("r", 1), obj["dim"]
         gen_entries = obj["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"representation file missing or bad field: {exc}") from exc
+    for key, value in (("p", p), ("r", r), ("dim", dim)):
+        if not ff.is_int(value):
+            raise ValueError(f"representation file bad field: {key} = {value!r} is not an integer")
+    if dim < 1:
+        raise ValueError(f"dim = {dim} must be >= 1")
     modulus = obj.get("modulus")
+    if modulus is not None and not (isinstance(modulus, list) and all(map(ff.is_int, modulus))):
+        raise ValueError("modulus must be a list of integer coefficients")
+    if not isinstance(gen_entries, list):
+        raise ValueError("generators must be a list of matrices")
     ctx = FieldCtx(p, r, tuple(modulus) if modulus is not None else None)
     gens = []
     for gi, mat in enumerate(gen_entries):
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise ValueError(f"generator {gi} is not {dim}x{dim}")
         try:
-            gens.append(MatrixFF.from_ints(ctx, mat))
-        except (ff.FieldError, TypeError) as exc:
+            gen = MatrixFF.from_ints(ctx, mat)
+        except (ff.FieldError, ff.DimensionError, TypeError) as exc:
             raise ValueError(f"generator {gi}: {exc}") from exc
+        if (gen.nrows, gen.ncols) != (dim, dim):
+            raise ValueError(f"generator {gi} is not {dim}x{dim}")
+        gens.append(gen)
     rep = Rep(ctx, dim, tuple(gens))
     basepoint = None
     if "basepoint" in obj:
-        raw = obj["basepoint"]
-        if len(raw) != dim:
+        try:
+            basepoint = MatrixFF.from_ints(ctx, [obj["basepoint"]]).rows[0]
+        except ff.FieldError as exc:
+            raise ValueError(f"basepoint: {exc}") from exc
+        if len(basepoint) != dim:
             raise ValueError("basepoint length != dim")
-        basepoint = tuple(
-            ctx.scalar(e) if isinstance(e, int) else ctx.from_coeffs(e) for e in raw
-        )
     return rep, basepoint

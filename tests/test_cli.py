@@ -208,6 +208,48 @@ def test_rep_analyze_validation_error(capsys, tmp_path):
     assert "generator 1" in err
 
 
+def test_rep_analyze_malformed_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 2, "dim": 2, "generators": [["11", "01"]]}))
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "generator 0" in err
+
+
+def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path, monkeypatch):
+    def forbidden(rep):
+        raise AssertionError("the annihilator route is a cross-check only")
+
+    monkeypatch.setattr(reps, "socle_filtration_by_annihilators", forbidden)
+    chi7 = "z1^4 z2^2 z3 + z1^4 z2 z3^2 + z1^2 z2^4 z3 + z1^2 z2 z3^4 + z1 z2^4 z3^2 + z1 z2^2 z3^4"
+    identity3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    regular = reps.regular_rep(2, 3)
+    wedge = reps.wedge_sum(reps.basic_rep(2, 1, 1), reps.basic_rep(2, 1, 2)).rep
+    for rep in (regular, wedge):
+        red = reps.classify(rep)
+        assert (red.verdict, red.quotient_rank, red.projection) == ("reduced", 3, identity3)
+        assert reps.chi_of_rep(rep, 1).is_zero() and reps.chi_of_rep(rep, 3).is_zero()
+        assert reps.chi_of_rep(rep, 7).render() == chi7
+
+    calls = []
+    classify = reps.classify
+
+    def counted(rep):
+        calls.append(rep)
+        return classify(rep)
+
+    monkeypatch.setattr(reps, "classify", counted)
+    path = _write_rep(tmp_path, regular)
+    code, out, _ = run(capsys, "rep-analyze", path, "--chi", "1,3,7", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["socle_dims"] == [1, 4, 7, 8]
+    assert payload["projection"] == [list(row) for row in identity3]
+    assert payload["chi"] == {"y^1": "0", "y^3": "0", "y^7": chi7}
+
+
 def test_rep_analyze_refuses_extension_field_chi(capsys, tmp_path):
     pr = reps.basic_rep(2, 2, 1)
     path = _write_rep(tmp_path, pr.rep, pr.basepoint)

@@ -8,7 +8,6 @@ import math
 import pytest
 
 from modchar.coalg import (
-    CarryProfile,
     coproduct,
     counit,
     gaussian_binomial,
@@ -106,7 +105,6 @@ def test_no_carry_frozen_examples():
     assert no_carry(3, (2, 6))  # 02 + 20 in base 3
     assert not no_carry(2, (1, 1))
     assert no_carry(5, (17,))
-    assert CarryProfile(3, (2, 6)).carry_free()
 
 
 def test_multinomial_frozen_examples():

@@ -336,6 +336,28 @@ def test_rep_from_dict_errors():
         rep_from_dict({"p": 2})
     with pytest.raises(ValueError, match="generator 0"):
         rep_from_dict({"p": 2, "r": 1, "dim": 2, "generators": [[[1, 0], [0]]]})
+    good = {"p": 2, "r": 1, "dim": 2, "generators": [[[1, 1], [0, 1]]], "basepoint": [1, 0]}
+    rep_from_dict(good)
+    bad_inputs = [
+        ({"generators": [["11", "01"]]}, "generator 0"),  # rows must be arrays
+        ({"generators": [[[True, True], [False, True]]]}, "generator 0"),
+        ({"generators": [5]}, "generator 0"),
+        ({"generators": "11"}, "generators"),
+        ({"p": True}, "p = True"),
+        ({"r": True}, "r = True"),
+        ({"dim": True}, "dim = True"),
+        ({"p": "2"}, "p = '2'"),
+        ({"dim": 2.0}, "dim = 2.0"),
+        ({"dim": 0, "generators": []}, "dim = 0"),
+        ({"dim": -1, "generators": []}, "dim = -1"),
+        ({"basepoint": [True, False]}, "basepoint"),
+        ({"basepoint": "10"}, "basepoint"),
+        ({"r": 2, "modulus": [True, True, 1], "generators": []}, "modulus"),
+        ({"r": 2, "generators": [[[[1, False], 0], [0, 1]]]}, "generator 0"),
+    ]
+    for change, match in bad_inputs:
+        with pytest.raises(ValueError, match=match):
+            rep_from_dict({**good, **change})
 
 
 def test_random_reps_filtration_agreement():
