@@ -19,7 +19,6 @@ from .chi import (
 )
 from .coalg import (
     coproduct,
-    counit,
     gaussian_binomial,
     iterated_coproduct,
     lucas_binomial,
@@ -40,7 +39,6 @@ from .dickson import (
 )
 from .ff import FieldCtx, MatrixFF, Subspace, find_irreducible, kernel, preimage
 from .mono import (
-    CohClass,
     Monomial,
     TensorClass,
     degree,

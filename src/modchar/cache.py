@@ -1,19 +1,29 @@
 """Optional plain-file JSON result cache for slow commands.
 
-Keys combine the command name, its canonical parameters, and the library
-version, so cached and fresh runs are byte-identical by construction.
-Writes go through a temp file and an atomic rename.
+Keys combine the command name, its canonical parameters and a sha256 of
+the package's .py sources, so cached and fresh runs are byte-identical
+by construction and an edited package never serves a payload its old
+code wrote.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
-from . import __version__
+
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the names and bytes of the package's .py files, read
+    once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 class ResultCache:
@@ -23,7 +33,7 @@ class ResultCache:
     @staticmethod
     def key(command: str, params: dict) -> str:
         canon = json.dumps(
-            {"command": command, "params": params, "version": __version__},
+            {"command": command, "params": params, "source": source_digest()},
             sort_keys=True,
             separators=(",", ":"),
         )

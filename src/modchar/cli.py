@@ -100,6 +100,8 @@ def _cache_from(args) -> ResultCache:
 
 def _cached(args, command: str, params: dict, compute):
     cache = _cache_from(args)
+    if cache.root is None:
+        return compute()
     key = ResultCache.key(command, params)
     payload = cache.get(key)
     if payload is None:
@@ -363,9 +365,6 @@ def cmd_rep_analyze(args) -> int:
         rep, basepoint = reps.rep_from_dict(obj)
     except (ValueError, FieldError) as exc:
         raise InputError(f"{args.path}: {exc}") from exc
-    violations = reps.validate(rep)
-    if violations:
-        raise InputError(f"{args.path}: " + "; ".join(violations))
     wanted = []
     if args.chi:
         try:
@@ -379,8 +378,11 @@ def cmd_rep_analyze(args) -> int:
             )
         if any(k < 1 for k in wanted):
             raise InputError("--chi exponents must be >= 1")
+    try:
+        red = reps.classify(rep)
+    except reps.RepValidationError as exc:
+        raise InputError(f"{args.path}: {exc}") from exc
     stages = reps.socle_filtration(rep)
-    red = reps.classify(rep)
     payload = {
         "schema": SCHEMA,
         "p": rep.ctx.p,

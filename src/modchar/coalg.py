@@ -10,7 +10,7 @@ exterior splittings by the usual shuffle parity.
 
 from __future__ import annotations
 
-from .mono import CohClass, Monomial, NotInvariant, is_invariant
+from .mono import Monomial, NotInvariant, is_invariant
 
 
 def base_p_digits(p: int, m: int) -> list[int]:
@@ -162,8 +162,3 @@ def iterated_coproduct(p: int, r: int, m: Monomial, n: int) -> dict:
                 nxt[key] = val % p
         current = {k: v for k, v in nxt.items() if v}
     return current
-
-
-def counit(c: CohClass) -> int:
-    """Coefficient of the degree-zero monomial."""
-    return c.coefficient(Monomial.unit(c.r))

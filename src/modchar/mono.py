@@ -211,66 +211,6 @@ def _normalized(p: int, terms: dict) -> dict:
 
 
 @dataclass
-class CohClass:
-    """F_p-linear combination of monomials (sparse, no zero coefficients)."""
-
-    p: int
-    r: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = _normalized(self.p, self.terms)
-        for m in self.terms:
-            check_valid(m, self.p, self.r)
-
-    @classmethod
-    def from_monomial(cls, p, r, m: Monomial, coeff: int = 1) -> "CohClass":
-        return cls(p, r, {m: coeff})
-
-    def _check(self, other: "CohClass"):
-        if (self.p, self.r) != (other.p, other.r):
-            raise ContextMismatch("CohClass context mismatch")
-
-    def add(self, other: "CohClass") -> "CohClass":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return CohClass(self.p, self.r, terms)
-
-    def scale(self, c: int) -> "CohClass":
-        return CohClass(self.p, self.r, {m: v * c for m, v in self.terms.items()})
-
-    def neg(self) -> "CohClass":
-        return self.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, m: Monomial) -> int:
-        return self.terms.get(m, 0)
-
-    def canonical_items(self):
-        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0], self.p))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohClass)
-            and (self.p, self.r) == (other.p, other.r)
-            and self.terms == other.terms
-        )
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.canonical_items():
-            s = format_monomial(m)
-            parts.append(s if c == 1 else f"{c} {s}")
-        return " + ".join(parts)
-
-
-@dataclass
 class TensorClass:
     """Sparse F_p-combination of n-tuples of monomials."""
 

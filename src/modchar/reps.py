@@ -2,10 +2,16 @@
 constructions, the socle filtration, and the reduction of class
 computations to a basic representation.
 
-The filtration is computed by quotient iteration, and classify stops at
-its second stage J_1.  socle_filtration_by_annihilators is an
-independent second route kept as a reference: verify's filtration suite
-and the tests compare it with the first, production calls do not.
+The filtration is computed by quotient iteration.  Every stage, J_0
+included, is the kernel of one stacked matrix [R D_1; ...; R D_s], with
+D_g = g - 1 the generator differences and R the membership matrix of the
+previous stage (the identity before J_0).  classify stops at the second
+stage J_1 and decides the basic model from the pairing of the group
+against J_1 / J_0; it builds no conjugation.  iso_to_basic constructs
+and checks the explicit conjugation, and runs in verify's filtration
+suite and the tests.  socle_filtration_by_annihilators is an independent
+second route kept as a reference: verify's filtration suite and the
+tests compare it with the first, production calls do not.
 
 The abstract group is always F_p^s on the listed generators, even over
 an extension field; redundant generators are allowed and absorbed by the
@@ -111,42 +117,41 @@ def require_valid(rep: Rep) -> None:
 
 
 def fixed_space(rep: Rep) -> Subspace:
-    """Common fixed vectors of all generators."""
-    space = Subspace.full(rep.ctx, rep.dim)
-    ident = MatrixFF.identity(rep.ctx, rep.dim)
-    for g in rep.generators:
-        space = ff.intersect(space, ff.kernel(g.sub(ident)))
-    return space
+    """Common fixed vectors of all generators: the first socle stage J_0,
+    the kernel of the stacked generator differences."""
+    return next(_socle_stages(rep))
 
 
 def _socle_stages(rep: Rep):
-    """Yield J_0 <= J_1 <= ... up to the full space by quotient
-    iteration: J_i pulls back the fixed space of the quotient by
-    J_{i-1}, i.e. the vectors every generator difference sends into it."""
-    ctx = rep.ctx
-    ident = MatrixFF.identity(ctx, rep.dim)
+    """Yield J_0 < J_1 < ... up to the full space by quotient iteration:
+    J_i is the kernel of the stacked matrix [R D_1; ...; R D_s], where
+    D_g = g - 1 and R is the membership matrix of J_{i-1} (the identity
+    for J_0), i.e. the vectors every generator difference sends into the
+    previous stage."""
+    ctx, n = rep.ctx, rep.dim
+    ident = MatrixFF.identity(ctx, n)
     diffs = [g.sub(ident) for g in rep.generators]
-    full = Subspace.full(ctx, rep.dim)
-    prev = fixed_space(rep)
-    yield prev
-    while prev != full:
-        cur = full
-        for d in diffs:
-            cur = ff.intersect(cur, ff.preimage(d, prev))
-        if cur.dim <= prev.dim:
+    stacked, prev_dim = diffs, -1
+    while True:
+        rows = [row for mat in stacked for row in mat.rows]
+        stage = ff.kernel(MatrixFF(ctx, rows)) if rows else Subspace.full(ctx, n)
+        if stage.dim <= prev_dim:
             raise AssertionError(
                 "socle filtration stalled (is the action unipotent?)"
             )
-        yield cur
-        prev = cur
+        yield stage
+        if stage.dim == n:
+            return
+        member = stage.membership_matrix()
+        stacked, prev_dim = [member.mul(d) for d in diffs], stage.dim
 
 
 def socle_filtration(rep: Rep) -> list[Subspace]:
     """Ascending chain J_0 < J_1 < ... ending at the full space, J_i
     the vectors killed by the (i+1)-st power of the augmentation ideal,
-    computed by quotient iteration.  socle_filtration_by_annihilators
-    is the independent second route; verify's filtration suite and the
-    tests compare the two."""
+    each stage the kernel of one stacked matrix (see _socle_stages).
+    socle_filtration_by_annihilators is the independent second route;
+    verify's filtration suite and the tests compare the two."""
     return list(_socle_stages(rep))
 
 
@@ -383,22 +388,21 @@ class Reduction:
     basic_model: PointedRep | None = None
 
 
-def _trivial_subgroup(rep: Rep, space: Subspace) -> Subspace:
+def _trivial_subgroup(sub: Rep) -> Subspace:
     """Exponent vectors (over F_p) of group elements acting as the
-    identity on the invariant subspace: since squared generator
-    differences kill it, elements act there by identity plus the linear
-    combination of generator differences, so the condition is F_p-linear."""
-    sub = restrict(rep, space)
-    ident = MatrixFF.identity(rep.ctx, space.dim)
+    identity in sub, an action killed by squared generator differences:
+    elements act there by identity plus the linear combination of
+    generator differences, so the condition is F_p-linear."""
+    ident = MatrixFF.identity(sub.ctx, sub.dim)
     diffs = [g.sub(ident) for g in sub.generators]
-    pctx = FieldCtx(rep.ctx.p, 1)
+    pctx = FieldCtx(sub.ctx.p, 1)
     rows = []
-    for u in range(space.dim):
-        for v in range(space.dim):
-            for w in range(rep.ctx.r):
+    for u in range(sub.dim):
+        for v in range(sub.dim):
+            for w in range(sub.ctx.r):
                 rows.append([pctx.scalar(d.rows[u][v][w]) for d in diffs])
     if not rows:
-        rows = [[pctx.zero] * rep.rank]
+        rows = [[pctx.zero] * sub.rank]
     return ff.kernel(MatrixFF(pctx, rows))
 
 
@@ -413,8 +417,8 @@ def classify(rep: Rep) -> Reduction:
     stages = list(itertools.islice(_socle_stages(rep), 2))
     if stages[0].dim != 1:
         return Reduction("zero")
-    j1 = stages[-1]
-    kernel_group = _trivial_subgroup(rep, j1)
+    sub = restrict(rep, stages[1])
+    kernel_group = _trivial_subgroup(sub)
     s = rep.rank
     m = s - kernel_group.dim
     pctx = kernel_group.ctx
@@ -426,57 +430,43 @@ def classify(rep: Rep) -> Reduction:
         w = kernel_group.reduce(e)
         cols.append([w[c][0] for c in coset])
     projection = tuple(tuple(col[i] for col in cols) for i in range(m))
-    model = _basic_model(rep, j1, coset, m)
+    model = _basic_model(sub, coset, m)
     return Reduction("reduced", m, projection, model)
 
 
-def _basic_model(rep: Rep, j1: Subspace, coset, m: int) -> PointedRep | None:
-    """Basic representation matching the faithful quotient action on the
-    second socle stage, verified by explicit conjugation.  Over the
-    prime field it always exists; over extension fields it requires
-    r | m and the generators to align with a field structure, else
-    None."""
-    r = rep.ctx.r
-    if m < 1 or m % r:
-        return None
-    restricted = restrict(rep, j1)
-    faithful = Rep(rep.ctx, j1.dim, tuple(restricted.generators[c] for c in coset))
-    if r == 1:
-        iso_to_basic(faithful)
-    else:
+def _basic_model(sub: Rep, coset, m: int) -> PointedRep | None:
+    """Basic representation matching the faithful action of the quotient
+    group (the generators at coset) on sub, the restriction to J_1.
+
+    Over the prime field it always exists: J_0 is a line, so the pairing
+    of the group against J_1 / J_0 is perfect and m = dim - 1.  Over
+    extension fields it needs m = r (dim - 1) and a pairing that passes
+    _basic_pairing, else None.  No conjugation is built here;
+    iso_to_basic builds and checks one in verify and the tests."""
+    ctx = sub.ctx
+    r = ctx.r
+    if r > 1:
+        if m != r * (sub.dim - 1):
+            return None
+        faithful = Rep(ctx, sub.dim, tuple(sub.generators[c] for c in coset))
         try:
-            iso_to_basic(faithful)
+            _basic_pairing(faithful, fixed_space(faithful))
         except ReductionError:
             return None
-    return basic_rep(rep.ctx.p, r, m // r, rep.ctx.modulus)
+    return basic_rep(ctx.p, r, m // r, ctx.modulus)
 
 
-def iso_to_basic(rep: Rep) -> MatrixFF:
-    """Change of basis T with T g T^-1 the basic-representation matrix of
-    every generator, for a faithful rep killed by squared augmentation
-    with a one-dimensional fixed space.
+def _basic_pairing(rep: Rep, j0: Subspace) -> MatrixFF:
+    """Rule deciding whether a rep of rank r (dim - 1) with fixed line j0
+    is basic, and its pairing matrix when it is.
 
-    The pairing sending (generator l, complement vector v) to the fixed
-    line coefficient of (g_l - 1)v must be perfect and, over extension
-    fields, scale by t^j along each slot's generator block."""
-    require_valid(rep)
+    The pairing sends (generator l, complement coordinate c) to the
+    fixed line coefficient of (g_l - 1) e_c.  Every difference must land
+    on the line, over extension fields the pairing must scale by t^j
+    along each slot's generator block, and the slots' first rows must
+    have full rank dim - 1; otherwise ReductionError."""
     ctx = rep.ctx
-    if rep.dim < 2:
-        raise ReductionError("basic models need dimension >= 2")
-    stages = socle_filtration(rep)
-    problems = []
-    if stages[0].dim != 1:
-        problems.append(f"fixed space has dimension {stages[0].dim}, need 1")
-    if len(stages) > 2:
-        problems.append("second socle stage is a proper subspace")
     n = rep.dim - 1
-    if rep.rank != ctx.r * n:
-        problems.append(
-            f"group rank {rep.rank} != r * (dim - 1) = {ctx.r * n}"
-        )
-    if problems:
-        raise ReductionError("; ".join(problems))
-    j0 = stages[0]
     w0 = j0.basis[0]
     pivot = j0.pivot_columns()[0]
     coords = [j for j in range(rep.dim) if j != pivot]
@@ -510,6 +500,39 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
     pairing_matrix = MatrixFF(ctx, base)
     if pairing_matrix.rank() != n:
         raise ReductionError("pairing against the fixed line is degenerate")
+    return pairing_matrix
+
+
+def iso_to_basic(rep: Rep) -> MatrixFF:
+    """Change of basis T with T g T^-1 the basic-representation matrix of
+    every generator, for a faithful rep killed by squared augmentation
+    with a one-dimensional fixed space.
+
+    The pairing must pass _basic_pairing, the rule classify also uses;
+    this function additionally builds T and checks the conjugation
+    generator by generator.  Production calls do not run it: verify's
+    filtration suite and the tests do."""
+    require_valid(rep)
+    ctx = rep.ctx
+    if rep.dim < 2:
+        raise ReductionError("basic models need dimension >= 2")
+    stages = socle_filtration(rep)
+    problems = []
+    if stages[0].dim != 1:
+        problems.append(f"fixed space has dimension {stages[0].dim}, need 1")
+    if len(stages) > 2:
+        problems.append("second socle stage is a proper subspace")
+    n = rep.dim - 1
+    if rep.rank != ctx.r * n:
+        problems.append(
+            f"group rank {rep.rank} != r * (dim - 1) = {ctx.r * n}"
+        )
+    if problems:
+        raise ReductionError("; ".join(problems))
+    j0 = stages[0]
+    pairing_matrix = _basic_pairing(rep, j0)
+    w0 = j0.basis[0]
+    coords = [j for j in range(rep.dim) if j != j0.pivot_columns()[0]]
     # build T = V U^-1 with U the (fixed, complement) basis and V mapping
     # it onto the basic layout
     u_cols = [list(w0)] + [

@@ -259,7 +259,8 @@ def suite_dickson(profile="quick") -> SuiteResult:
 def suite_filtration(profile="quick") -> SuiteResult:
     """Criterion 7: dual filtration routes on 200 random reps, the
     conjugation of the second socle stage of the big rep onto the basic
-    rep, socle balance of tensor squares, strictness and saturation."""
+    rep (and classify's basic model, decided without it, agreeing),
+    socle balance of tensor squares, strictness and saturation."""
     name = "filtration"
     start = time.perf_counter()
     rng = random.Random(20260809)
@@ -288,6 +289,8 @@ def suite_filtration(profile="quick") -> SuiteResult:
             for g, bgen in zip(restricted.generators, target.rep.generators):
                 if t.mul(g).mul(t_inv) != bgen:
                     return _fail(name, start, f"conjugation fails at ({p},{r},{n})")
+            if reps.classify(big).basic_model != target:
+                return _fail(name, start, f"classify's basic model differs at ({p},{r},{n})")
     for p, r in ((2, 1), (3, 1), (2, 2)):
         xi = reps.sym_power_rep(p, r)
         prod_dim = xi.dim**2

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modchar import cli, reps
+from modchar import cache, cli, mono, reps
 from modchar.cli import main
 
 
@@ -171,6 +171,27 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     assert bare == fresh
 
 
+def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):
+    calls = []
+    enumerate_basis = mono.enumerate_invariant_basis
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_basis(*args)
+
+    monkeypatch.setattr(mono, "enumerate_invariant_basis", counted)
+    args = ["basis", "--p", "3", "--max-degree", "2", "--cache-dir", str(tmp_path)]
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0 and len(calls) == 3
+    code, cached, _ = run(capsys, *args)
+    assert cached == fresh and len(calls) == 3
+    # edited sources give another key, so the same command recomputes
+    monkeypatch.setattr(cache, "source_digest", lambda: "0" * 64)
+    code, recomputed, _ = run(capsys, *args)
+    assert recomputed == fresh and len(calls) == 6
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def _write_rep(tmp_path, rep, basepoint=None, name="rep.json"):
     path = tmp_path / name
     path.write_text(json.dumps(reps.rep_to_dict(rep, basepoint)))
@@ -248,6 +269,37 @@ def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path,
     assert payload["socle_dims"] == [1, 4, 7, 8]
     assert payload["projection"] == [list(row) for row in identity3]
     assert payload["chi"] == {"y^1": "0", "y^3": "0", "y^7": chi7}
+
+
+def test_rep_analyze_validates_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    validate = reps.validate
+
+    def counted(rep):
+        calls.append(rep)
+        return validate(rep)
+
+    monkeypatch.setattr(reps, "validate", counted)
+    path = _write_rep(tmp_path, reps.regular_rep(2, 3))
+    code, _, _ = run(capsys, "rep-analyze", path, "--chi", "1,7")
+    assert code == 0 and len(calls) == 1
+    # an invalid rep still fails with the file named, after the --chi checks
+    bad = {"p": 3, "dim": 2, "generators": [[[0, 1], [1, 0]]]}
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, "rep-analyze", str(bad_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == f"error: {bad_path}: generator 0 does not have order dividing 3\n"
+    code, _, err = run(capsys, "rep-analyze", str(bad_path), "--chi", "0")
+    assert code == cli.EXIT_INPUT and "--chi" in err
+
+
+def test_rep_analyze_without_generators(capsys, tmp_path):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"p": 2, "dim": 2, "generators": []}))
+    code, out, _ = run(capsys, "rep-analyze", str(path))
+    assert code == 0
+    assert out.splitlines() == ["socle dims: 2", "verdict: zero (all classes vanish)"]
 
 
 def test_rep_analyze_refuses_extension_field_chi(capsys, tmp_path):

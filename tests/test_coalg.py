@@ -9,7 +9,6 @@ import pytest
 
 from modchar.coalg import (
     coproduct,
-    counit,
     gaussian_binomial,
     iterated_coproduct,
     lucas_binomial,
@@ -17,7 +16,6 @@ from modchar.coalg import (
     no_carry,
 )
 from modchar.mono import (
-    CohClass,
     Monomial,
     NotInvariant,
     degree,
@@ -248,15 +246,6 @@ def test_iterated_coproduct_left_right_nesting_agree():
             right[key] = (right.get(key, 0) + c * c2) % p
     right = {k: v for k, v in right.items() if v}
     assert left == right
-
-
-def test_counit():
-    p, r = 5, 1
-    unit = Monomial.unit(1)
-    c = CohClass(p, r, {unit: 3, Monomial((0,), (1,)): 1})
-    assert counit(c) == 3
-    assert counit(CohClass.from_monomial(p, r, Monomial((0,), (4,)))) == 0
-    assert counit(CohClass.from_monomial(p, r, unit)) == 1
 
 
 def test_every_factor_was_kept_invariant():

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from modchar.mono import (
-    CohClass,
     ContextMismatch,
     Monomial,
     ParseError,
@@ -130,21 +129,6 @@ def test_json_round_trip():
     assert m.to_json() == {"A": [1, 0], "B": [2, 5]}
 
 
-def test_coh_class_ops():
-    p, r = 5, 1
-    m = Monomial((0,), (2,))
-    c = CohClass.from_monomial(p, r, m, 2)
-    assert c.add(c.scale(-1)).is_zero()
-    assert c.scale(1) == c
-    assert c.scale(5).is_zero()
-    other = CohClass.from_monomial(p, r, Monomial((1,), (1,)), 1)
-    total = c.add(other)
-    assert total.coefficient(m) == 2
-    assert len(total.terms) == 2
-    with pytest.raises(ContextMismatch):
-        c.add(CohClass.from_monomial(3, 1, Monomial((0,), (2,))))
-
-
 def test_tensor_class_ops():
     p, r = 2, 1
     y1 = Monomial((0,), (1,))
@@ -155,6 +139,9 @@ def test_tensor_class_ops():
     assert ab.n == 2 and ab.coefficient((y1, y2)) == 1
     assert ab.add(ab).is_zero()
     assert ab.render() == "y⊗y^2"
+    assert ab.scale(1) == ab
+    assert ab.scale(2).is_zero()
+    assert TensorClass(3, r, 1, {(y2,): 2}).scale(2) == TensorClass(3, r, 1, {(y2,): 1})
     with pytest.raises(ContextMismatch):
         a.add(ab)
 
@@ -169,4 +156,4 @@ def test_canonical_order_is_total_and_deterministic():
 
 def test_p2_rejects_exterior_in_classes():
     with pytest.raises(ValueError):
-        CohClass(2, 1, {Monomial((1,), (0,)): 1})
+        TensorClass(2, 1, 1, {(Monomial((1,), (0,)),): 1})

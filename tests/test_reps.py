@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from modchar import dickson, reps
+from modchar import dickson, ff, reps
 from modchar.ff import FieldCtx, MatrixFF, Subspace
 from modchar.reps import (
     PointedRep,
@@ -103,6 +103,47 @@ def test_socle_filtration_basic_and_trivial():
     ctx = pr.rep.ctx
     trivial = Rep(ctx, 2, (MatrixFF.identity(ctx, 2),))
     assert [s.dim for s in socle_filtration(trivial)] == [2]
+
+
+def test_socle_filtration_edge_ranks_and_dims():
+    # no generators: the empty stack has kernel the whole space
+    rank0 = Rep(FieldCtx(2, 1), 2, ())
+    assert [s.dim for s in socle_filtration(rank0)] == [2]
+    assert classify(rank0).verdict == "zero"
+    # a dim-0 rep has exactly one stage, the zero space
+    xi = sym_power_rep(3, 1)
+    empty = quotient(xi, Subspace.full(xi.ctx, 3))
+    assert empty.dim == 0 and empty.rank == 1
+    assert [s.dim for s in socle_filtration(empty)] == [0]
+
+
+def test_classify_without_conjugation_or_subspace_loops(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("classify must not call this")
+
+    for name in ("intersect", "preimage"):
+        monkeypatch.setattr(ff, name, forbidden)
+    monkeypatch.setattr(reps, "iso_to_basic", forbidden)
+    cases = [
+        (wedge_sum(basic_rep(2, 1, 1), basic_rep(2, 1, 2)).rep, 3, 3),
+        (wedge_sum(basic_rep(2, 2, 1), basic_rep(2, 2, 1)).rep, 4, 2),
+        (big_rep(2, 2, 2), 4, 2),
+        (regular_rep(2, 3), 3, 3),
+    ]
+    gf4 = basic_rep(2, 2, 1).rep
+    for exps, has_model in [
+        ([[1, 0], [0, 1]], True),
+        ([[1, 1], [0, 1]], False),
+        ([[0, 1], [1, 0]], False),
+    ]:
+        cases.append((pullback(gf4, exps), 2, 1 if has_model else None))
+    for rep, m, n in cases:
+        red = classify(rep)
+        assert (red.verdict, red.quotient_rank) == ("reduced", m)
+        if n is None:
+            assert red.basic_model is None
+        else:
+            assert red.basic_model == basic_rep(2, rep.ctx.r, n)
 
 
 def test_socle_filtration_both_routes_agree_on_stock_reps():
