@@ -6,15 +6,29 @@ vectors, which places it inside the Dickson invariant ring.  Newton's
 identity then pins the whole family: with D the total elementary
 symmetric class of all dual vectors and A the alternating total of the
 y-power classes, D * A collapses to the single term -D_{p^n - 1}.
+
+Each side is computed one way here and checked against another:
+
+- `power_sum` enumerates one linear form per line and raises it to the
+  k-th power digit by digit through Frobenius.  `verify`'s oracle suite
+  compares it with the splitting formula of `chi.chi_basic`; the tests
+  compare it with a multinomial identity and with a brute-force sum over
+  every nonzero dual vector.
+- `dickson_total` reads D off the Dickson recursion for the polynomial
+  whose roots are all dual vectors.  `verify`'s Dickson suite compares
+  every component with the expanded product of (1 + v) over all nonzero
+  dual vectors v.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 from .ff import FieldCtx, MatrixFF
-from .mono import TensorClass
+from .mono import TensorClass, _compositions
 
 
 class IdentityFailure(ArithmeticError):
@@ -86,14 +100,22 @@ class MultiPoly:
 
     def mul(self, other):
         self._check(other)
-        p = self.p
-        out = {}
+        p, nvars = self.p, self.nvars
+        if not self.terms or not other.terms:
+            return MultiPoly(p, nvars, {})
+        # exponent tuples packed into one int in a base above every product
+        # exponent, so multiplying two monomials is one int addition
+        base = max(map(sum, self.terms)) + max(map(sum, other.terms)) + 1
+        place = [base**i for i in range(nvars)]
+        right = [(sum(map(operator.mul, e, place)), c) for e, c in other.terms.items()]
+        out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                val = out.get(key, 0) + c1 * c2
-                out[key] = val % p
-        return MultiPoly(p, self.nvars, out)
+            k1 = sum(map(operator.mul, e1, place))
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2
+        out = {key: c % p for key, c in out.items() if c % p}
+        return MultiPoly(p, nvars, _unpack(out, base, nvars))
 
     def pow(self, k):
         result = MultiPoly.const(self.p, self.nvars, 1)
@@ -222,54 +244,82 @@ class TotalClass:
 
 # -- power sums --------------------------------------------------------------
 
-# per (p, n): list of dicts, entry k holds the terms of sum of z^k over
-# all dual vectors z; grown on demand and reused across calls
-_PS_CACHE: dict = {}
+
+def _unpack(packed: dict, base: int, nvars: int) -> dict:
+    """Exponent tuples back from ints written in the given base."""
+    terms = {}
+    for key, c in packed.items():
+        e = []
+        for _ in range(nvars):
+            key, digit = divmod(key, base)
+            e.append(digit)
+        terms[tuple(e)] = c
+    return terms
 
 
-def _power_sum_terms(p: int, n: int, k: int) -> dict:
-    key = (p, n)
-    state = _PS_CACHE.get(key)
-    if state is None:
-        forms = []
-        for coeffs in itertools.product(range(p), repeat=n):
-            if any(coeffs):
-                forms.append(
-                    {
-                        tuple(1 if j == i else 0 for j in range(n)): c
-                        for i, c in enumerate(coeffs)
-                        if c
-                    }
-                )
-        state = {"forms": forms, "powers": [dict(f) for f in forms], "sums": [None]}
-        _PS_CACHE[key] = state
-    sums = state["sums"]
-    while len(sums) <= k:
-        total: dict = {}
-        for idx, cur in enumerate(state["powers"]):
-            if len(sums) > 1:
-                form = state["forms"][idx]
-                nxt: dict = {}
-                for e, c in cur.items():
-                    for fe, fc in form.items():
-                        key2 = tuple(a + b for a, b in zip(e, fe))
-                        val = nxt.get(key2, 0) + c * fc
-                        nxt[key2] = val % p
-                cur = {e: c for e, c in nxt.items() if c}
-                state["powers"][idx] = cur
-            for e, c in cur.items():
-                val = total.get(e, 0) + c
-                total[e] = val % p
-        sums.append({e: c for e, c in total.items() if c})
-    return sums[k]
+def _line_representatives(p: int, n: int):
+    """One nonzero vector per line of F_p^n: its first nonzero entry is 1."""
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def power_sum(p: int, n: int, k: int) -> MultiPoly:
     """Sum of z^k over all p^n dual vectors z of F_p^n (the zero vector
-    contributes nothing for k >= 1)."""
+    contributes nothing for k >= 1).
+
+    The multiples c u (c in F_p^*) of one form u sum to (u . z)^k times
+    the sum of c^k, which is -1 when p - 1 divides k and 0 otherwise; so
+    the sum runs over one form per line.  Each form is raised to the
+    k-th power one base-p digit k_t of k at a time: (u . z)^(k_t p^t) is
+    a multinomial in the z_i^(p^t) with k_t < p, and the digits never
+    collide, so only carry-free terms are built.  Every linear form is
+    still enumerated and no class formula is used, which keeps this an
+    independent check of the splitting formula (`verify`'s oracle
+    suite)."""
     if k < 1:
         raise ValueError("power sums are defined for k >= 1")
-    return MultiPoly(p, n, dict(_power_sum_terms(p, n, k)))
+    if k % (p - 1):
+        return MultiPoly.zero(p, n)
+    base = k + 1  # no exponent of (u . z)^k exceeds k
+    place = [base**i for i in range(n)]
+    # per nonzero digit k_t: (packed exponent of z^(p^t a), multinomial, a);
+    # exact factorials, not coalg's Lucas code, which the splitting formula uses
+    digits = []
+    scale, rest = 1, k
+    while rest:
+        rest, kt = divmod(rest, p)
+        if kt:
+            digits.append(
+                [
+                    (
+                        scale * sum(map(operator.mul, a, place)),
+                        math.factorial(kt) // math.prod(map(math.factorial, a)) % p,
+                        a,
+                    )
+                    for a in _compositions(kt, n)
+                ]
+            )
+        scale *= p
+    total: dict = {}
+    for u in _line_representatives(p, n):
+        expansion = {0: 1}
+        for comps in digits:
+            factor = []
+            for shift, coeff, a in comps:
+                for ui, ai in zip(u, a):
+                    if ai:
+                        coeff *= pow(ui, ai, p)
+                if coeff % p:
+                    factor.append((shift, coeff))
+            expansion = {
+                e + shift: c * coeff % p
+                for e, c in expansion.items()
+                for shift, coeff in factor
+            }
+        for e, c in expansion.items():
+            total[e] = total.get(e, 0) + c
+    return MultiPoly(p, n, _unpack(total, base, n)).neg()
 
 
 def chi_via_power_sum(p: int, n: int, k: int) -> MultiPoly:
@@ -280,26 +330,39 @@ def chi_via_power_sum(p: int, n: int, k: int) -> MultiPoly:
 
 def dickson_total(p: int, n: int) -> TotalClass:
     """Product of (1 + z) over all dual vectors: total elementary
-    symmetric class, nonzero only in degrees p^n - p^i (and 0)."""
-    nvars = n
-    prod: dict = {(0,) * nvars: 1}
-    for coeffs in itertools.product(range(p), repeat=n):
-        if not any(coeffs):
-            continue
-        nxt = dict(prod)
-        for e, c in prod.items():
-            for i, a in enumerate(coeffs):
-                if a:
-                    key = tuple(x + (1 if j == i else 0) for j, x in enumerate(e))
-                    val = nxt.get(key, 0) + c * a
-                    nxt[key] = val % p
-        prod = {e: c for e, c in nxt.items() if c}
-    by_degree: dict = {}
-    for e, c in prod.items():
-        d = sum(e)
-        by_degree.setdefault(d, {})[e] = c
-    comps = {d: MultiPoly(p, nvars, t) for d, t in by_degree.items()}
-    return TotalClass(p, nvars, p**n, comps)
+    symmetric class, nonzero only in degrees p^n - p^i (and 0).
+
+    Built from F_j(X), the product of (X - v) over v in the span of
+    z_1..z_j, by the Dickson recursion
+    F_j(X) = F_{j-1}(X)^p - F_{j-1}(z_j)^(p-1) F_{j-1}(X).  Each F_j is a
+    p-polynomial in X, and the degree p^n - p^i component is
+    (-1)^(p^n - p^i) times the coefficient of X^(p^i) in F_n.  `verify`'s
+    Dickson suite compares every component with the expanded product."""
+    # coeffs[i] is the coefficient of X^(p^i) in F_j(X); F_0(X) = X
+    coeffs = [MultiPoly.const(p, n, 1)]
+    for j in range(n):
+        at_z = MultiPoly.zero(p, n)  # F_j(z_{j+1})
+        for i, c in enumerate(coeffs):
+            z_pow = tuple(p**i if v == j else 0 for v in range(n))
+            at_z = at_z.add(c.mul(MultiPoly(p, n, {z_pow: 1})))
+        shift = at_z.pow(p - 1)
+        # F_j(X)^p: each coefficient to its p-th power, which over F_p
+        # multiplies every exponent by p
+        frobenius = [
+            MultiPoly(p, n, {tuple(x * p for x in e): c for e, c in poly.terms.items()})
+            for poly in coeffs
+        ]
+        coeffs = (
+            [shift.mul(coeffs[0]).neg()]
+            + [
+                frobenius[i - 1].sub(shift.mul(coeffs[i]))
+                for i in range(1, len(coeffs))
+            ]
+            + [frobenius[-1]]
+        )
+    q = p**n
+    comps = {q - p**i: c.scale((-1) ** (q - p**i)) for i, c in enumerate(coeffs)}
+    return TotalClass(p, n, q, comps)
 
 
 def alternating_chi_total(p: int, n: int, dmax: int) -> TotalClass:
@@ -352,11 +415,13 @@ def series_inverse(d_total: TotalClass, dmax: int) -> TotalClass:
 
 
 def chi_total_from_inverse(p: int, n: int, dmax: int) -> TotalClass:
-    """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}."""
+    """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}; the
+    lead has degree p^n - 1, so the inverse is needed only to
+    dmax - (p^n - 1)."""
     d_total = dickson_total(p, n)
     top = p**n - 1
-    inv = series_inverse(d_total, dmax)
     lead = TotalClass(p, n, dmax, {top: d_total.component(top).neg()})
+    inv = series_inverse(d_total, dmax - top)
     return lead.mul(inv, dmax=dmax)
 
 

@@ -89,6 +89,39 @@ def test_dickson_bad_dmax(capsys):
     assert "dmax" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_dickson_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "dickson", "--p", "2", "--n", n)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "--n must be >= 1" in err
+    assert "dmax" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["--p", "2", "--n", "1", "--dmax", "100000000"], "dmax <= 3(p^n - 1)"),
+        (["--p", "7", "--n", "3"], "p^n <= 49"),
+        (["--p", "2", "--n", "6"], "p^n <= 49"),
+        (["--p", "3", "--n", "1000000000000"], "p^n <= 49"),
+    ],
+)
+def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
+    code, out, err = run(capsys, "dickson", *argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert bound in err
+
+
+def test_dickson_bound_admits_2_5_at_default_dmax():
+    assert cli.dickson_dmax(2, 5, None) == 93
+    assert cli.dickson_dmax(7, 2, None) == 144
+    assert cli.dickson_dmax(2, 2, 9) == 9
+    with pytest.raises(cli.InputError, match="at most 93"):
+        cli.dickson_dmax(2, 5, 94)
+
+
 def test_tuples_frozen(capsys):
     code, out, _ = run(capsys, "tuples", "--p", "2", "--n", "2", "--max", "7")
     assert code == 0

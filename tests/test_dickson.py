@@ -1,14 +1,17 @@
 """Power sums, Dickson invariants, Newton's identity, product formulas.
 
-Independent oracle for power sums: the digit-multinomial expansion (sum
-over compositions with every part a positive multiple of p - 1), which
-shares no code with the repeated-multiplication route."""
+Two oracles for `power_sum`, which raises one linear form per line to
+the k-th power digit by digit: a multinomial identity (a sum over
+compositions of k with every part a positive multiple of p - 1), and a
+brute-force sum of (v . z)^k over every nonzero v, expanded one factor
+at a time.  Neither shares code with the line-and-digit route."""
 
 import itertools
 import math
 
 import pytest
 
+from modchar import dickson
 from modchar.dickson import (
     IdentityFailure,
     MultiPoly,
@@ -26,6 +29,7 @@ from modchar.dickson import (
     tensor_to_poly,
 )
 from modchar.mono import Monomial, TensorClass
+from modchar.verify import dickson_total_by_product
 
 
 def poly(p, n, terms):
@@ -50,6 +54,27 @@ def naive_power_sum(p, n, k):
     return MultiPoly(p, n, terms)
 
 
+def brute_power_sum(p, n, k):
+    """Sum of (v . z)^k over every nonzero v in F_p^n, each power expanded
+    by multiplying in one linear factor at a time on exponent tuples."""
+    terms = {}
+    for v in itertools.product(range(p), repeat=n):
+        if not any(v):
+            continue
+        power = {(0,) * n: 1}
+        for _ in range(k):
+            nxt = {}
+            for e, c in power.items():
+                for i, vi in enumerate(v):
+                    if vi:
+                        key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                        nxt[key] = (nxt.get(key, 0) + c * vi) % p
+            power = {e: c for e, c in nxt.items() if c}
+        for e, c in power.items():
+            terms[e] = (terms.get(e, 0) + c) % p
+    return MultiPoly(p, n, terms)
+
+
 def test_power_sum_frozen_examples():
     assert power_sum(2, 2, 3) == poly(2, 2, {(2, 1): 1, (1, 2): 1})
     for k in (1, 2, 5):
@@ -67,6 +92,12 @@ def test_power_sum_matches_multinomial_oracle():
     for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)]:
         for k in range(1, 2 * (p**n - 1) + 3):
             assert power_sum(p, n, k) == naive_power_sum(p, n, k)
+
+
+def test_power_sum_matches_sum_over_all_vectors():
+    for p, n, kmax in [(2, 1, 8), (2, 2, 10), (2, 3, 14), (3, 1, 10), (3, 2, 12), (3, 3, 8), (5, 2, 12)]:
+        for k in range(1, kmax + 1):
+            assert power_sum(p, n, k) == brute_power_sum(p, n, k), (p, n, k)
 
 
 def test_chi_via_power_sum_frozen():
@@ -103,6 +134,13 @@ def test_dickson_sparsity_and_top_product():
         assert total.component(q - 1) == prod
 
 
+def test_dickson_total_matches_expanded_product():
+    for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 1)]:
+        total = dickson_total(p, n)
+        assert total.dmax == p**n
+        assert total.components == dickson_total_by_product(p, n)
+
+
 def test_alternating_total_frozen_f2():
     total = alternating_chi_total(2, 1, 3)
     for k in (1, 2, 3):
@@ -137,6 +175,21 @@ def test_inverse_route_matches_direct():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         dmax = 3 * (p**n - 1)
         assert chi_total_from_inverse(p, n, dmax) == alternating_chi_total(p, n, dmax)
+
+
+def test_inverse_route_truncates_the_series(monkeypatch):
+    # the lead has degree 2^4 - 1 = 15, so degree 45 needs D^-1 to degree 30
+    asked = []
+    real = dickson.series_inverse
+
+    def spy(d_total, dmax):
+        asked.append(dmax)
+        return real(d_total, dmax)
+
+    monkeypatch.setattr(dickson, "series_inverse", spy)
+    got = chi_total_from_inverse(2, 4, 45)
+    assert asked == [30]
+    assert got == alternating_chi_total(2, 4, 45)
 
 
 def test_product_identity_frozen():
