@@ -27,7 +27,6 @@ from .coalg import (
 )
 from .dickson import (
     MultiPoly,
-    TotalClass,
     alternating_chi_total,
     chi_via_power_sum,
     dickson_total,

@@ -18,6 +18,14 @@ Each side is computed one way here and checked against another:
   whose roots are all dual vectors.  `verify`'s Dickson suite compares
   every component with the expanded product of (1 + v) over all nonzero
   dual vectors v.
+
+Polynomials and total classes are one type, `MultiPoly`: a total class
+simply holds all its degrees, and `components` splits it by degree.  One
+packed product kernel serves both the plain product and the product
+truncated above a total degree, which Newton's identity and the series
+inverse use.  The inverse of D is the truncated geometric series in
+1 - D.  `report` runs the identity checks once, for `modchar dickson`
+and for `verify`'s Dickson suite alike.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .ff import FieldCtx, MatrixFF
-from .mono import TensorClass, _compositions
+from .mono import SparseCombination, TensorClass, _compositions
 
 
 class IdentityFailure(ArithmeticError):
@@ -36,22 +44,22 @@ class IdentityFailure(ArithmeticError):
 
 
 @dataclass
-class MultiPoly:
-    """Sparse multivariate polynomial over F_p; keys are exponent tuples."""
+class MultiPoly(SparseCombination):
+    """Sparse multivariate polynomial over F_p; keys are exponent tuples.
+    A total class is one of these holding all its degrees; `components`
+    splits it into its homogeneous parts."""
 
     p: int
     nvars: int
     terms: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {}
-        for e, c in self.terms.items():
-            c %= self.p
-            if c:
-                if len(e) != self.nvars:
-                    raise ValueError("exponent vector length != nvars")
-                clean[tuple(e)] = c
-        self.terms = clean
+    def _context(self):
+        return (self.p, self.nvars)
+
+    def _check_keys(self):
+        for e in self.terms:
+            if len(e) != self.nvars:
+                raise ValueError("exponent vector length != nvars")
 
     @classmethod
     def zero(cls, p, nvars):
@@ -60,12 +68,6 @@ class MultiPoly:
     @classmethod
     def const(cls, p, nvars, c):
         return cls(p, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, p, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(p, nvars, {tuple(e): 1})
 
     @classmethod
     def linear_form(cls, p, coeffs):
@@ -78,44 +80,49 @@ class MultiPoly:
                 terms[tuple(e)] = c % p
         return cls(p, n, terms)
 
-    def _check(self, other):
-        if (self.p, self.nvars) != (other.p, other.nvars):
-            raise ValueError("polynomial context mismatch")
+    @property
+    def components(self) -> dict:
+        """Degree -> homogeneous part, for every degree with a term."""
+        return {
+            d: MultiPoly(self.p, self.nvars, terms)
+            for d, terms in sorted(_by_degree(self.terms).items())
+        }
 
-    def add(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly(self.p, self.nvars, terms)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def neg(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        return MultiPoly(self.p, self.nvars, {e: v * c for e, v in self.terms.items()})
+    def component(self, d) -> "MultiPoly":
+        return MultiPoly(
+            self.p, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
+        )
 
     def mul(self, other):
+        return self.mul_truncated(other, math.inf)
+
+    def mul_truncated(self, other, dmax):
+        """The product with every term of total degree above dmax dropped.
+
+        The product is built one degree d at a time, summed in one dict
+        with exponent tuples packed into ints in base d + 1 (above every
+        exponent there), so multiplying two monomials is one int
+        addition, and each degree is unpacked once, after its sum."""
         self._check(other)
         p, nvars = self.p, self.nvars
-        if not self.terms or not other.terms:
-            return MultiPoly(p, nvars, {})
-        # exponent tuples packed into one int in a base above every product
-        # exponent, so multiplying two monomials is one int addition
-        base = max(map(sum, self.terms)) + max(map(sum, other.terms)) + 1
-        place = [base**i for i in range(nvars)]
-        right = [(sum(map(operator.mul, e, place)), c) for e, c in other.terms.items()]
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            k1 = sum(map(operator.mul, e1, place))
-            for k2, c2 in right:
-                key = k1 + k2
-                out[key] = out.get(key, 0) + c1 * c2
-        out = {key: c % p for key, c in out.items() if c % p}
-        return MultiPoly(p, nvars, _unpack(out, base, nvars))
+        left, right = _by_degree(self.terms), _by_degree(other.terms)
+        terms: dict = {}
+        for d in sorted({d1 + d2 for d1 in left for d2 in right}):
+            if d > dmax:
+                break
+            place = [(d + 1) ** i for i in range(nvars)]
+            out: dict = {}
+            for d1, terms1 in left.items():
+                if d - d1 not in right:
+                    continue
+                pairs = [(sum(map(operator.mul, e, place)), c) for e, c in right[d - d1].items()]
+                for e1, c1 in terms1.items():
+                    k1 = sum(map(operator.mul, e1, place))
+                    for k2, c2 in pairs:
+                        key = k1 + k2
+                        out[key] = out.get(key, 0) + c1 * c2
+            terms.update(_unpack({k: v for k, c in out.items() if (v := c % p)}, d + 1, nvars))
+        return MultiPoly(p, nvars, terms)
 
     def pow(self, k):
         result = MultiPoly.const(self.p, self.nvars, 1)
@@ -126,12 +133,6 @@ class MultiPoly:
             base = base.mul(base)
             k >>= 1
         return result
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_homogeneous(self, d):
-        return all(sum(e) == d for e in self.terms)
 
     def substitute(self, rows, nvars_new):
         """Replace the i-th variable by the linear form with integer
@@ -166,13 +167,6 @@ class MultiPoly:
             key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and (self.p, self.nvars) == (other.p, other.nvars)
-            and self.terms == other.terms
-        )
-
     def render(self, names=None):
         if not self.terms:
             return "0"
@@ -195,51 +189,16 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-@dataclass
-class TotalClass:
-    """Degree-indexed family of homogeneous polynomials, truncated at dmax."""
-
-    p: int
-    nvars: int
-    dmax: int
-    components: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for d, poly in self.components.items():
-            if poly.is_zero():
-                continue
-            if d > self.dmax or d < 0:
-                raise ValueError(f"component degree {d} outside [0, {self.dmax}]")
-            if not poly.is_homogeneous(d):
-                raise ValueError(f"component at degree {d} is not homogeneous")
-            clean[d] = poly
-        self.components = clean
-
-    def component(self, d) -> MultiPoly:
-        return self.components.get(d, MultiPoly.zero(self.p, self.nvars))
-
-    def mul(self, other, dmax=None) -> "TotalClass":
-        if (self.p, self.nvars) != (other.p, other.nvars):
-            raise ValueError("total class context mismatch")
-        if dmax is None:
-            dmax = min(self.dmax, other.dmax)
-        out: dict = {}
-        for d1, p1 in self.components.items():
-            for d2, p2 in other.components.items():
-                d = d1 + d2
-                if d > dmax:
-                    continue
-                prod = p1.mul(p2)
-                out[d] = out[d].add(prod) if d in out else prod
-        return TotalClass(self.p, self.nvars, dmax, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TotalClass)
-            and (self.p, self.nvars, self.dmax) == (other.p, other.nvars, other.dmax)
-            and self.components == other.components
-        )
+def _by_degree(terms: dict) -> dict:
+    """Total degree -> the terms of that degree."""
+    out: dict = {}
+    for e, c in terms.items():
+        d = sum(e)
+        if d in out:
+            out[d][e] = c
+        else:
+            out[d] = {e: c}
+    return out
 
 
 # -- power sums --------------------------------------------------------------
@@ -328,7 +287,7 @@ def chi_via_power_sum(p: int, n: int, k: int) -> MultiPoly:
     return power_sum(p, n, k).neg()
 
 
-def dickson_total(p: int, n: int) -> TotalClass:
+def dickson_total(p: int, n: int) -> MultiPoly:
     """Product of (1 + z) over all dual vectors: total elementary
     symmetric class, nonzero only in degrees p^n - p^i (and 0).
 
@@ -361,68 +320,64 @@ def dickson_total(p: int, n: int) -> TotalClass:
             + [frobenius[-1]]
         )
     q = p**n
-    comps = {q - p**i: c.scale((-1) ** (q - p**i)) for i, c in enumerate(coeffs)}
-    return TotalClass(p, n, q, comps)
+    terms: dict = {}
+    for i, c in enumerate(coeffs):
+        terms.update(c.scale((-1) ** (q - p**i)).terms)
+    return MultiPoly(p, n, terms)
 
 
-def alternating_chi_total(p: int, n: int, dmax: int) -> TotalClass:
+def alternating_chi_total(p: int, n: int, dmax: int) -> MultiPoly:
     """Total class with degree-k component (-1)^k times the y^k class of
     the basic representation, k = 1..dmax."""
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
-    comps = {}
+    terms: dict = {}
     for k in range(1, dmax + 1):
         poly = chi_via_power_sum(p, n, k)
-        if k % 2:
-            poly = poly.neg()
-        if not poly.is_zero():
-            comps[k] = poly
-    return TotalClass(p, n, dmax, comps)
+        terms.update((poly.neg() if k % 2 else poly).terms)
+    return MultiPoly(p, n, terms)
 
 
 def newton_check(p: int, n: int, dmax: int) -> bool:
-    """Newton's identity: D * A truncates to the single homogeneous term
-    -D_{p^n - 1}."""
+    """Newton's identity: D * A, truncated at dmax, is the single
+    homogeneous term -D_{p^n - 1}.  One truncated product, so no degree
+    above dmax is ever formed."""
     if dmax < p**n - 1:
         raise ValueError("dmax must reach degree p^n - 1")
     d_total = dickson_total(p, n)
-    a_total = alternating_chi_total(p, n, dmax)
-    prod = d_total.mul(a_total, dmax=dmax)
-    top = p**n - 1
-    expected = TotalClass(
-        p, n, dmax, {top: d_total.component(top).neg()}
-    )
-    return prod == expected
+    prod = d_total.mul_truncated(alternating_chi_total(p, n, dmax), dmax)
+    return prod == d_total.component(p**n - 1).neg()
 
 
-def series_inverse(d_total: TotalClass, dmax: int) -> TotalClass:
-    """Formal inverse of a total class with constant term 1, degree by
-    degree up to dmax."""
-    p, nvars = d_total.p, d_total.nvars
-    const = d_total.component(0)
-    if const != MultiPoly.const(p, nvars, 1):
+def series_inverse(d_total: MultiPoly, dmax: int) -> MultiPoly:
+    """Formal inverse of a total class with constant term 1, up to
+    degree dmax: the geometric series sum of (1 - d_total)^j.  The
+    series ends, because 1 - d_total has no constant term, so each
+    factor raises the lowest degree of the power until truncation at
+    dmax leaves nothing."""
+    if dmax < 0:
+        raise ValueError("dmax must be >= 0")
+    one = MultiPoly.const(d_total.p, d_total.nvars, 1)
+    if d_total.component(0) != one:
         raise ValueError("series inverse needs constant term 1")
-    inv = {0: MultiPoly.const(p, nvars, 1)}
-    positive = {d: c for d, c in d_total.components.items() if d > 0}
-    for d in range(1, dmax + 1):
-        acc = MultiPoly.zero(p, nvars)
-        for j, dj in positive.items():
-            if j <= d and (d - j) in inv:
-                acc = acc.add(dj.mul(inv[d - j]))
-        if not acc.is_zero():
-            inv[d] = acc.neg()
-    return TotalClass(p, nvars, dmax, inv)
+    step = one.sub(d_total)
+    inv = power = one
+    while not power.is_zero():
+        power = power.mul_truncated(step, dmax)
+        inv = inv.add(power)
+    return inv
 
 
-def chi_total_from_inverse(p: int, n: int, dmax: int) -> TotalClass:
+def chi_total_from_inverse(p: int, n: int, dmax: int) -> MultiPoly:
     """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}; the
     lead has degree p^n - 1, so the inverse is needed only to
     dmax - (p^n - 1)."""
-    d_total = dickson_total(p, n)
     top = p**n - 1
-    lead = TotalClass(p, n, dmax, {top: d_total.component(top).neg()})
+    if dmax < top:
+        raise ValueError("dmax must reach degree p^n - 1")
+    d_total = dickson_total(p, n)
     inv = series_inverse(d_total, dmax - top)
-    return lead.mul(inv, dmax=dmax)
+    return d_total.component(top).neg().mul(inv)
 
 
 def product_identity_check(p: int, n: int, i: int) -> int:
@@ -442,6 +397,36 @@ def product_identity_check(p: int, n: int, i: int) -> int:
         f"chi_(y^{k}) does not match +-D_({p**n - 1})D_({p**n - p**i}) "
         f"for p={p}, n={n}, i={i}"
     )
+
+
+def report(p: int, n: int, dmax: int) -> dict:
+    """The Dickson identity report: sparsity of the total class D,
+    Newton's identity, the series-inverse route, and the sign of each
+    product identity (its failure message where neither sign holds),
+    with every component of D rendered.  `modchar dickson` prints it and
+    `verify`'s Dickson suite checks it."""
+    q = p**n
+    components = dickson_total(p, n).components
+    sparsity = set(components) <= {q - p**i for i in range(n + 1)} | {0}
+    newton = newton_check(p, n, dmax)
+    inverse = chi_total_from_inverse(p, n, dmax) == alternating_chi_total(p, n, dmax)
+    signs: dict = {}
+    for i in range(n + 1):
+        try:
+            signs[str(i)] = product_identity_check(p, n, i)
+        except IdentityFailure as exc:
+            signs[str(i)] = str(exc)
+    return {
+        "p": p,
+        "n": n,
+        "dmax": dmax,
+        "sparsity": sparsity,
+        "newton": newton,
+        "inverse": inverse,
+        "product_signs": signs,
+        "components": {str(d): poly.render() for d, poly in components.items()},
+        "ok": sparsity and newton and inverse and all(s in (1, -1) for s in signs.values()),
+    }
 
 
 def nonzero_chi_degrees(p: int, n: int) -> list[int]:

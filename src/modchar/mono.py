@@ -201,17 +201,48 @@ def format_monomial(m: Monomial) -> str:
 # -- sparse classes ----------------------------------------------------------
 
 
-def _normalized(p: int, terms: dict) -> dict:
-    out = {}
-    for key, c in terms.items():
-        c %= p
-        if c:
-            out[key] = c
-    return out
+class SparseCombination:
+    """What every sparse F_p-combination shares: coefficients reduced mod
+    p with zero terms dropped, add/sub/neg/scale and the context check.
+    Subclasses are dataclasses whose fields are the context, then
+    `terms`; each validates its own keys in `_check_keys` and names its
+    context in `_context`.  Equality is the dataclass one: same type,
+    same context, same terms."""
+
+    def __post_init__(self):
+        p = self.p
+        self.terms = {key: v for key, c in self.terms.items() if (v := c % p)}
+        self._check_keys()
+
+    def _like(self, terms: dict):
+        return type(self)(*self._context(), terms)
+
+    def _check(self, other):
+        if type(other) is not type(self) or self._context() != other._context():
+            raise ContextMismatch(f"{type(self).__name__} context mismatch")
+
+    def add(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._like(terms)
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def neg(self):
+        return self.scale(-1)
+
+    def scale(self, c: int):
+        return self._like({key: v * c for key, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 @dataclass
-class TensorClass:
+class TensorClass(SparseCombination):
     """Sparse F_p-combination of n-tuples of monomials."""
 
     p: int
@@ -219,8 +250,10 @@ class TensorClass:
     n: int
     terms: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.terms = _normalized(self.p, self.terms)
+    def _context(self):
+        return (self.p, self.r, self.n)
+
+    def _check_keys(self):
         for tup in self.terms:
             if len(tup) != self.n:
                 raise ContextMismatch(f"tuple arity {len(tup)} != {self.n}")
@@ -230,25 +263,6 @@ class TensorClass:
     @classmethod
     def zero(cls, p, r, n) -> "TensorClass":
         return cls(p, r, n, {})
-
-    def _check(self, other: "TensorClass"):
-        if (self.p, self.r, self.n) != (other.p, other.r, other.n):
-            raise ContextMismatch("TensorClass context mismatch")
-
-    def add(self, other: "TensorClass") -> "TensorClass":
-        self._check(other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, 0) + c
-        return TensorClass(self.p, self.r, self.n, terms)
-
-    def scale(self, c: int) -> "TensorClass":
-        return TensorClass(
-            self.p, self.r, self.n, {t: v * c for t, v in self.terms.items()}
-        )
-
-    def neg(self) -> "TensorClass":
-        return self.scale(-1)
 
     def tensor(self, other: "TensorClass") -> "TensorClass":
         """Juxtaposition product: concatenates factor tuples."""
@@ -260,9 +274,6 @@ class TensorClass:
                 terms[t1 + t2] = terms.get(t1 + t2, 0) + c1 * c2
         return TensorClass(self.p, self.r, self.n + other.n, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, tup) -> int:
         return self.terms.get(tuple(tup), 0)
 
@@ -271,13 +282,6 @@ class TensorClass:
         return sorted(
             self.terms.items(),
             key=lambda kv: tuple(sort_key(m, p) for m in kv[0]),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorClass)
-            and (self.p, self.r, self.n) == (other.p, other.r, other.n)
-            and self.terms == other.terms
         )
 
     def render(self) -> str:

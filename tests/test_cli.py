@@ -1,5 +1,6 @@
 """Command-line behavior: frozen outputs, formats, exit codes, cache."""
 
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,28 @@ def test_dickson_report(capsys):
     line = out.splitlines()[0]
     assert "newton: ok" in line and "inverse: ok" in line
     assert "i=0: +1" in line and "i=2: +1" in line
+
+
+# sha256 of `modchar dickson` stdout: the report's bytes are pinned, so a
+# change to the polynomial kernel or the report code cannot alter them
+DICKSON_DIGESTS = {
+    (2, 3, "text"): "40fcf58c55ee4d6a3c2aa243c7041f0de4cd8976455bb35598dda3a9bbb7fe74",
+    (2, 3, "json"): "0529628514ef134d47718c76872a821585fb0e491477678073917a09a691ad5a",
+    (2, 3, "csv"): "1bc619729d9063dbd37d8596a25b576deba12a9a8403ffd69dde9c23fa85b265",
+    (3, 2, "text"): "cb0a8c4802b325c0f108758f85dcbed73c4aa0233940ab56181d0ee50591bbc1",
+    (3, 2, "json"): "bece371529649091ab7353963b9bbd0b98fbc72726a32204ee9b51d5ce49a583",
+    (3, 2, "csv"): "3b6c13cc04956cc5c997bb5a303611a915630e66426019c30dc7e6de87466736",
+    (2, 4, "text"): "5f6bc49d0a0ed8e900b43bffe6710207fe842234a00d95c325ba0adade599b42",
+    (2, 4, "json"): "3de19edf857d743fdca3ee9c162e7db0718bb1e334a32dff49e4976293df5c78",
+    (2, 4, "csv"): "f130a8b78d61863ef320a86ade2c10887e15fe590fe961318f76cad704573187",
+}
+
+
+@pytest.mark.parametrize("p, n, fmt", sorted(DICKSON_DIGESTS))
+def test_dickson_output_is_frozen(capsys, p, n, fmt):
+    code, out, _ = run(capsys, "dickson", "--p", str(p), "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DICKSON_DIGESTS[p, n, fmt]
 
 
 def test_dickson_bad_dmax(capsys):
@@ -377,6 +400,32 @@ def test_verify_failure_gives_check_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "witnesses")
     assert code == cli.EXIT_CHECK_FAILURE
     assert "FAIL" in out and "witnesses" in out
+
+
+def test_verify_dickson_sign_mismatch_is_a_check_failure(capsys, monkeypatch):
+    from modchar import dickson
+
+    def mismatch(p, n, i):
+        raise dickson.IdentityFailure("injected sign mismatch")
+
+    monkeypatch.setattr(dickson, "product_identity_check", mismatch)
+    code, out, _ = run(capsys, "verify", "--suite", "dickson", "--format", "json")
+    assert code == cli.EXIT_CHECK_FAILURE
+    (result,) = json.loads(out)["results"]
+    assert not result["ok"]
+    assert "p=2, n=1" in result["detail"] and "i=0" in result["detail"]
+    assert "injected sign mismatch" in result["detail"]
+
+
+def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch):
+    def stalled(args):
+        raise AssertionError("socle filtration stalled")
+
+    monkeypatch.setitem(cli._COMMANDS, "basis", stalled)
+    code, out, err = run(capsys, "basis", "--p", "2", "--max-degree", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: socle filtration stalled\n"
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

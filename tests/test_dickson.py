@@ -8,6 +8,7 @@ at a time.  Neither shares code with the line-and-digit route."""
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,7 +16,6 @@ from modchar import dickson
 from modchar.dickson import (
     IdentityFailure,
     MultiPoly,
-    TotalClass,
     algebraic_independence_check,
     alternating_chi_total,
     chi_total_from_inverse,
@@ -28,8 +28,8 @@ from modchar.dickson import (
     series_inverse,
     tensor_to_poly,
 )
-from modchar.mono import Monomial, TensorClass
-from modchar.verify import dickson_total_by_product
+from modchar.mono import ContextMismatch, Monomial, TensorClass
+from modchar.verify import DICKSON_GRID, dickson_total_by_product
 
 
 def poly(p, n, terms):
@@ -137,7 +137,7 @@ def test_dickson_sparsity_and_top_product():
 def test_dickson_total_matches_expanded_product():
     for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 1)]:
         total = dickson_total(p, n)
-        assert total.dmax == p**n
+        assert max(total.components) == p**n - 1
         assert total.components == dickson_total_by_product(p, n)
 
 
@@ -160,21 +160,55 @@ def test_series_inverse_geometric():
     inv = series_inverse(d, 5)
     for k in range(6):
         assert inv.component(k) == poly(2, 1, {(k,): 1})
-    assert d.mul(inv, dmax=5).component(0) == poly(2, 1, {(0,): 1})
+    assert d.mul_truncated(inv, 5).component(0) == poly(2, 1, {(0,): 1})
     for k in range(1, 6):
-        assert d.mul(inv, dmax=5).component(k).is_zero()
+        assert d.mul_truncated(inv, 5).component(k).is_zero()
+
+
+def test_series_inverse_times_d_is_one_on_the_quick_grid():
+    for p, n in DICKSON_GRID:
+        d = dickson_total(p, n)
+        m = 3 * (p**n - 1)
+        inv = series_inverse(d, m)
+        assert max(inv.components) <= m
+        assert d.mul_truncated(inv, m) == MultiPoly.const(p, n, 1), (p, n)
+
+
+def random_poly(rng, p, nvars, max_degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(max_degree + 1) for _ in range(nvars))
+        terms[e] = rng.randrange(p)
+    return MultiPoly(p, nvars, terms)
+
+
+def test_truncated_product_drops_exactly_the_terms_above_dmax():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        for nvars in (1, 2, 3):
+            for _ in range(20):
+                a = random_poly(rng, p, nvars, 4, rng.randrange(8))
+                b = random_poly(rng, p, nvars, 4, rng.randrange(8))
+                full = a.mul(b)
+                for dmax in range(-1, 26, 3):
+                    kept = {e: c for e, c in full.terms.items() if sum(e) <= dmax}
+                    assert a.mul_truncated(b, dmax) == MultiPoly(p, nvars, kept)
 
 
 def test_series_inverse_requires_unit():
-    bad = TotalClass(2, 1, 3, {1: poly(2, 1, {(1,): 1})})
+    bad = poly(2, 1, {(1,): 1})
     with pytest.raises(ValueError):
         series_inverse(bad, 3)
+    with pytest.raises(ValueError):
+        series_inverse(dickson_total(2, 1), -1)
 
 
 def test_inverse_route_matches_direct():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         dmax = 3 * (p**n - 1)
         assert chi_total_from_inverse(p, n, dmax) == alternating_chi_total(p, n, dmax)
+    with pytest.raises(ValueError):
+        chi_total_from_inverse(2, 2, 2)
 
 
 def test_inverse_route_truncates_the_series(monkeypatch):
@@ -231,6 +265,16 @@ def test_multipoly_substitute():
     got = base.substitute([[1, 0, 0], [0, 1, 1]], 3)
     want = poly(2, 3, {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1, (1, 0, 2): 1})
     assert got == want
+    assert got.sub(want).is_zero() and got.add(want).is_zero()
+    assert poly(3, 1, {(1,): 2}).neg() == poly(3, 1, {(1,): 1})
+    assert poly(3, 1, {(1,): 2}).scale(3).is_zero()
+    for other in (base, poly(3, 3, {(1, 0, 0): 1})):
+        with pytest.raises(ContextMismatch):
+            got.add(other)
+        with pytest.raises(ContextMismatch):
+            got.mul(other)
+    with pytest.raises(ValueError):
+        poly(2, 2, {(1,): 1})
 
 
 def test_multipoly_render_canonical():

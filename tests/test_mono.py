@@ -142,8 +142,17 @@ def test_tensor_class_ops():
     assert ab.scale(1) == ab
     assert ab.scale(2).is_zero()
     assert TensorClass(3, r, 1, {(y2,): 2}).scale(2) == TensorClass(3, r, 1, {(y2,): 1})
+    assert ab.sub(ab).is_zero() and ab.neg() == ab
+    assert TensorClass(3, r, 1, {(y2,): 2}).neg() == TensorClass(3, r, 1, {(y2,): 1})
+    for other in (ab, TensorClass(3, r, 1, {}), TensorClass(p, 2, 1, {})):
+        with pytest.raises(ContextMismatch):
+            a.add(other)
+    assert issubclass(ContextMismatch, ValueError)
+    # invalid monomials are rejected on construction
     with pytest.raises(ContextMismatch):
-        a.add(ab)
+        TensorClass(p, r, 2, {(y1,): 1})
+    with pytest.raises(ContextMismatch):
+        TensorClass(p, r, 1, {(Monomial((0, 0), (1, 1)),): 1})
 
 
 def test_canonical_order_is_total_and_deterministic():
