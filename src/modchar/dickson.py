@@ -462,14 +462,13 @@ def algebraic_independence_check(p: int, n: int, max_total_degree: int = 3) -> b
         expanded.append(poly)
     monomials = sorted({m for poly in expanded for m in poly.terms})
     index = {m: j for j, m in enumerate(monomials)}
-    ctx = FieldCtx(p, 1)
     rows = []
     for poly in expanded:
-        row = [ctx.zero] * len(monomials)
+        row = [0] * len(monomials)
         for m, c in poly.terms.items():
-            row[index[m]] = ctx.scalar(c)
+            row[index[m]] = c
         rows.append(row)
-    return MatrixFF(ctx, rows).rank() == len(expanded)
+    return MatrixFF(FieldCtx(p, 1), rows).rank() == len(expanded)
 
 
 def tensor_to_poly(tc: TensorClass) -> MultiPoly:

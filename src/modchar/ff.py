@@ -1,14 +1,20 @@
 """Exact arithmetic in GF(p^r) and linear algebra over it.
 
-Field elements are coefficient tuples of length r (power basis 1, t, ...,
-t^(r-1), each entry a residue in [0, p)).  For r = 1 an element is a
-1-tuple holding a plain residue.  All operations are pure functions on
-immutable values; contexts, matrices and subspaces hash and compare by
-value.
+A field element is one int in [0, q), q = p^r.  Its base-p digits,
+least significant first, are the coefficients on the power basis 1, t,
+..., t^(r-1), so over the prime field an element is just its residue.
+The prime field uses plain modular arithmetic; an extension field reads
+exponent, logarithm and Zech logarithm tables built once per field
+(Lidl-Niederreiter, Finite Fields, ch. 2), which is why extension
+fields are bounded by q <= MAX_EXTENSION_ORDER.  Coefficient lists
+appear only at the file boundary: from_coeffs, to_coeffs and
+MatrixFF.from_ints.  Contexts, matrices and subspaces are immutable and
+hash and compare by value.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,6 +25,12 @@ class FieldError(ValueError):
 
 class DimensionError(ValueError):
     """Shape mismatch between matrices, vectors or subspaces."""
+
+
+# Largest order q = p^r admitted for an extension field (r > 1).  It keeps
+# the per-field tables O(q) and the irreducibility search short: the
+# largest admitted field, GF(251^2), builds its tables in under a second.
+MAX_EXTENSION_ORDER = 1 << 16
 
 
 def is_int(x) -> bool:
@@ -54,6 +66,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_field(p: int, r: int) -> None:
+    """FieldError unless GF(p^r) is admitted; runs before any search."""
+    if not is_prime(p):
+        raise FieldError(f"p = {p} is not prime")
+    if not 1 <= r <= 8:
+        raise FieldError(f"extension degree r = {r} outside supported range 1..8")
+    if r > 1 and p**r > MAX_EXTENSION_ORDER:
+        raise FieldError(
+            f"GF({p}^{r}) has order {p**r}, above the extension-field bound "
+            f"q <= MAX_EXTENSION_ORDER = {MAX_EXTENSION_ORDER}"
+        )
+
+
 # -- polynomial helpers over F_p (coefficient tuples, constant term first) --
 
 
@@ -62,17 +87,6 @@ def _poly_trim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -111,10 +125,7 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     first).  For r = 1 the convention is the polynomial t, so that
     elements of the prime field are plain residues.
     """
-    if not is_prime(p):
-        raise FieldError(f"p = {p} is not prime")
-    if not 1 <= r <= 8:
-        raise FieldError(f"extension degree r = {r} outside supported range 1..8")
+    _check_field(p, r)
     if r == 1:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=r):
@@ -124,16 +135,87 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible of degree {r} over F_{p}")  # unreachable
 
 
+def _mulmod(a, b, modulus, p):
+    """a * b in F_p[t] / (modulus), on length-r coefficient lists."""
+    r = len(modulus) - 1
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for e in range(2 * r - 2, r - 1, -1):  # t^e = -t^(e-r) (modulus - t^r)
+        c = prod[e] % p
+        if c:
+            for i in range(r):
+                prod[e - r + i] -= c * modulus[i]
+    return [x % p for x in prod[:r]]
+
+
+def _digits(a: int, p: int, r: int) -> list[int]:
+    out = []
+    for _ in range(r):
+        a, c = divmod(a, p)
+        out.append(c)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _log_tables(p: int, r: int, modulus: tuple[int, ...]):
+    """(exp, log, zech) of GF(p^r) = F_p[t] / (modulus) for the least
+    primitive element g.
+
+    exp[k] = g^k, stored twice over so a sum of two logs indexes it
+    without a reduction; log[a] for a != 0; zech[k] = log(1 + g^k), or
+    -1 where 1 + g^k = 0.  zech is read at differences of two logs,
+    which may be negative: Python's negative index then reads
+    zech[k + q - 1], the same power of g.  The cache is bounded, so a
+    process holds at most eight fields' tables, and shares them
+    immutable between contexts."""
+    order = p**r - 1
+    one = [1] + [0] * (r - 1)
+
+    def power(g, e):
+        out = one
+        for bit in bin(e)[2:]:
+            out = _mulmod(out, out, modulus, p)
+            if bit == "1":
+                out = _mulmod(out, g, modulus, p)
+        return out
+
+    # g is primitive iff g^(order / l) != 1 for every prime l | order; no
+    # element of F_p is primitive when r > 1
+    primes = [
+        d for d in range(2, order + 1) if order % d == 0 and all(d % e for e in range(2, d))
+    ]
+    g = next(
+        g
+        for g in (_digits(x, p, r) for x in range(p, order + 1))
+        if all(power(g, order // ell) != one for ell in primes)
+    )
+    weights = [p**i for i in range(r)]
+    exp, log, cur = [], [0] * (order + 1), one
+    for k in range(order):
+        x = sum(c * w for c, w in zip(cur, weights))
+        exp.append(x)
+        log[x] = k
+        cur = _mulmod(cur, g, modulus, p)
+    zech = []
+    for x in exp:
+        one_plus = x - x % p + (x + 1) % p  # adds 1 to the constant digit
+        zech.append(log[one_plus] if one_plus else -1)
+    return tuple(exp + exp), tuple(log), tuple(zech)
+
+
 class FieldCtx:
     """The field GF(p^r) presented as F_p[t] modulo a monic irreducible."""
 
-    __slots__ = ("p", "r", "modulus", "_tpow", "_inv_cache")
+    __slots__ = ("p", "r", "q", "modulus", "_exp", "_log", "_zech", "_neg_log")
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
-        if not 1 <= r <= 8:
-            raise FieldError(f"extension degree r = {r} outside supported range 1..8")
+        _check_field(p, r)
         if modulus is None:
             modulus = find_irreducible(p, r)
         modulus = tuple(c % p for c in modulus)
@@ -146,149 +228,88 @@ class FieldCtx:
             raise FieldError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.r = r
+        self.q = p**r
         self.modulus = modulus
-        # t^e mod modulus for e = r .. 2r-2, used to fold products back
-        tpow = []
-        cur = list(modulus[:r])  # t^r = -(lower part), monic
-        cur = [(-c) % p for c in cur]
-        for _ in range(r, 2 * r - 1):
-            tpow.append(tuple(cur))
-            nxt = [0] + cur[: r - 1]
-            lead = cur[r - 1]
-            if lead:
-                for i in range(r):
-                    nxt[i] = (nxt[i] - lead * modulus[i]) % p
-            cur = nxt
-        self._tpow = tuple(tpow)
-        self._inv_cache: dict = {}
-
-    @property
-    def q(self) -> int:
-        return self.p**self.r
-
-    @property
-    def zero(self):
-        return (0,) * self.r
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.r - 1)
+        self._exp = self._log = self._zech = None
+        if r > 1:
+            self._exp, self._log, self._zech = _log_tables(p, r, modulus)
+        # log(-1): -1 = g^((q-1)/2) for odd p, and -1 = 1 for p = 2
+        self._neg_log = (self.q - 1) // 2 if p > 2 else 0
 
     def gen(self):
         if self.r == 1:
             raise FieldError("prime field has no extension generator")
-        return (0, 1) + (0,) * (self.r - 2)
+        return self.p
 
     def scalar(self, c: int):
         """Embed an integer residue into the field."""
-        return (c % self.p,) + (0,) * (self.r - 1)
+        return c % self.p
 
     def from_coeffs(self, coeffs):
         if not isinstance(coeffs, (list, tuple)) or not all(map(is_int, coeffs)):
             raise FieldError(f"element {coeffs!r} is not a list of integer coefficients")
         if len(coeffs) != self.r:
             raise FieldError(f"element needs {self.r} coefficients, got {len(coeffs)}")
-        return tuple(c % self.p for c in coeffs)
-
-    def elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.r):
-            yield tup
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def smul(self, c: int, a):
-        p = self.p
-        c %= p
-        return tuple(c * x % p for x in a)
-
-    def mul(self, a, b):
-        p, r = self.p, self.r
-        if r == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:r]
-        for e in range(r, 2 * r - 1):
-            c = prod[e]
-            if c:
-                red = self._tpow[e - r]
-                for i in range(r):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
-
-    def inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
-        p = self.p
-        if self.r == 1:
-            out = (pow(a[0], p - 2, p),)
-        else:
-            # extended Euclid in F_p[t] on (a, modulus)
-            r0, r1 = _poly_trim(a), self.modulus
-            s0, s1 = (1,), ()
-            while r1:
-                lead_inv = pow(r1[-1], p - 2, p)
-                q = [0] * (max(len(r0) - len(r1) + 1, 0))
-                rem = list(r0)
-                while len(_poly_trim(rem)) >= len(r1):
-                    rem = list(_poly_trim(rem))
-                    shift = len(rem) - len(r1)
-                    coef = rem[-1] * lead_inv % p
-                    q[shift] = coef
-                    for i, c in enumerate(r1):
-                        rem[i + shift] = (rem[i + shift] - coef * c) % p
-                rem = _poly_trim(rem)
-                qt = _poly_trim(q)
-                r0, r1 = r1, rem
-                new_s1 = _poly_trim(
-                    [
-                        (x - y) % p
-                        for x, y in itertools.zip_longest(
-                            s0, _poly_mul(qt, s1, p), fillvalue=0
-                        )
-                    ]
-                )
-                s0, s1 = s1, new_s1
-            # r0 = gcd, a unit scalar since modulus irreducible
-            c_inv = pow(r0[0], p - 2, p)
-            s0 = _poly_mul(s0, (c_inv,), p)
-            s0 = _poly_mod(s0, self.modulus, p)
-            out = tuple(s0) + (0,) * (self.r - len(s0))
-        self._inv_cache[a] = out
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.p + c % self.p
         return out
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def to_coeffs(self, a) -> list[int]:
+        """Coefficients of a on 1, t, ..., t^(r-1)."""
+        return _digits(a, self.p, self.r)
+
+    def elements(self):
+        return range(self.q)
+
+    def add(self, a, b):
+        if self.r == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]  # a + b = a (1 + b / a)
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a):
+        if self.r == 1:
+            return -a % self.p
+        return self._exp[self._log[a] + self._neg_log] if a else 0
+
+    def sub(self, a, b):
+        if self.r == 1:
+            return (a - b) % self.p
+        return self.add(a, self.neg(b))
+
+    def smul(self, c: int, a):
+        return self.mul(c % self.p, a)
+
+    def mul(self, a, b):
+        if self.r == 1:
+            return a * b % self.p
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero in " + repr(self))
+        if self.r == 1:
+            return pow(a, self.p - 2, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, e: int):
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        if not a:
+            return 0 if e else 1
+        if self.r == 1:
+            return pow(a, e, self.p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def __eq__(self, other):
         return (
@@ -304,7 +325,7 @@ class FieldCtx:
 
 
 class MatrixFF:
-    """Immutable dense matrix over a FieldCtx (rows of element tuples)."""
+    """Immutable dense matrix over a FieldCtx (rows of field elements)."""
 
     __slots__ = ("ctx", "rows")
 
@@ -317,12 +338,12 @@ class MatrixFF:
 
     @classmethod
     def identity(cls, ctx, n):
-        z, o = ctx.zero, ctx.one
-        return cls(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(ctx, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_ints(cls, ctx, rows):
-        """Build from rows (lists) of integer entries or coefficient lists;
+        """Build from rows (lists) of file entries: an integer is a
+        prime-field scalar, a list the coefficients of an element;
         booleans are not integers."""
         out = []
         for row in rows:
@@ -374,13 +395,12 @@ class MatrixFF:
         ctx = self.ctx
         cols = list(zip(*other.rows)) if other.rows else []
         out = []
-        zero = ctx.zero
         for row in self.rows:
             new = []
             for col in cols:
-                acc = zero
+                acc = 0
                 for a, b in zip(row, col):
-                    if a != zero and b != zero:
+                    if a and b:
                         acc = ctx.add(acc, ctx.mul(a, b))
                 new.append(acc)
             out.append(new)
@@ -390,12 +410,11 @@ class MatrixFF:
         ctx = self.ctx
         if len(v) != self.ncols:
             raise DimensionError("vector length mismatch")
-        zero = ctx.zero
         out = []
         for row in self.rows:
-            acc = zero
+            acc = 0
             for a, b in zip(row, v):
-                if a != zero and b != zero:
+                if a and b:
                     acc = ctx.add(acc, ctx.mul(a, b))
             out.append(acc)
         return tuple(out)
@@ -414,12 +433,10 @@ class MatrixFF:
 
     def block_diag(self, other):
         self._check(other)
-        ctx = self.ctx
-        z = ctx.zero
         n1, n2 = self.ncols, other.ncols
-        out = [list(row) + [z] * n2 for row in self.rows]
-        out += [[z] * n1 + list(row) for row in other.rows]
-        return MatrixFF(ctx, out)
+        out = [list(row) + [0] * n2 for row in self.rows]
+        out += [[0] * n1 + list(row) for row in other.rows]
+        return MatrixFF(self.ctx, out)
 
     def pow_int(self, e: int):
         if self.nrows != self.ncols:
@@ -448,20 +465,6 @@ class MatrixFF:
         _, pivots = _rref(self.ctx, [list(r) for r in self.rows])
         return len(pivots)
 
-    def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        z, o = self.ctx.zero, self.ctx.one
-        return all(
-            e == (o if i == j else z)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
-
-    def is_zero(self):
-        z = self.ctx.zero
-        return all(e == z for row in self.rows for e in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixFF)
@@ -480,18 +483,17 @@ def _rref(ctx, rows):
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    zero = ctx.zero
     pivots = []
     i = 0
     for j in range(ncols):
-        k = next((k for k in range(i, m) if rows[k][j] != zero), None)
+        k = next((k for k in range(i, m) if rows[k][j]), None)
         if k is None:
             continue
         rows[i], rows[k] = rows[k], rows[i]
         pivot_inv = ctx.inv(rows[i][j])
         rows[i] = [ctx.mul(pivot_inv, x) for x in rows[i]]
         for k2 in range(m):
-            if k2 != i and rows[k2][j] != zero:
+            if k2 != i and rows[k2][j]:
                 f = rows[k2][j]
                 rows[k2] = [
                     ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[k2], rows[i])
@@ -508,7 +510,7 @@ class Subspace:
     """Subspace of F_q^n held as a canonical reduced row-echelon basis.
 
     Canonicality makes equality structural: two subspaces are equal as
-    sets of vectors iff their basis tuples are equal field-wise.
+    sets of vectors iff their basis tuples are equal.
     """
 
     ctx: FieldCtx
@@ -540,8 +542,7 @@ class Subspace:
         return len(self.basis)
 
     def pivot_columns(self):
-        zero = self.ctx.zero
-        return [next(j for j, e in enumerate(row) if e != zero) for row in self.basis]
+        return [next(j for j, e in enumerate(row) if e) for row in self.basis]
 
     def reduce(self, v):
         """Residue of v modulo the subspace (zero iff v belongs to it)."""
@@ -551,18 +552,12 @@ class Subspace:
         w = list(v)
         for row, c in zip(self.basis, self.pivot_columns()):
             f = w[c]
-            if f != ctx.zero:
+            if f:
                 w = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(w, row)]
         return tuple(w)
 
     def contains(self, v) -> bool:
-        zero = self.ctx.zero
-        return all(e == zero for e in self.reduce(v))
-
-    def is_subspace_of(self, other) -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
-        return all(other.contains(row) for row in self.basis)
+        return not any(self.reduce(v))
 
     def membership_matrix(self) -> MatrixFF:
         """Matrix R with Rv = 0 iff v lies in the subspace."""
@@ -592,8 +587,8 @@ def kernel(M: MatrixFF) -> Subspace:
     free = [j for j in range(n) if j not in pivot_set]
     vecs = []
     for f in free:
-        v = [ctx.zero] * n
-        v[f] = ctx.one
+        v = [0] * n
+        v[f] = 1
         for i, c in enumerate(pivots):
             v[c] = ctx.neg(red[i][f])
         vecs.append(v)
@@ -619,23 +614,3 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
         list(s1.membership_matrix().rows) + list(s2.membership_matrix().rows),
     )
     return kernel(stacked)
-
-
-def solve(M: MatrixFF, b):
-    """One solution x of Mx = b, or None when the system is inconsistent."""
-    if len(b) != M.nrows:
-        raise DimensionError("rhs length != matrix rows")
-    ctx = M.ctx
-    n = M.ncols
-    aug = [list(r) + [e] for r, e in zip(M.rows, b)]
-    red, pivots = _rref(ctx, aug)
-    if n in pivots:
-        return None
-    x = [ctx.zero] * n
-    for i, c in enumerate(pivots):
-        x[c] = red[i][n]
-    return tuple(x)
-
-
-def rank(M: MatrixFF) -> int:
-    return M.rank()

@@ -92,19 +92,6 @@ def sort_key(m: Monomial, p: int):
     return (degree(m, p), m.ext, m.pows)
 
 
-def multiply(m1: Monomial, m2: Monomial) -> Monomial | None:
-    """Product of monomials; None when a square of an exterior generator
-    appears (such products vanish)."""
-    if m1.r != m2.r:
-        raise ContextMismatch("monomial rank mismatch")
-    if any(a1 and a2 for a1, a2 in zip(m1.ext, m2.ext)):
-        return None
-    return Monomial(
-        tuple(a1 + a2 for a1, a2 in zip(m1.ext, m2.ext)),
-        tuple(b1 + b2 for b1, b2 in zip(m1.pows, m2.pows)),
-    )
-
-
 def _compositions(total: int, parts: int):
     """All tuples of `parts` naturals summing to `total`, lexicographic."""
     if parts == 0:

@@ -82,10 +82,9 @@ class PointedRep:
     basepoint: tuple
 
     def __post_init__(self):
-        ctx = self.rep.ctx
         if len(self.basepoint) != self.rep.dim:
             raise ff.DimensionError("basepoint length != dim")
-        if all(e == ctx.zero for e in self.basepoint):
+        if not any(self.basepoint):
             raise RepValidationError(["basepoint is zero"])
         for i, g in enumerate(self.rep.generators):
             if g.matvec(self.basepoint) != self.basepoint:
@@ -249,9 +248,9 @@ def basic_rep(p: int, r: int, n: int, modulus=None) -> PointedRep:
     for i in range(1, n + 1):
         for j in range(r):
             rows = [list(row) for row in MatrixFF.identity(ctx, n + 1).rows]
-            rows[0][i] = ctx.pow(ctx.gen(), j) if r > 1 else ctx.one
+            rows[0][i] = ctx.pow(ctx.gen(), j) if r > 1 else 1
             gens.append(MatrixFF(ctx, rows))
-    basepoint = (ctx.one,) + (ctx.zero,) * n
+    basepoint = (1,) + (0,) * n
     return PointedRep(Rep(ctx, n + 1, tuple(gens)), basepoint)
 
 
@@ -262,8 +261,8 @@ def sym_power_rep(p: int, r: int, modulus=None) -> Rep:
     ctx = FieldCtx(p, r, modulus)
     gens = []
     for jj in range(r):
-        a = ctx.pow(ctx.gen(), jj) if r > 1 else ctx.one
-        a_pows = [ctx.one]
+        a = ctx.pow(ctx.gen(), jj) if r > 1 else 1
+        a_pows = [1]
         for _ in range(p - 1):
             a_pows.append(ctx.mul(a_pows[-1], a))
         rows = []
@@ -271,7 +270,7 @@ def sym_power_rep(p: int, r: int, modulus=None) -> Rep:
             row = []
             for j in range(p):
                 if l > j:
-                    row.append(ctx.zero)
+                    row.append(0)
                 else:
                     row.append(ctx.smul(math.comb(j, l), a_pows[j - l]))
             rows.append(row)
@@ -326,7 +325,7 @@ def wedge_sum(p1: PointedRep, p2: PointedRep) -> PointedRep:
     glue_vec = tuple(p1.basepoint) + tuple(ctx.neg(e) for e in p2.basepoint)
     glue = Subspace.from_vectors(ctx, total.dim, [glue_vec])
     quo = quotient(total, glue)
-    base = quotient_vector(glue, tuple(p1.basepoint) + (ctx.zero,) * p2.rep.dim)
+    base = quotient_vector(glue, tuple(p1.basepoint) + (0,) * p2.rep.dim)
     return PointedRep(quo, base)
 
 
@@ -349,12 +348,12 @@ def regular_rep(p: int, n: int) -> Rep:
     index = {v: i for i, v in enumerate(vectors)}
     gens = []
     for i in range(n):
-        rows = [[ctx.zero] * len(vectors) for _ in vectors]
+        rows = [[0] * len(vectors) for _ in vectors]
         for v, col in index.items():
             shifted = tuple(
                 (c + (1 if j == i else 0)) % p for j, c in enumerate(v)
             )
-            rows[index[shifted]][col] = ctx.one
+            rows[index[shifted]][col] = 1
         gens.append(MatrixFF(ctx, rows))
     return Rep(ctx, len(vectors), tuple(gens))
 
@@ -395,15 +394,12 @@ def _trivial_subgroup(sub: Rep) -> Subspace:
     generator differences, so the condition is F_p-linear."""
     ident = MatrixFF.identity(sub.ctx, sub.dim)
     diffs = [g.sub(ident) for g in sub.generators]
-    pctx = FieldCtx(sub.ctx.p, 1)
+    to_coeffs = sub.ctx.to_coeffs
     rows = []
     for u in range(sub.dim):
         for v in range(sub.dim):
-            for w in range(sub.ctx.r):
-                rows.append([pctx.scalar(d.rows[u][v][w]) for d in diffs])
-    if not rows:
-        rows = [[pctx.zero] * sub.rank]
-    return ff.kernel(MatrixFF(pctx, rows))
+            rows.extend(zip(*(to_coeffs(d.rows[u][v]) for d in diffs)))
+    return ff.kernel(MatrixFF(FieldCtx(sub.ctx.p, 1), rows or [[0] * sub.rank]))
 
 
 def classify(rep: Rep) -> Reduction:
@@ -421,14 +417,12 @@ def classify(rep: Rep) -> Reduction:
     kernel_group = _trivial_subgroup(sub)
     s = rep.rank
     m = s - kernel_group.dim
-    pctx = kernel_group.ctx
     pivot_set = set(kernel_group.pivot_columns())
     coset = [j for j in range(s) if j not in pivot_set]
     cols = []
     for j in range(s):
-        e = tuple(pctx.one if t == j else pctx.zero for t in range(s))
-        w = kernel_group.reduce(e)
-        cols.append([w[c][0] for c in coset])
+        w = kernel_group.reduce([int(t == j) for t in range(s)])
+        cols.append([w[c] for c in coset])
     projection = tuple(tuple(col[i] for col in cols) for i in range(m))
     model = _basic_model(sub, coset, m)
     return Reduction("reduced", m, projection, model)
@@ -535,12 +529,10 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
     coords = [j for j in range(rep.dim) if j != j0.pivot_columns()[0]]
     # build T = V U^-1 with U the (fixed, complement) basis and V mapping
     # it onto the basic layout
-    u_cols = [list(w0)] + [
-        [ctx.one if t == c else ctx.zero for t in range(rep.dim)] for c in coords
-    ]
+    u_cols = [list(w0)] + [[int(t == c) for t in range(rep.dim)] for c in coords]
     u_matrix = MatrixFF(ctx, list(zip(*u_cols)))
-    v_rows = [[ctx.zero] * rep.dim for _ in range(rep.dim)]
-    v_rows[0][0] = ctx.one
+    v_rows = [[0] * rep.dim for _ in range(rep.dim)]
+    v_rows[0][0] = 1
     for i in range(n):
         for c_idx in range(n):
             v_rows[1 + i][1 + c_idx] = pairing_matrix.rows[i][c_idx]
@@ -601,7 +593,7 @@ def socle_tensor_check(r1: Rep, r2: Rep, i: int) -> bool:
 
 
 def _entry_to_json(ctx: FieldCtx, e):
-    return e[0] if ctx.r == 1 else list(e)
+    return e if ctx.r == 1 else ctx.to_coeffs(e)
 
 
 def rep_to_dict(rep: Rep, basepoint=None) -> dict:

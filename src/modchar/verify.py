@@ -47,7 +47,7 @@ def _fail(name, start, detail):
     return SuiteResult(name, False, detail, time.perf_counter() - start)
 
 
-def _pass(name, start, detail=""):
+def _pass(name, start, detail):
     return SuiteResult(name, True, detail, time.perf_counter() - start)
 
 
@@ -75,10 +75,12 @@ def suite_digit_criterion(profile="quick") -> SuiteResult:
     splitting search for m <= 300, kinds y and xy, undefineds included."""
     name = "digit-criterion"
     start = time.perf_counter()
+    checked = 0
     for p, n in ORACLE_GRID:
         kinds = ("y",) if p == 2 else ("y", "xy")
         for kind in kinds:
             for m in range(0, 301):
+                checked += 1
                 status = r1_predicate(p, kind, m, n)
                 ext = (0,) if kind == "y" else (1,)
                 alpha = Monomial(ext, (m,))
@@ -103,7 +105,7 @@ def suite_digit_criterion(profile="quick") -> SuiteResult:
                         f"predicate {status} vs search {nonzero}: "
                         f"p={p} n={n} {kind} m={m}",
                     )
-    return _pass(name, start)
+    return _pass(name, start, f"{checked} (p, n, kind, m) statuses matched the search")
 
 
 def suite_lowest_degrees(profile="quick") -> SuiteResult:
@@ -129,7 +131,7 @@ def suite_lowest_degrees(profile="quick") -> SuiteResult:
                 return _fail(name, start, f"p={p} n={n}: min m {m} for kind xy")
             if _lowest_nonzero_degree(p, n, "xy") != 2 * p**n - 2 * p ** (n - 1) - 1:
                 return _fail(name, start, f"p={p} n={n}: xy scan mismatch")
-    return _pass(name, start)
+    return _pass(name, start, f"{len(ORACLE_GRID)} (p, n) minima matched the closed forms")
 
 
 def _lowest_nonzero_degree(p, n, kind):
@@ -147,6 +149,7 @@ def suite_coalgebra_laws(profile="quick") -> SuiteResult:
     grid."""
     name = "coalgebra-laws"
     start = time.perf_counter()
+    checked = 0
     for p, r in Q_GRID:
         monomials = []
         for d in range(0, 13):
@@ -190,7 +193,8 @@ def suite_coalgebra_laws(profile="quick") -> SuiteResult:
                     return _fail(name, start, f"weight split fails at q={p**r}, {m}")
                 if not (is_invariant(m1, p) and is_invariant(m2, p)):
                     return _fail(name, start, f"invariance fails at q={p**r}, {m}")
-    return _pass(name, start)
+            checked += 1
+    return _pass(name, start, f"{checked} monomials satisfied the laws")
 
 
 def suite_wedge(profile="quick") -> SuiteResult:
@@ -198,6 +202,7 @@ def suite_wedge(profile="quick") -> SuiteResult:
     q in {2,3,4}, degree <= 10."""
     name = "wedge-consistency"
     start = time.perf_counter()
+    checked = 0
     for p, r in ((2, 1), (3, 1), (2, 2)):
         monomials = []
         for d in range(1, 11):
@@ -209,7 +214,8 @@ def suite_wedge(profile="quick") -> SuiteResult:
                         return _fail(
                             name, start, f"q={p**r}, alpha={m}, a={a}, b={b}"
                         )
-    return _pass(name, start)
+                    checked += 1
+    return _pass(name, start, f"{checked} (alpha, a, b) rank splittings matched")
 
 
 def dickson_total_by_product(p: int, n: int) -> dict:
@@ -274,8 +280,8 @@ def suite_dickson(profile="quick") -> SuiteResult:
     return _pass(
         name,
         start,
-        f"grid {grid}; {components} (p, n, degree) components matched the "
-        "product over (1 + v)",
+        f"{components} (p, n, degree) components matched the product over "
+        f"(1 + v) on grid {grid}",
     )
 
 
@@ -286,6 +292,7 @@ def suite_filtration(profile="quick") -> SuiteResult:
     socle balance of tensor squares, strictness and saturation."""
     name = "filtration"
     start = time.perf_counter()
+    checked = 0
     rng = random.Random(20260809)
     contexts = [FieldCtx(2, 1), FieldCtx(3, 1), FieldCtx(2, 2)]
     for i in range(200):
@@ -300,6 +307,7 @@ def suite_filtration(profile="quick") -> SuiteResult:
         dims = [s.dim for s in quot]
         if any(b <= a for a, b in zip(dims, dims[1:])) or quot[-1].dim != rep.dim:
             return _fail(name, start, f"filtration not strict/saturating on rep {i}")
+        checked += 1
     for p, r, nmax in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)):
         for n in range(1, nmax + 1):
             big = reps.big_rep(p, r, n)
@@ -314,13 +322,17 @@ def suite_filtration(profile="quick") -> SuiteResult:
                     return _fail(name, start, f"conjugation fails at ({p},{r},{n})")
             if reps.classify(big).basic_model != target:
                 return _fail(name, start, f"classify's basic model differs at ({p},{r},{n})")
+            checked += 1
     for p, r in ((2, 1), (3, 1), (2, 2)):
         xi = reps.sym_power_rep(p, r)
         prod_dim = xi.dim**2
         for i in range(prod_dim):
             if not reps.socle_tensor_check(xi, xi, i):
                 return _fail(name, start, f"tensor socle fails at q={p**r}, i={i}")
-    return _pass(name, start)
+            checked += 1
+    return _pass(
+        name, start, f"{checked} cases: random reps, big-rep conjugations, tensor socle stages"
+    )
 
 
 def suite_classification(profile="quick") -> SuiteResult:
@@ -329,11 +341,13 @@ def suite_classification(profile="quick") -> SuiteResult:
     generators recover the projection."""
     name = "classification"
     start = time.perf_counter()
+    checked = 0
     for p, r in ((2, 1), (3, 1), (2, 2)):
         basic1 = reps.basic_rep(p, r, 1)
         summed = reps.direct_sum(basic1.rep, basic1.rep)
         if reps.classify(summed).verdict != "zero":
             return _fail(name, start, f"direct sum not zero at q={p**r}")
+        checked += 1
         if p**r <= 4:
             trivial = reps.Rep(
                 basic1.rep.ctx,
@@ -346,6 +360,7 @@ def suite_classification(profile="quick") -> SuiteResult:
             padded = reps.direct_sum(basic1.rep, trivial)
             if reps.classify(padded).verdict != "zero":
                 return _fail(name, start, f"trivial pad not zero at q={p**r}")
+            checked += 1
     for p in (2, 3):
         for n in (1, 2):
             reg = reps.regular_rep(p, n)
@@ -356,6 +371,7 @@ def suite_classification(profile="quick") -> SuiteResult:
                     return _fail(
                         name, start, f"regular rep chi differs at p={p}, n={n}, k={k}"
                     )
+                checked += 1
     surjection = [[1, 0, 0], [0, 1, 1]]
     pulled = reps.pullback(reps.basic_rep(2, 1, 2).rep, surjection)
     red = reps.classify(pulled)
@@ -368,6 +384,7 @@ def suite_classification(profile="quick") -> SuiteResult:
         want = dickson.chi_via_power_sum(2, 2, k).substitute(surjection, 3)
         if got != want:
             return _fail(name, start, f"pullback chi differs at k={k}")
+        checked += 1
     surjection3 = [[1, 0, 2], [0, 1, 1]]
     pulled3 = reps.pullback(reps.basic_rep(3, 1, 2).rep, surjection3)
     red3 = reps.classify(pulled3)
@@ -378,12 +395,14 @@ def suite_classification(profile="quick") -> SuiteResult:
         want = dickson.chi_via_power_sum(3, 2, k).substitute(surjection3, 3)
         if got != want:
             return _fail(name, start, f"odd-p pullback chi differs at k={k}")
+        checked += 1
     for p, r, a, b in ((2, 1, 1, 2), (3, 1, 1, 1), (2, 2, 1, 1)):
         wedge = reps.wedge_sum(reps.basic_rep(p, r, a), reps.basic_rep(p, r, b))
         red = reps.classify(wedge.rep)
         if red.verdict != "reduced" or red.quotient_rank != r * (a + b):
             return _fail(name, start, f"wedge rank wrong at ({p},{r},{a},{b})")
-    return _pass(name, start)
+        checked += 1
+    return _pass(name, start, f"{checked} verdicts and pulled-back classes matched")
 
 
 def suite_arithmetic(profile="quick") -> SuiteResult:
@@ -392,11 +411,13 @@ def suite_arithmetic(profile="quick") -> SuiteResult:
     and the Grassmannian point-count congruence."""
     name = "arithmetic"
     start = time.perf_counter()
+    checked = 0
     for p in (2, 3, 5, 7):
         for m in range(0, 301):
             for k in range(0, m + 1):
                 if coalg.lucas_binomial(p, m, k) != math.comb(m, k) % p:
                     return _fail(name, start, f"binomial p={p} C({m},{k})")
+                checked += 1
     rng = random.Random(97)
     samples = []
     for x in range(0, 101, 1):
@@ -417,17 +438,20 @@ def suite_arithmetic(profile="quick") -> SuiteResult:
                 return _fail(name, start, f"multinomial p={p} parts={parts}")
             if (got != 0) != coalg.no_carry(p, parts):
                 return _fail(name, start, f"carry criterion p={p} parts={parts}")
+            checked += 1
     for p in (2, 3, 5, 7):
         for s in range(0, 41):
             if min_m_for_digit_sum(p, s) != _min_digit_sum_dp(p, s):
                 return _fail(name, start, f"digit-sum minimum p={p} s={s}")
+            checked += 1
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
         for a in range(0, 9):
             for b in range(0, a + 1):
                 g = coalg.gaussian_binomial(a, b, q)
                 if g % q != 1 % q:
                     return _fail(name, start, f"q-binomial ({a},{b})_{q} = {g}")
-    return _pass(name, start)
+                checked += 1
+    return _pass(name, start, f"{checked} binomials, multinomials, minima and q-binomials matched")
 
 
 def _min_digit_sum_dp(p, s):
@@ -456,6 +480,7 @@ def suite_witnesses(profile="quick") -> SuiteResult:
     forms."""
     name = "witnesses"
     start = time.perf_counter()
+    checked = 0
     for p in (2, 3, 5):
         for r in (1, 2, 3):
             for n in (1, 2, 3):
@@ -479,6 +504,7 @@ def suite_witnesses(profile="quick") -> SuiteResult:
                         return _fail(
                             name, start, f"degree formula ({p},{r},{n},{kind})"
                         )
+                    checked += 1
                 if r == 1 and n <= 2 and p <= 3:
                     for kind in kinds:
                         alpha = witness_alpha(p, r, n, kind)
@@ -494,7 +520,8 @@ def suite_witnesses(profile="quick") -> SuiteResult:
                                 start,
                                 f"expanded class misses the splitting ({p},{n},{kind})",
                             )
-    return _pass(name, start)
+                        checked += 1
+    return _pass(name, start, f"{checked} witnesses and expansions checked")
 
 
 # -- random representations ---------------------------------------------------

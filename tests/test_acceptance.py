@@ -6,7 +6,9 @@ import pytest
 
 from modchar import verify
 
-# (number, description, runner, runtime budget in seconds or None)
+# (number, description, runner, runtime budget in seconds or None, floor on
+# the case count the suite reports at the start of its detail, so a grid
+# that silently shrinks fails)
 CRITERIA = [
     (
         1,
@@ -14,6 +16,7 @@ CRITERIA = [
         "(p,n) grid, k <= 2(p^n-1)+2p",
         lambda: verify.suite_oracle_equivalence("quick"),
         30,
+        68,
     ),
     (
         2,
@@ -21,24 +24,28 @@ CRITERIA = [
         "kinds y and xy, undefineds included",
         lambda: verify.suite_digit_criterion("quick"),
         30,
+        3311,
     ),
     (
         3,
         "lowest nonzero degrees match the closed forms",
         lambda: verify.suite_lowest_degrees("quick"),
         None,
+        7,
     ),
     (
         4,
         "coalgebra laws for degree <= 12, q in {2,3,4,5,8,9}",
         lambda: verify.suite_coalgebra_laws("quick"),
         60,
+        132,
     ),
     (
         5,
         "wedge consistency for a+b <= 4, q in {2,3,4}, deg <= 10",
         lambda: verify.suite_wedge("quick"),
         None,
+        210,
     ),
     (
         6,
@@ -46,6 +53,7 @@ CRITERIA = [
         "independence (full grid incl. (3,3))",
         lambda: verify.suite_dickson("full"),
         None,
+        23,
     ),
     (
         7,
@@ -53,6 +61,7 @@ CRITERIA = [
         "conjugation, tensor socle, strictness",
         lambda: verify.suite_filtration("quick"),
         None,
+        225,
     ),
     (
         8,
@@ -60,6 +69,7 @@ CRITERIA = [
         "pullback projections recovered",
         lambda: verify.suite_classification("quick"),
         None,
+        42,
     ),
     (
         9,
@@ -67,6 +77,7 @@ CRITERIA = [
         "minima vs DP, q-binomial congruence",
         lambda: verify.suite_arithmetic("quick"),
         30,
+        220568,
     ),
     (
         10,
@@ -74,18 +85,21 @@ CRITERIA = [
         "tables match closed forms, r <= 3, n <= 3",
         lambda: verify.suite_witnesses("quick"),
         None,
+        51,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "num,desc,runner,budget", CRITERIA, ids=[f"criterion-{c[0]}" for c in CRITERIA]
+    "num,desc,runner,budget,floor", CRITERIA, ids=[f"criterion-{c[0]}" for c in CRITERIA]
 )
-def test_acceptance_criterion(num, desc, runner, budget):
+def test_acceptance_criterion(num, desc, runner, budget, floor):
     result = runner()
     mark = "PASS" if result.ok else "FAIL"
     print(f"{mark}: criterion {num} ({result.name}, {result.seconds:.2f}s) - {desc}")
     assert result.ok, f"criterion {num} failed: {result.detail}"
+    cases = int(result.detail.split()[0])
+    assert cases >= floor, f"criterion {num} checked {cases} cases, floor {floor}"
     if budget is not None:
         assert result.seconds < budget, (
             f"criterion {num} took {result.seconds:.1f}s, budget {budget}s"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -368,6 +369,33 @@ def test_rep_analyze_refuses_extension_field_chi(capsys, tmp_path):
     code, out, _ = run(capsys, "rep-analyze", path)
     assert code == 0
     assert "socle dims: 1, 2" in out
+
+
+@pytest.mark.parametrize("modulus", [None, [3, 0, 1]])
+def test_rep_analyze_rejects_extension_field_over_the_bound(capsys, tmp_path, modulus):
+    obj = {"p": 65521, "r": 2, "dim": 1, "generators": [[[[1, 0]]]]}
+    if modulus is not None:
+        obj["modulus"] = modulus
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "MAX_EXTENSION_ORDER" in err
+
+
+def test_rep_analyze_largest_admitted_extension_field(capsys, tmp_path):
+    pr = reps.basic_rep(251, 2, 1)  # GF(251^2), q = 63001
+    path = _write_rep(tmp_path, pr.rep, pr.basepoint)
+    code, out, _ = run(capsys, "rep-analyze", path)
+    assert code == 0
+    assert out.splitlines() == [
+        "socle dims: 1, 2",
+        "verdict: reduced to rank 2",
+        "  pi 1 0",
+        "  pi 0 1",
+    ]
 
 
 def test_rep_analyze_missing_file(capsys):

@@ -55,7 +55,7 @@ def test_validate_catches_violations():
 def test_basic_rep_frozen():
     pr = basic_rep(2, 1, 1)
     assert pr.rep.generators[0] == ints(pr.rep.ctx, [[1, 1], [0, 1]])
-    assert pr.basepoint == ((1,), (0,))
+    assert pr.basepoint == (1, 0)
     pr2 = basic_rep(3, 1, 2)
     assert pr2.rep.rank == 2 and pr2.rep.dim == 3
     for g in pr2.rep.generators:
@@ -63,7 +63,7 @@ def test_basic_rep_frozen():
             (i, j)
             for i, row in enumerate(g.rows)
             for j, e in enumerate(row)
-            if e != g.ctx.zero and i != j
+            if e and i != j
         ]
         assert len(ones) == 1 and ones[0][0] == 0
     # q = 4: r n generators
@@ -88,7 +88,7 @@ def test_sym_power_frozen_f3():
     stages = socle_filtration(xi)
     assert [s.dim for s in stages] == [1, 2, 3]
     # stages are spanned by leading basis vectors
-    assert stages[0].basis == (((1,), (0,), (0,)),)
+    assert stages[0].basis == ((1, 0, 0),)
 
 
 def test_sym_power_p2_is_standard():
@@ -169,9 +169,9 @@ def test_restrict_and_quotient():
     quo = quotient(xi, Subspace.full(xi.ctx, 3))
     assert quo.dim == 0
     fixed_restr = restrict(xi, stages[0])
-    assert all(g.is_identity() for g in fixed_restr.generators)
+    assert all(g == MatrixFF.identity(xi.ctx, 1) for g in fixed_restr.generators)
     with pytest.raises(Exception):
-        restrict(xi, Subspace.from_vectors(xi.ctx, 3, [((0,), (1,), (0,))]))
+        restrict(xi, Subspace.from_vectors(xi.ctx, 3, [(0, 1, 0)]))
 
 
 def test_regular_rep_frozen():
@@ -179,7 +179,7 @@ def test_regular_rep_frozen():
     assert reg.generators[0] == ints(reg.ctx, [[0, 1], [1, 0]])
     fs = fixed_space(regular_rep(2, 2))
     assert fs.dim == 1
-    ones = ((1,),) * 4
+    ones = (1,) * 4
     assert fs.contains(ones)
     with pytest.raises(Exception):
         reps.regular_rep(2, 0)
@@ -352,9 +352,9 @@ def test_element_and_pullback_consistency():
 def test_pointed_rep_validation():
     pr = basic_rep(2, 1, 1)
     with pytest.raises(RepValidationError):
-        PointedRep(pr.rep, ((0,), (0,)))
+        PointedRep(pr.rep, (0, 0))
     with pytest.raises(RepValidationError):
-        PointedRep(pr.rep, ((0,), (1,)))  # moved by the generator
+        PointedRep(pr.rep, (0, 1))  # moved by the generator
 
 
 def test_serialization_round_trip():

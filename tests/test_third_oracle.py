@@ -1,0 +1,148 @@
+"""A third oracle from outside the package: sympy's polynomial and
+matrix arithmetic over GF(p), and hypothesis-drawn cases.  Both are test
+dependencies only; without them this module is skipped."""
+
+import json
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_add, gf_mul, gf_rem  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from modchar import ff, reps  # noqa: E402
+from modchar.ff import FieldCtx, MatrixFF, kernel  # noqa: E402
+
+# admitted fields, the largest extension order GF(251^2) included, and a
+# prime field far above the extension bound
+ADMITTED = [(2, 1), (5, 1), (65521, 1), (2, 2), (2, 4), (2, 8), (3, 2), (3, 5), (5, 3), (7, 2), (251, 2)]
+_CONTEXTS = {}
+
+
+def field(pr):
+    if pr not in _CONTEXTS:
+        _CONTEXTS[pr] = FieldCtx(*pr)
+    return _CONTEXTS[pr]
+
+
+PROPS = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def field_and_elements(draw, count):
+    ctx = field(draw(st.sampled_from(ADMITTED)))
+    return ctx, [draw(st.integers(0, ctx.q - 1)) for _ in range(count)]
+
+
+def _high_first(ctx, a):
+    """a as a sympy dense polynomial over F_p, leading coefficient first."""
+    coeffs = list(reversed(ctx.to_coeffs(a)))
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs
+
+
+def _from_high_first(ctx, coeffs):
+    return ctx.from_coeffs([int(c) % ctx.p for c in reversed(coeffs)] + [0] * (ctx.r - len(coeffs)))
+
+
+@PROPS
+@given(field_and_elements(3))
+def test_field_axioms(case):
+    ctx, (a, b, c) = case
+    assert ctx.add(a, b) == ctx.add(b, a)
+    assert ctx.mul(a, b) == ctx.mul(b, a)
+    assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
+    assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+    assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx.add(a, ctx.zero) == a and ctx.mul(a, ctx.one) == a
+    assert ctx.add(a, ctx.neg(a)) == ctx.zero
+    assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
+    if a:
+        assert ctx.mul(a, ctx.inv(a)) == ctx.one
+        assert ctx.pow(a, ctx.q - 1) == ctx.one
+
+
+@PROPS
+@given(field_and_elements(2))
+def test_sum_and_product_match_polynomials_mod_the_modulus(case):
+    ctx, (a, b) = case
+    p, fa, fb = ctx.p, _high_first(ctx, a), _high_first(ctx, b)
+    modulus = list(reversed(ctx.modulus))
+    assert ctx.add(a, b) == _from_high_first(ctx, gf_add(fa, fb, p, ZZ))
+    assert ctx.mul(a, b) == _from_high_first(ctx, gf_rem(gf_mul(fa, fb, p, ZZ), modulus, p, ZZ))
+
+
+@PROPS
+@given(field_and_elements(1))
+def test_int_coefficient_round_trip(case):
+    ctx, (a,) = case
+    coeffs = ctx.to_coeffs(a)
+    assert len(coeffs) == ctx.r and all(0 <= c < ctx.p for c in coeffs)
+    assert sum(c * ctx.p**i for i, c in enumerate(coeffs)) == a
+    assert ctx.from_coeffs(coeffs) == a
+
+
+def test_moduli_are_irreducible_by_sympy():
+    x = sympy.symbols("x")
+    for p, r in ADMITTED:
+        if r > 1:
+            modulus = field((p, r)).modulus
+            assert sympy.Poly(list(reversed(modulus)), x, modulus=p).is_irreducible
+
+
+def test_rank_and_kernel_match_sympy_domain_matrix():
+    rng = random.Random(2026)
+    for p in (2, 3, 5, 7, 251):
+        ctx, dom = FieldCtx(p, 1), sympy.GF(p)
+        for _ in range(40):
+            m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+            # low-rank products as well as uniform draws
+            if rng.random() < 0.5:
+                k = rng.randrange(1, min(m, n) + 1)
+                left = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+                right = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+            else:
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            mat = MatrixFF(ctx, rows)
+            dm = DomainMatrix([[dom(x) for x in row] for row in rows], (m, n), dom)
+            ours = kernel(mat)
+            assert mat.rank() == dm.rank()
+            theirs = [[int(e) % p for e in row] for row in dm.nullspace().to_list()]
+            theirs = [row for row in theirs if any(row)]
+            assert ours.dim == len(theirs) == n - dm.rank()
+            assert all(ours.contains(v) for v in theirs)
+
+
+@st.composite
+def rep_files(draw):
+    ctx = field(draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (251, 2)])))
+    dim = draw(st.integers(1, 3))
+    entry = st.integers(0, ctx.q - 1)
+    gens = draw(st.lists(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim), max_size=3))
+    rep = reps.Rep(ctx, dim, tuple(MatrixFF(ctx, g) for g in gens))
+    basepoint = draw(st.none() | st.tuples(*[entry] * dim))
+    return rep, basepoint
+
+
+@PROPS
+@given(rep_files())
+def test_rep_file_round_trip(case):
+    rep, basepoint = case
+    obj = reps.rep_to_dict(rep, basepoint)
+    entries = [e for g in obj["generators"] for row in g for e in row] + obj.get("basepoint", [])
+    if rep.ctx.r == 1:
+        assert all(ff.is_int(e) for e in entries)
+    else:
+        assert all(isinstance(e, list) and len(e) == rep.ctx.r for e in entries)
+    text = json.dumps(obj, sort_keys=True)
+    back, back_point = reps.rep_from_dict(json.loads(text))
+    assert back == rep and back_point == basepoint
+    assert json.dumps(reps.rep_to_dict(back, back_point), sort_keys=True) == text
