@@ -111,7 +111,9 @@ def is_chi_nonzero(p: int, r: int, alpha: Monomial, n: int) -> bool:
     return _splittable(weights, start, q1 if q1 > 1 else 1, n)
 
 
-@lru_cache(maxsize=None)
+# shared by every query, whose searches revisit the same sub-splits; bounded
+# so that a long-lived process cannot grow it without limit
+@lru_cache(maxsize=4096)
 def _splittable(weights, counts, modulus, parts) -> bool:
     total = sum(counts)
     if total < parts:

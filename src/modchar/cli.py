@@ -381,10 +381,11 @@ def cmd_rep_analyze(args) -> int:
         if any(k < 1 for k in wanted):
             raise InputError("--chi exponents must be >= 1")
     try:
-        red = reps.classify(rep)
+        reps.require_valid(rep)
     except reps.RepValidationError as exc:
         raise InputError(f"{args.path}: {exc}") from exc
     stages = reps.socle_filtration(rep)
+    red = reps.reduce_from_stages(rep, stages)
     payload = {
         "schema": SCHEMA,
         "p": rep.ctx.p,

@@ -364,19 +364,6 @@ class MatrixFF:
         if self.ctx != other.ctx:
             raise DimensionError("field context mismatch")
 
-    def add(self, other):
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shape mismatch in add")
-        add = self.ctx.add
-        return MatrixFF(
-            self.ctx,
-            [
-                [add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
     def sub(self, other):
         self._check(other)
         sub = self.ctx.sub

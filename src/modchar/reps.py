@@ -5,17 +5,23 @@ computations to a basic representation.
 The filtration is computed by quotient iteration.  Every stage, J_0
 included, is the kernel of one stacked matrix [R D_1; ...; R D_s], with
 D_g = g - 1 the generator differences and R the membership matrix of the
-previous stage (the identity before J_0).  classify stops at the second
-stage J_1 and decides the basic model from the pairing of the group
-against J_1 / J_0; it builds no conjugation.  iso_to_basic constructs
-and checks the explicit conjugation, and runs in verify's filtration
-suite and the tests.  socle_filtration_by_annihilators is an independent
-second route kept as a reference: verify's filtration suite and the
-tests compare it with the first, production calls do not.
+previous stage (the identity before J_0).  socle_filtration_by_annihilators
+is an independent second route kept as a reference: verify's filtration
+suite and the tests compare it with the first, production calls do not.
+
+The reduction reads only J_0 and J_1 (reduce_from_stages).  Classes
+vanish unless J_0 is a line, with canonical vector w0 and pivot c0.  Then
+each D_l is w0 (x) phi_l on J_1, where phi_l(b) = (row c0 of D_l) . b is
+the pairing of the group against J_1 / J_0.  The subgroup acting
+trivially on J_1 is the F_p-kernel of that pairing, the quotient group
+acts faithfully there, and the pairing rows at its generators decide the
+basic model (_basic_rule).  No restricted rep and no conjugation is built;
+iso_to_basic constructs and checks the explicit conjugation, and runs in
+verify's filtration suite and the tests.
 
 The abstract group is always F_p^s on the listed generators, even over
 an extension field; redundant generators are allowed and absorbed by the
-kernel computation in classify.
+kernel of the pairing.
 """
 
 from __future__ import annotations
@@ -213,8 +219,7 @@ def quotient(rep: Rep, space: Subspace) -> Rep:
         for v in space.basis:
             if not space.contains(g.matvec(v)):
                 raise ff.DimensionError(f"subspace not invariant under generator {idx}")
-    pivot_set = set(space.pivot_columns())
-    coset = [j for j in range(rep.dim) if j not in pivot_set]
+    coset = _coset(space)
     gens = []
     for g in rep.generators:
         cols = []
@@ -227,10 +232,15 @@ def quotient(rep: Rep, space: Subspace) -> Rep:
 
 def quotient_vector(space: Subspace, v) -> tuple:
     """Coordinates of v + space in the coset basis used by quotient()."""
-    pivot_set = set(space.pivot_columns())
-    coset = [j for j in range(space.ambient_dim) if j not in pivot_set]
     w = space.reduce(v)
-    return tuple(w[c] for c in coset)
+    return tuple(w[c] for c in _coset(space))
+
+
+def _coset(space: Subspace) -> list[int]:
+    """Non-pivot coordinates of space; their standard vectors give the
+    coset basis of the quotient by space."""
+    pivots = set(space.pivot_columns())
+    return [j for j in range(space.ambient_dim) if j not in pivots]
 
 
 # -- constructions -----------------------------------------------------------
@@ -387,114 +397,99 @@ class Reduction:
     basic_model: PointedRep | None = None
 
 
-def _trivial_subgroup(sub: Rep) -> Subspace:
-    """Exponent vectors (over F_p) of group elements acting as the
-    identity in sub, an action killed by squared generator differences:
-    elements act there by identity plus the linear combination of
-    generator differences, so the condition is F_p-linear."""
-    ident = MatrixFF.identity(sub.ctx, sub.dim)
-    diffs = [g.sub(ident) for g in sub.generators]
-    to_coeffs = sub.ctx.to_coeffs
-    rows = []
-    for u in range(sub.dim):
-        for v in range(sub.dim):
-            rows.extend(zip(*(to_coeffs(d.rows[u][v]) for d in diffs)))
-    return ff.kernel(MatrixFF(FieldCtx(sub.ctx.p, 1), rows or [[0] * sub.rank]))
-
-
-def classify(rep: Rep) -> Reduction:
-    """Zero verdict when the fixed space has dimension >= 2 (or the rep
-    is too small to carry classes); otherwise find the subgroup acting
-    trivially on the second socle stage, and return the projection to
-    the quotient together with the basic model of that rank."""
-    require_valid(rep)
-    if rep.dim < 2:
-        return Reduction("zero")
-    stages = list(itertools.islice(_socle_stages(rep), 2))
-    if stages[0].dim != 1:
-        return Reduction("zero")
-    sub = restrict(rep, stages[1])
-    kernel_group = _trivial_subgroup(sub)
-    s = rep.rank
-    m = s - kernel_group.dim
-    pivot_set = set(kernel_group.pivot_columns())
-    coset = [j for j in range(s) if j not in pivot_set]
-    cols = []
-    for j in range(s):
-        w = kernel_group.reduce([int(t == j) for t in range(s)])
-        cols.append([w[c] for c in coset])
-    projection = tuple(tuple(col[i] for col in cols) for i in range(m))
-    model = _basic_model(sub, coset, m)
-    return Reduction("reduced", m, projection, model)
-
-
-def _basic_model(sub: Rep, coset, m: int) -> PointedRep | None:
-    """Basic representation matching the faithful action of the quotient
-    group (the generators at coset) on sub, the restriction to J_1.
-
-    Over the prime field it always exists: J_0 is a line, so the pairing
-    of the group against J_1 / J_0 is perfect and m = dim - 1.  Over
-    extension fields it needs m = r (dim - 1) and a pairing that passes
-    _basic_pairing, else None.  No conjugation is built here;
-    iso_to_basic builds and checks one in verify and the tests."""
-    ctx = sub.ctx
-    r = ctx.r
-    if r > 1:
-        if m != r * (sub.dim - 1):
-            return None
-        faithful = Rep(ctx, sub.dim, tuple(sub.generators[c] for c in coset))
-        try:
-            _basic_pairing(faithful, fixed_space(faithful))
-        except ReductionError:
-            return None
-    return basic_rep(ctx.p, r, m // r, ctx.modulus)
-
-
-def _basic_pairing(rep: Rep, j0: Subspace) -> MatrixFF:
-    """Rule deciding whether a rep of rank r (dim - 1) with fixed line j0
-    is basic, and its pairing matrix when it is.
-
-    The pairing sends (generator l, complement coordinate c) to the
-    fixed line coefficient of (g_l - 1) e_c.  Every difference must land
-    on the line, over extension fields the pairing must scale by t^j
-    along each slot's generator block, and the slots' first rows must
-    have full rank dim - 1; otherwise ReductionError."""
+def _pairing(rep: Rep, j0: Subspace, j1: Subspace) -> list[list]:
+    """Pairing of the generators against J_1 / J_0, for J_0 a line with
+    canonical vector w0 and pivot c0.  Every D_l = g_l - 1 sends J_1 into
+    J_0, so on J_1 it is w0 (x) phi_l with phi_l(b) = (row c0 of D_l) . b.
+    Row l lists phi_l on the basis vectors of J_1 other than the one with
+    pivot c0, which form a basis of J_1 / J_0."""
     ctx = rep.ctx
-    n = rep.dim - 1
-    w0 = j0.basis[0]
-    pivot = j0.pivot_columns()[0]
-    coords = [j for j in range(rep.dim) if j != pivot]
-    ident = MatrixFF.identity(ctx, rep.dim)
-    pairing = []
+    c0 = j0.pivot_columns()[0]
+    complement = [b for b, c in zip(j1.basis, j1.pivot_columns()) if c != c0]
+    rows = []
     for g in rep.generators:
-        diff = g.sub(ident)
+        d = list(g.rows[c0])
+        d[c0] = ctx.sub(d[c0], 1)
         row = []
-        for c in coords:
-            image = diff.matvec(ident.rows[c])
-            coeff = image[pivot]
-            if tuple(ctx.mul(coeff, e) for e in w0) != image:
+        for b in complement:
+            acc = 0
+            for x, y in zip(d, b):
+                if x and y:
+                    acc = ctx.add(acc, ctx.mul(x, y))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _basic_rule(ctx: FieldCtx, rows, n: int) -> MatrixFF:
+    """Rule deciding whether the pairing rows of a faithful action, each
+    over a basis of J_1 / J_0 of dimension n, are those of the rank-n
+    basic representation; returns the matrix of the slots' first rows.
+
+    There must be r n rows, over extension fields they must scale by t^j
+    along each slot's block of r generators, and the slots' first rows
+    must have rank n; otherwise ReductionError."""
+    r = ctx.r
+    if len(rows) != r * n:
+        raise ReductionError(f"group rank {len(rows)} != r * (dim - 1) = {r * n}")
+    base = [rows[i * r] for i in range(n)]
+    for i in range(n):
+        for j in range(1, r):
+            tj = ctx.pow(ctx.gen(), j)
+            if rows[i * r + j] != [ctx.mul(tj, e) for e in base[i]]:
                 raise ReductionError(
-                    "generator difference does not land on the fixed line"
+                    "generators are not aligned with the field structure "
+                    f"(slot {i}, power {j})"
                 )
-            row.append(coeff)
-        pairing.append(row)
-    # one basis slot per generator block; powers of t must scale in step
-    base = [pairing[i * ctx.r] for i in range(n)]
-    if ctx.r > 1:
-        t = ctx.gen()
-        for i in range(n):
-            for j in range(1, ctx.r):
-                tj = ctx.pow(t, j)
-                expected = [ctx.mul(tj, e) for e in base[i]]
-                if pairing[i * ctx.r + j] != expected:
-                    raise ReductionError(
-                        "generators are not aligned with the field structure "
-                        f"(slot {i}, power {j})"
-                    )
     pairing_matrix = MatrixFF(ctx, base)
     if pairing_matrix.rank() != n:
         raise ReductionError("pairing against the fixed line is degenerate")
     return pairing_matrix
+
+
+def reduce_from_stages(rep: Rep, stages) -> Reduction:
+    """Reduction of a valid rep read off the first two items of its socle
+    stages (a list or the lazy _socle_stages; nothing later is taken).
+
+    Zero verdict when dim < 2 or J_0 is not a line.  Otherwise the pairing
+    phi_l(b) = (row c0 of D_l) . b of the generators against J_1 / J_0
+    decides everything: D_g D_h vanishes on J_1, so the element with
+    exponents e acts there as 1 + sum e_l D_l, and the subgroup acting
+    trivially on J_1 is the F_p-kernel of the pairing's coefficients.  The
+    projection maps F_p^s onto the quotient by that kernel, in the coset
+    basis of quotient_vector; the quotient group acts faithfully on J_1,
+    and the basic model is the rank-n basic rep (n = dim J_1 - 1) when its
+    generators' pairing rows pass _basic_rule, else None."""
+    if rep.dim < 2:
+        return Reduction("zero")
+    stages = iter(stages)
+    j0 = next(stages)
+    if j0.dim != 1:
+        return Reduction("zero")
+    j1 = next(stages)
+    ctx, s, n = rep.ctx, rep.rank, j1.dim - 1
+    pairing = _pairing(rep, j0, j1)
+    # one F_p row per complement vector and coefficient of t^k
+    coeff_rows = [row for col in zip(*pairing) for row in zip(*map(ctx.to_coeffs, col))]
+    kernel_group = ff.kernel(MatrixFF(FieldCtx(ctx.p, 1), coeff_rows))
+    coset = _coset(kernel_group)
+    units = ([int(t == j) for t in range(s)] for j in range(s))
+    projection = tuple(zip(*(quotient_vector(kernel_group, e) for e in units)))
+    try:
+        _basic_rule(ctx, [pairing[c] for c in coset], n)
+        model = basic_rep(ctx.p, ctx.r, n, ctx.modulus)
+    except ReductionError:
+        model = None
+    return Reduction("reduced", len(coset), projection, model)
+
+
+def classify(rep: Rep) -> Reduction:
+    """Validate, then reduce from the first two socle stages (see
+    reduce_from_stages): zero verdict unless J_0 is a line, else the
+    projection onto the group acting faithfully on J_1, which pairs
+    against J_1 / J_0, and the basic model that pairing matches."""
+    require_valid(rep)
+    return reduce_from_stages(rep, _socle_stages(rep))
 
 
 def iso_to_basic(rep: Rep) -> MatrixFF:
@@ -502,10 +497,10 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
     every generator, for a faithful rep killed by squared augmentation
     with a one-dimensional fixed space.
 
-    The pairing must pass _basic_pairing, the rule classify also uses;
-    this function additionally builds T and checks the conjugation
-    generator by generator.  Production calls do not run it: verify's
-    filtration suite and the tests do."""
+    The pairing must pass _basic_rule, the rule classify also uses; this
+    function additionally builds T and checks the conjugation generator
+    by generator.  Production calls do not run it: verify's filtration
+    suite and the tests do."""
     require_valid(rep)
     ctx = rep.ctx
     if rep.dim < 2:
@@ -516,15 +511,11 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
         problems.append(f"fixed space has dimension {stages[0].dim}, need 1")
     if len(stages) > 2:
         problems.append("second socle stage is a proper subspace")
-    n = rep.dim - 1
-    if rep.rank != ctx.r * n:
-        problems.append(
-            f"group rank {rep.rank} != r * (dim - 1) = {ctx.r * n}"
-        )
     if problems:
         raise ReductionError("; ".join(problems))
     j0 = stages[0]
-    pairing_matrix = _basic_pairing(rep, j0)
+    n = rep.dim - 1
+    pairing_matrix = _basic_rule(ctx, _pairing(rep, j0, stages[1]), n)
     w0 = j0.basis[0]
     coords = [j for j in range(rep.dim) if j != j0.pivot_columns()[0]]
     # build T = V U^-1 with U the (fixed, complement) basis and V mapping

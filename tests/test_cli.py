@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from modchar import cache, cli, mono, reps
+from modchar import cache, cli, ff, mono, reps
 from modchar.cli import main
 
 
@@ -311,13 +311,13 @@ def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path,
         assert reps.chi_of_rep(rep, 7).render() == chi7
 
     calls = []
-    classify = reps.classify
+    reduce_from_stages = reps.reduce_from_stages
 
-    def counted(rep):
+    def counted(rep, stages):
         calls.append(rep)
-        return classify(rep)
+        return reduce_from_stages(rep, stages)
 
-    monkeypatch.setattr(reps, "classify", counted)
+    monkeypatch.setattr(reps, "reduce_from_stages", counted)
     path = _write_rep(tmp_path, regular)
     code, out, _ = run(capsys, "rep-analyze", path, "--chi", "1,3,7", "--format", "json")
     assert code == 0
@@ -326,6 +326,30 @@ def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path,
     assert payload["socle_dims"] == [1, 4, 7, 8]
     assert payload["projection"] == [list(row) for row in identity3]
     assert payload["chi"] == {"y^1": "0", "y^3": "0", "y^7": chi7}
+
+
+def test_rep_analyze_walks_the_socle_filtration_once(capsys, tmp_path, monkeypatch):
+    # one kernel per socle stage plus the trivial-subgroup kernel; the
+    # reduction reads J_0 and J_1 from the printed filtration
+    calls = []
+    kernel = ff.kernel
+
+    def counted(mat):
+        calls.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(ff, "kernel", counted)
+    for rep, dims, expected in [
+        (reps.regular_rep(2, 4), [1, 5, 11, 15, 16], 6),
+        (reps.big_rep(2, 2, 2), [1, 3, 4], 4),
+        (reps.regular_rep(3, 2), [1, 3, 6, 8, 9], 6),
+    ]:
+        calls.clear()
+        path = _write_rep(tmp_path, rep)
+        code, out, _ = run(capsys, "rep-analyze", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["socle_dims"] == dims
+        assert len(calls) == expected
 
 
 def test_rep_analyze_validates_once(capsys, tmp_path, monkeypatch):

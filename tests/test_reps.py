@@ -1,6 +1,7 @@
 """Representations: constructions, socle filtration, classification,
 conjugation onto the basic model, tensor compatibility, serialization."""
 
+import hashlib
 import json
 import random
 
@@ -289,6 +290,53 @@ def test_classify_frozen_cases():
     assert red2.verdict == "reduced"
     assert red2.quotient_rank == 2
     assert [list(row) for row in red2.projection] == surj
+
+
+def _classify_digest_cases():
+    # random reps over fields the filtration suite's grid lacks, then
+    # pullbacks of basic reps over GF(4), GF(8), GF(9) along the identity
+    # (basic model) and random exponent matrices (mostly none)
+    from modchar.verify import random_valid_rep
+
+    rng = random.Random(20261018)
+    for p, r in ((5, 1), (7, 1), (2, 3), (3, 2)):
+        ctx = FieldCtx(p, r)
+        for _ in range(60):
+            yield random_valid_rep(rng, ctx)
+    for p, r in ((2, 2), (2, 3), (3, 2)):
+        for n in (1, 2):
+            base = basic_rep(p, r, n).rep
+            s = r * n
+            yield pullback(base, [[int(i == j) for j in range(s)] for i in range(s)])
+            for _ in range(8):
+                cols = rng.randrange(1, s + 2)
+                yield pullback(base, [[rng.randrange(p) for _ in range(cols)] for _ in range(s)])
+
+
+def test_classify_digest_on_seeded_mix():
+    # sha256 of every verdict, quotient rank, projection and basic model,
+    # recorded before classify read the reduction off one pairing
+    digest = hashlib.sha256()
+    outcomes = set()
+    for rep in _classify_digest_cases():
+        red = classify(rep)
+        model = red.basic_model
+        outcomes.add((rep.ctx.r > 1, red.verdict, model is not None))
+        record = [
+            red.verdict,
+            red.quotient_rank,
+            red.projection and [list(row) for row in red.projection],
+            model and rep_to_dict(model.rep, model.basepoint),
+        ]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert outcomes == {
+        (False, "zero", False),
+        (False, "reduced", True),
+        (True, "zero", False),
+        (True, "reduced", False),
+        (True, "reduced", True),
+    }
+    assert digest.hexdigest() == "442488c58e61cd1dca13cd856b13428c07b32e9736b7b2bdd0696bd41a9243ec"
 
 
 def test_classify_rejects_invalid():
