@@ -27,8 +27,8 @@ def source_digest() -> str:
 
 
 class ResultCache:
-    def __init__(self, root: str | os.PathLike | None):
-        self.root = Path(root) if root else None
+    def __init__(self, root: str | os.PathLike):
+        self.root = Path(root)
 
     @staticmethod
     def key(command: str, params: dict) -> str:
@@ -43,8 +43,6 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str):
-        if self.root is None:
-            return None
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -53,8 +51,6 @@ class ResultCache:
             return None
 
     def put(self, key: str, payload) -> None:
-        if self.root is None:
-            return
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

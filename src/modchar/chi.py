@@ -20,6 +20,7 @@ from .mono import (
     Monomial,
     NotInvariant,
     TensorClass,
+    check_valid,
     degree,
     is_invariant,
     sort_key,
@@ -46,6 +47,7 @@ class ChiQuery:
             raise ValueError("rank n must be >= 1")
         if self.alpha.r != self.r:
             raise NotInvariant(f"alpha has r = {self.alpha.r}, expected {self.r}")
+        check_valid(self.alpha, self.p, self.r)
         if not is_invariant(self.alpha, self.p):
             raise NotInvariant(
                 f"{self.alpha} is not invariant for q = {self.p ** self.r}"

@@ -366,6 +366,8 @@ class MatrixFF:
 
     def sub(self, other):
         self._check(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionError("shape mismatch in sub")
         sub = self.ctx.sub
         return MatrixFF(
             self.ctx,

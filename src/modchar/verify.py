@@ -4,6 +4,7 @@ sums, brute-force minima, dual filtration routes)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -43,19 +44,34 @@ class SuiteResult:
     seconds: float
 
 
-def _fail(name, start, detail):
-    return SuiteResult(name, False, detail, time.perf_counter() - start)
+class SuiteFailure(Exception):
+    """A failed check inside a suite; its message is the suite's detail."""
 
 
-def _pass(name, start, detail):
-    return SuiteResult(name, True, detail, time.perf_counter() - start)
+def _suite(name: str):
+    """Run the decorated check as the suite `name`.  The check returns its
+    detail (the case count first) or raises SuiteFailure(detail); the
+    runner times it and builds the SuiteResult."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def timed(profile="quick") -> SuiteResult:
+            start = time.perf_counter()
+            try:
+                ok, detail = True, check(profile)
+            except SuiteFailure as exc:
+                ok, detail = False, str(exc)
+            return SuiteResult(name, ok, detail, time.perf_counter() - start)
+
+        return timed
+
+    return decorate
 
 
-def suite_oracle_equivalence(profile="quick") -> SuiteResult:
+@_suite("oracle-equivalence")
+def suite_oracle_equivalence(profile="quick") -> str:
     """Criterion 1: the splitting formula and the power-sum route give
     the same polynomial for every y^k class on the oracle grid."""
-    name = "oracle-equivalence"
-    start = time.perf_counter()
     checked = 0
     for p, n in ORACLE_GRID:
         for k in range(1, 2 * (p**n - 1) + 2 * p + 1):
@@ -65,16 +81,15 @@ def suite_oracle_equivalence(profile="quick") -> SuiteResult:
             lhs = dickson.tensor_to_poly(chi_basic(p, 1, alpha, n))
             rhs = dickson.power_sum(p, n, k).neg()
             if lhs != rhs:
-                return _fail(name, start, f"mismatch at p={p}, n={n}, k={k}")
+                raise SuiteFailure(f"mismatch at p={p}, n={n}, k={k}")
             checked += 1
-    return _pass(name, start, f"{checked} classes matched")
+    return f"{checked} classes matched"
 
 
-def suite_digit_criterion(profile="quick") -> SuiteResult:
+@_suite("digit-criterion")
+def suite_digit_criterion(profile="quick") -> str:
     """Criterion 2: the digit-sum classification agrees with the
     splitting search for m <= 300, kinds y and xy, undefineds included."""
-    name = "digit-criterion"
-    start = time.perf_counter()
     checked = 0
     for p, n in ORACLE_GRID:
         kinds = ("y",) if p == 2 else ("y", "xy")
@@ -86,52 +101,43 @@ def suite_digit_criterion(profile="quick") -> SuiteResult:
                 alpha = Monomial(ext, (m,))
                 if status == STATUS_UNDEFINED:
                     if is_invariant(alpha, p):
-                        return _fail(
-                            name,
-                            start,
-                            f"undefined but invariant: p={p} {kind} m={m}",
-                        )
+                        raise SuiteFailure(f"undefined but invariant: p={p} {kind} m={m}")
                     continue
                 if not is_invariant(alpha, p):
-                    return _fail(
-                        name, start, f"defined but not invariant: p={p} {kind} m={m}"
-                    )
+                    raise SuiteFailure(f"defined but not invariant: p={p} {kind} m={m}")
                 nonzero = is_chi_nonzero(p, 1, alpha, n)
                 expected = status in (STATUS_NONNILPOTENT, STATUS_NONZERO)
                 if nonzero != expected:
-                    return _fail(
-                        name,
-                        start,
+                    raise SuiteFailure(
                         f"predicate {status} vs search {nonzero}: "
-                        f"p={p} n={n} {kind} m={m}",
+                        f"p={p} n={n} {kind} m={m}"
                     )
-    return _pass(name, start, f"{checked} (p, n, kind, m) statuses matched the search")
+    return f"{checked} (p, n, kind, m) statuses matched the search"
 
 
-def suite_lowest_degrees(profile="quick") -> SuiteResult:
+@_suite("lowest-degrees")
+def suite_lowest_degrees(profile="quick") -> str:
     """Criterion 3: minimal nonzero degrees match the closed forms."""
-    name = "lowest-degrees"
-    start = time.perf_counter()
     for p, n in ORACLE_GRID:
         if p == 2:
             m = min_m_for_digit_sum(2, n)
             if m != 2**n - 1:
-                return _fail(name, start, f"p=2 n={n}: min m {m}")
+                raise SuiteFailure(f"p=2 n={n}: min m {m}")
             lowest = _lowest_nonzero_degree(p, n, "y")
             if lowest != 2**n - 1:
-                return _fail(name, start, f"p=2 n={n}: scan found degree {lowest}")
+                raise SuiteFailure(f"p=2 n={n}: scan found degree {lowest}")
         else:
             m = min_m_for_digit_sum(p, n * (p - 1))
             if m != p**n - 1 or 2 * m != 2 * p**n - 2:
-                return _fail(name, start, f"p={p} n={n}: min m {m} for kind y")
+                raise SuiteFailure(f"p={p} n={n}: min m {m} for kind y")
             if _lowest_nonzero_degree(p, n, "y") != 2 * p**n - 2:
-                return _fail(name, start, f"p={p} n={n}: y scan mismatch")
+                raise SuiteFailure(f"p={p} n={n}: y scan mismatch")
             m = min_m_for_digit_sum(p, n * (p - 1) - 1)
             if 2 * m + 1 != 2 * p**n - 2 * p ** (n - 1) - 1:
-                return _fail(name, start, f"p={p} n={n}: min m {m} for kind xy")
+                raise SuiteFailure(f"p={p} n={n}: min m {m} for kind xy")
             if _lowest_nonzero_degree(p, n, "xy") != 2 * p**n - 2 * p ** (n - 1) - 1:
-                return _fail(name, start, f"p={p} n={n}: xy scan mismatch")
-    return _pass(name, start, f"{len(ORACLE_GRID)} (p, n) minima matched the closed forms")
+                raise SuiteFailure(f"p={p} n={n}: xy scan mismatch")
+    return f"{len(ORACLE_GRID)} (p, n) minima matched the closed forms"
 
 
 def _lowest_nonzero_degree(p, n, kind):
@@ -143,12 +149,11 @@ def _lowest_nonzero_degree(p, n, kind):
     return None
 
 
-def suite_coalgebra_laws(profile="quick") -> SuiteResult:
+@_suite("coalgebra-laws")
+def suite_coalgebra_laws(profile="quick") -> str:
     """Criterion 4: coassociativity, graded cocommutativity, counit,
     weight additivity and invariance closure, degree <= 12 on the q
     grid."""
-    name = "coalgebra-laws"
-    start = time.perf_counter()
     checked = 0
     for p, r in Q_GRID:
         monomials = []
@@ -169,13 +174,13 @@ def suite_coalgebra_laws(profile="quick") -> SuiteResult:
             left = {k: v for k, v in left.items() if v}
             right = {k: v for k, v in right.items() if v}
             if left != right:
-                return _fail(name, start, f"coassociativity fails at q={p**r}, {m}")
+                raise SuiteFailure(f"coassociativity fails at q={p**r}, {m}")
             flipped = {}
             for (m1, m2), c in delta.items():
                 sign = (-1) ** (degree(m1, p) * degree(m2, p))
                 flipped[(m2, m1)] = sign * c % p
             if flipped != delta:
-                return _fail(name, start, f"cocommutativity fails at q={p**r}, {m}")
+                raise SuiteFailure(f"cocommutativity fails at q={p**r}, {m}")
             unit = Monomial.unit(r)
             left_counit = {}
             for (m1, m2), c in delta.items():
@@ -186,22 +191,21 @@ def suite_coalgebra_laws(profile="quick") -> SuiteResult:
                 if m2 == unit:
                     right_counit[m1] = c
             if left_counit != {m: 1} or right_counit != {m: 1}:
-                return _fail(name, start, f"counit fails at q={p**r}, {m}")
+                raise SuiteFailure(f"counit fails at q={p**r}, {m}")
             w = weight(m, p)
             for (m1, m2), _ in delta.items():
                 if weight(m1, p) + weight(m2, p) != w:
-                    return _fail(name, start, f"weight split fails at q={p**r}, {m}")
+                    raise SuiteFailure(f"weight split fails at q={p**r}, {m}")
                 if not (is_invariant(m1, p) and is_invariant(m2, p)):
-                    return _fail(name, start, f"invariance fails at q={p**r}, {m}")
+                    raise SuiteFailure(f"invariance fails at q={p**r}, {m}")
             checked += 1
-    return _pass(name, start, f"{checked} monomials satisfied the laws")
+    return f"{checked} monomials satisfied the laws"
 
 
-def suite_wedge(profile="quick") -> SuiteResult:
+@_suite("wedge-consistency")
+def suite_wedge(profile="quick") -> str:
     """Criterion 5: rank splitting through the coproduct, a+b <= 4,
     q in {2,3,4}, degree <= 10."""
-    name = "wedge-consistency"
-    start = time.perf_counter()
     checked = 0
     for p, r in ((2, 1), (3, 1), (2, 2)):
         monomials = []
@@ -211,11 +215,9 @@ def suite_wedge(profile="quick") -> SuiteResult:
             for a in range(1, 4):
                 for b in range(1, 5 - a):
                     if not wedge_split_check(p, r, m, a, b):
-                        return _fail(
-                            name, start, f"q={p**r}, alpha={m}, a={a}, b={b}"
-                        )
+                        raise SuiteFailure(f"q={p**r}, alpha={m}, a={a}, b={b}")
                     checked += 1
-    return _pass(name, start, f"{checked} (alpha, a, b) rank splittings matched")
+    return f"{checked} (alpha, a, b) rank splittings matched"
 
 
 def dickson_total_by_product(p: int, n: int) -> dict:
@@ -239,14 +241,13 @@ def dickson_total_by_product(p: int, n: int) -> dict:
     return {d: dickson.MultiPoly(p, n, t) for d, t in by_degree.items()}
 
 
-def suite_dickson(profile="quick") -> SuiteResult:
+@_suite("dickson-identities")
+def suite_dickson(profile="quick") -> str:
     """Criterion 6: every component of the total symmetric class (from
     the Dickson recursion) against the expanded product over (1 + v), its
     sparsity, Newton's identity, the series-inverse route, the product
     identities with the exhaustive companion scan, and algebraic
     independence at n = 2."""
-    name = "dickson-identities"
-    start = time.perf_counter()
     grid = list(DICKSON_GRID)
     if profile == "full":
         grid.append((3, 3))
@@ -257,9 +258,7 @@ def suite_dickson(profile="quick") -> SuiteResult:
         expanded = dickson_total_by_product(p, n)
         for d in sorted(set(total.components) | set(expanded)):
             if total.component(d) != expanded.get(d, dickson.MultiPoly.zero(p, n)):
-                return _fail(
-                    name, start, f"D_{d} differs from the product over (1 + v) at {p},{n}"
-                )
+                raise SuiteFailure(f"D_{d} differs from the product over (1 + v) at {p},{n}")
             components += 1
         report = dickson.report(p, n, 3 * (q - 1))
         failed = [check for check in ("sparsity", "newton", "inverse") if not report[check]]
@@ -269,29 +268,26 @@ def suite_dickson(profile="quick") -> SuiteResult:
             if sign not in (1, -1)
         ]
         if failed:
-            return _fail(name, start, f"p={p}, n={n}: " + "; ".join(failed))
+            raise SuiteFailure(f"p={p}, n={n}: " + "; ".join(failed))
         special = {2 * q - p**i - 1 for i in range(n + 1)}
         extras = [k for k in dickson.nonzero_chi_degrees(p, n) if k not in special]
         if extras:
-            return _fail(name, start, f"unexpected nonzero chi at k={extras}, {p},{n}")
+            raise SuiteFailure(f"unexpected nonzero chi at k={extras}, {p},{n}")
     for p in (2, 3):
         if not dickson.algebraic_independence_check(p, 2):
-            return _fail(name, start, f"algebraic independence fails at p={p}")
-    return _pass(
-        name,
-        start,
+            raise SuiteFailure(f"algebraic independence fails at p={p}")
+    return (
         f"{components} (p, n, degree) components matched the product over "
-        f"(1 + v) on grid {grid}",
+        f"(1 + v) on grid {grid}"
     )
 
 
-def suite_filtration(profile="quick") -> SuiteResult:
+@_suite("filtration")
+def suite_filtration(profile="quick") -> str:
     """Criterion 7: dual filtration routes on 200 random reps, the
     conjugation of the second socle stage of the big rep onto the basic
     rep (and classify's basic model, decided without it, agreeing),
     socle balance of tensor squares, strictness and saturation."""
-    name = "filtration"
-    start = time.perf_counter()
     checked = 0
     rng = random.Random(20260809)
     contexts = [FieldCtx(2, 1), FieldCtx(3, 1), FieldCtx(2, 2)]
@@ -299,14 +295,14 @@ def suite_filtration(profile="quick") -> SuiteResult:
         rep = random_valid_rep(rng, contexts[i % len(contexts)])
         bad = reps.validate(rep)
         if bad:
-            return _fail(name, start, f"random rep {i} invalid: {bad}")
+            raise SuiteFailure(f"random rep {i} invalid: {bad}")
         quot = reps.socle_filtration_by_quotients(rep)
         ann = reps.socle_filtration_by_annihilators(rep)
         if quot != ann:
-            return _fail(name, start, f"filtration routes disagree on random rep {i}")
+            raise SuiteFailure(f"filtration routes disagree on random rep {i}")
         dims = [s.dim for s in quot]
         if any(b <= a for a, b in zip(dims, dims[1:])) or quot[-1].dim != rep.dim:
-            return _fail(name, start, f"filtration not strict/saturating on rep {i}")
+            raise SuiteFailure(f"filtration not strict/saturating on rep {i}")
         checked += 1
     for p, r, nmax in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)):
         for n in range(1, nmax + 1):
@@ -319,34 +315,31 @@ def suite_filtration(profile="quick") -> SuiteResult:
             t_inv = t.inverse()
             for g, bgen in zip(restricted.generators, target.rep.generators):
                 if t.mul(g).mul(t_inv) != bgen:
-                    return _fail(name, start, f"conjugation fails at ({p},{r},{n})")
+                    raise SuiteFailure(f"conjugation fails at ({p},{r},{n})")
             if reps.classify(big).basic_model != target:
-                return _fail(name, start, f"classify's basic model differs at ({p},{r},{n})")
+                raise SuiteFailure(f"classify's basic model differs at ({p},{r},{n})")
             checked += 1
     for p, r in ((2, 1), (3, 1), (2, 2)):
         xi = reps.sym_power_rep(p, r)
         prod_dim = xi.dim**2
         for i in range(prod_dim):
             if not reps.socle_tensor_check(xi, xi, i):
-                return _fail(name, start, f"tensor socle fails at q={p**r}, i={i}")
+                raise SuiteFailure(f"tensor socle fails at q={p**r}, i={i}")
             checked += 1
-    return _pass(
-        name, start, f"{checked} cases: random reps, big-rep conjugations, tensor socle stages"
-    )
+    return f"{checked} cases: random reps, big-rep conjugations, tensor socle stages"
 
 
-def suite_classification(profile="quick") -> SuiteResult:
+@_suite("classification")
+def suite_classification(profile="quick") -> str:
     """Criterion 8: direct sums vanish, the regular representation
     computes like the basic one, and pullbacks along redundant
     generators recover the projection."""
-    name = "classification"
-    start = time.perf_counter()
     checked = 0
     for p, r in ((2, 1), (3, 1), (2, 2)):
         basic1 = reps.basic_rep(p, r, 1)
         summed = reps.direct_sum(basic1.rep, basic1.rep)
         if reps.classify(summed).verdict != "zero":
-            return _fail(name, start, f"direct sum not zero at q={p**r}")
+            raise SuiteFailure(f"direct sum not zero at q={p**r}")
         checked += 1
         if p**r <= 4:
             trivial = reps.Rep(
@@ -359,7 +352,7 @@ def suite_classification(profile="quick") -> SuiteResult:
             )
             padded = reps.direct_sum(basic1.rep, trivial)
             if reps.classify(padded).verdict != "zero":
-                return _fail(name, start, f"trivial pad not zero at q={p**r}")
+                raise SuiteFailure(f"trivial pad not zero at q={p**r}")
             checked += 1
     for p in (2, 3):
         for n in (1, 2):
@@ -368,55 +361,52 @@ def suite_classification(profile="quick") -> SuiteResult:
                 got = reps.chi_of_rep(reg, k)
                 want = dickson.chi_via_power_sum(p, n, k)
                 if got != want:
-                    return _fail(
-                        name, start, f"regular rep chi differs at p={p}, n={n}, k={k}"
-                    )
+                    raise SuiteFailure(f"regular rep chi differs at p={p}, n={n}, k={k}")
                 checked += 1
     surjection = [[1, 0, 0], [0, 1, 1]]
     pulled = reps.pullback(reps.basic_rep(2, 1, 2).rep, surjection)
     red = reps.classify(pulled)
     if red.verdict != "reduced" or red.quotient_rank != 2:
-        return _fail(name, start, "pullback did not reduce to rank 2")
+        raise SuiteFailure("pullback did not reduce to rank 2")
     if [list(row) for row in red.projection] != surjection:
-        return _fail(name, start, f"recovered projection {red.projection}")
+        raise SuiteFailure(f"recovered projection {red.projection}")
     for k in (1, 2, 3):
         got = reps.chi_of_rep(pulled, k)
         want = dickson.chi_via_power_sum(2, 2, k).substitute(surjection, 3)
         if got != want:
-            return _fail(name, start, f"pullback chi differs at k={k}")
+            raise SuiteFailure(f"pullback chi differs at k={k}")
         checked += 1
     surjection3 = [[1, 0, 2], [0, 1, 1]]
     pulled3 = reps.pullback(reps.basic_rep(3, 1, 2).rep, surjection3)
     red3 = reps.classify(pulled3)
     if red3.verdict != "reduced" or red3.quotient_rank != 2:
-        return _fail(name, start, "odd-p pullback did not reduce to rank 2")
+        raise SuiteFailure("odd-p pullback did not reduce to rank 2")
     for k in (4, 8):
         got = reps.chi_of_rep(pulled3, k)
         want = dickson.chi_via_power_sum(3, 2, k).substitute(surjection3, 3)
         if got != want:
-            return _fail(name, start, f"odd-p pullback chi differs at k={k}")
+            raise SuiteFailure(f"odd-p pullback chi differs at k={k}")
         checked += 1
     for p, r, a, b in ((2, 1, 1, 2), (3, 1, 1, 1), (2, 2, 1, 1)):
         wedge = reps.wedge_sum(reps.basic_rep(p, r, a), reps.basic_rep(p, r, b))
         red = reps.classify(wedge.rep)
         if red.verdict != "reduced" or red.quotient_rank != r * (a + b):
-            return _fail(name, start, f"wedge rank wrong at ({p},{r},{a},{b})")
+            raise SuiteFailure(f"wedge rank wrong at ({p},{r},{a},{b})")
         checked += 1
-    return _pass(name, start, f"{checked} verdicts and pulled-back classes matched")
+    return f"{checked} verdicts and pulled-back classes matched"
 
 
-def suite_arithmetic(profile="quick") -> SuiteResult:
+@_suite("arithmetic")
+def suite_arithmetic(profile="quick") -> str:
     """Criterion 9: digit-wise binomials and multinomials against
     factorial oracles, minimal digit-sum witnesses against a digit DP,
     and the Grassmannian point-count congruence."""
-    name = "arithmetic"
-    start = time.perf_counter()
     checked = 0
     for p in (2, 3, 5, 7):
         for m in range(0, 301):
             for k in range(0, m + 1):
                 if coalg.lucas_binomial(p, m, k) != math.comb(m, k) % p:
-                    return _fail(name, start, f"binomial p={p} C({m},{k})")
+                    raise SuiteFailure(f"binomial p={p} C({m},{k})")
                 checked += 1
     rng = random.Random(97)
     samples = []
@@ -435,23 +425,23 @@ def suite_arithmetic(profile="quick") -> SuiteResult:
             for x in parts:
                 oracle //= math.factorial(x)
             if got != oracle % p:
-                return _fail(name, start, f"multinomial p={p} parts={parts}")
+                raise SuiteFailure(f"multinomial p={p} parts={parts}")
             if (got != 0) != coalg.no_carry(p, parts):
-                return _fail(name, start, f"carry criterion p={p} parts={parts}")
+                raise SuiteFailure(f"carry criterion p={p} parts={parts}")
             checked += 1
     for p in (2, 3, 5, 7):
         for s in range(0, 41):
             if min_m_for_digit_sum(p, s) != _min_digit_sum_dp(p, s):
-                return _fail(name, start, f"digit-sum minimum p={p} s={s}")
+                raise SuiteFailure(f"digit-sum minimum p={p} s={s}")
             checked += 1
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
         for a in range(0, 9):
             for b in range(0, a + 1):
                 g = coalg.gaussian_binomial(a, b, q)
                 if g % q != 1 % q:
-                    return _fail(name, start, f"q-binomial ({a},{b})_{q} = {g}")
+                    raise SuiteFailure(f"q-binomial ({a},{b})_{q} = {g}")
                 checked += 1
-    return _pass(name, start, f"{checked} binomials, multinomials, minima and q-binomials matched")
+    return f"{checked} binomials, multinomials, minima and q-binomials matched"
 
 
 def _min_digit_sum_dp(p, s):
@@ -474,12 +464,11 @@ def _min_digit_sum_dp(p, s):
     return best[s]
 
 
-def suite_witnesses(profile="quick") -> SuiteResult:
+@_suite("witnesses")
+def suite_witnesses(profile="quick") -> str:
     """Criterion 10: the explicit splittings behind the witness classes
     are admissible nonzero terms, and table degrees match the closed
     forms."""
-    name = "witnesses"
-    start = time.perf_counter()
     checked = 0
     for p in (2, 3, 5):
         for r in (1, 2, 3):
@@ -488,40 +477,28 @@ def suite_witnesses(profile="quick") -> SuiteResult:
                 for kind in kinds:
                     alpha = witness_alpha(p, r, n, kind)
                     if not is_invariant(alpha, p):
-                        return _fail(
-                            name, start, f"witness not invariant ({p},{r},{n},{kind})"
-                        )
+                        raise SuiteFailure(f"witness not invariant ({p},{r},{n},{kind})")
                     factors = witness_splitting(p, r, n, kind)
                     if len(factors) != n:
-                        return _fail(name, start, f"splitting arity ({p},{r},{n})")
+                        raise SuiteFailure(f"splitting arity ({p},{r},{n})")
                     if not chi_mod.splitting_is_admissible(p, r, alpha, factors):
-                        return _fail(
-                            name,
-                            start,
-                            f"splitting inadmissible ({p},{r},{n},{kind})",
-                        )
+                        raise SuiteFailure(f"splitting inadmissible ({p},{r},{n},{kind})")
                     if degree(alpha, p) != witness_degree(p, r, n, kind):
-                        return _fail(
-                            name, start, f"degree formula ({p},{r},{n},{kind})"
-                        )
+                        raise SuiteFailure(f"degree formula ({p},{r},{n},{kind})")
                     checked += 1
                 if r == 1 and n <= 2 and p <= 3:
                     for kind in kinds:
                         alpha = witness_alpha(p, r, n, kind)
                         if not is_chi_nonzero(p, r, alpha, n):
-                            return _fail(
-                                name, start, f"search misses witness ({p},{n},{kind})"
-                            )
+                            raise SuiteFailure(f"search misses witness ({p},{n},{kind})")
                         tc = chi_basic(p, r, alpha, n)
                         key = tuple(witness_splitting(p, r, n, kind))
                         if tc.coefficient(key) == 0:
-                            return _fail(
-                                name,
-                                start,
-                                f"expanded class misses the splitting ({p},{n},{kind})",
+                            raise SuiteFailure(
+                                f"expanded class misses the splitting ({p},{n},{kind})"
                             )
                         checked += 1
-    return _pass(name, start, f"{checked} witnesses and expansions checked")
+    return f"{checked} witnesses and expansions checked"
 
 
 # -- random representations ---------------------------------------------------
@@ -599,8 +576,4 @@ ALL_SUITES = {
 def run(profile: str = "quick", names=None) -> list[SuiteResult]:
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
-    selected = names or list(ALL_SUITES)
-    results = []
-    for key in selected:
-        results.append(ALL_SUITES[key](profile))
-    return results
+    return [ALL_SUITES[key](profile) for key in names or ALL_SUITES]

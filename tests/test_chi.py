@@ -117,6 +117,15 @@ def test_chi_rejects_non_invariant():
         ChiQuery(3, 1, y(1), 2)
 
 
+def test_chi_rejects_exterior_generators_at_p2():
+    # every monomial is invariant at q = 2, but p = 2 has no exterior generators
+    for alpha in (Monomial((1,), (0,)), Monomial((1,), (1,))):
+        with pytest.raises(ValueError, match="no exterior generators"):
+            chi_basic(2, 1, alpha, 2)
+        with pytest.raises(ValueError, match="no exterior generators"):
+            is_chi_nonzero(2, 1, alpha, 2)
+
+
 def test_chi_matches_naive_enumeration_r1():
     for p, n in [(2, 2), (2, 3), (3, 2), (5, 2)]:
         for m in range(1, 11):

@@ -107,6 +107,79 @@ def test_dickson_output_is_frozen(capsys, p, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DICKSON_DIGESTS[p, n, fmt]
 
 
+# the commands' arguments for the pinned digests below; rep-analyze cases
+# name a rep that the test writes to a file.  big (2,2,2) is over GF(4),
+# where --chi is refused, so it runs without it
+OUTPUT_CASES = {
+    "basis q=3": ["basis", "--p", "3", "--max-degree", "12"],
+    "basis q=4": ["basis", "--p", "2", "--r", "2", "--max-degree", "6"],
+    "chi y^3": ["chi", "--p", "2", "--n", "2", "--alpha", "y^3"],
+    "chi x y^5": ["chi", "--p", "3", "--n", "2", "--alpha", "x y^5"],
+    "chi q=4": ["chi", "--p", "2", "--r", "2", "--n", "2", "--alpha", "y0^3 y1^3"],
+    "nonvanish": ["nonvanish", "--p", "3", "--n", "2"],
+    "nonvanish md": ["nonvanish", "--p", "3", "--n", "2", "--max-degree", "20"],
+    "tuples": ["tuples", "--p", "2", "--n", "3", "--max", "14"],
+}
+REP_CASES = {
+    "rep regular": (lambda: reps.regular_rep(2, 3), ["--chi", "1,3,7"]),
+    "rep big": (lambda: reps.big_rep(2, 2, 2), []),
+    "rep sum": (
+        lambda: reps.direct_sum(reps.basic_rep(2, 1, 1).rep, reps.basic_rep(2, 1, 1).rep),
+        ["--chi", "1,3,7"],
+    ),
+}
+
+# sha256 of stdout per command and format, recorded before the commands
+# shared one output path, so that path cannot alter a byte
+OUTPUT_DIGESTS = {
+    ("basis q=3", "text"): "1647d5406ef3de148fa7dcd03a4678b4a38d2ff8e8d4785b88d8ce83aa069591",
+    ("basis q=3", "json"): "d42a5102c6c03fef474a59c7dc19da6ee3170d6f5d9342ca75f32866b2d73968",
+    ("basis q=3", "csv"): "8930ba058c8f989f2d92f1d83d59b50020e87e1ce6eecf87611478ad9934ab43",
+    ("basis q=4", "text"): "ea3d7a56ba00975c149a99aaa95d40cc850b0b63bedf2610c82ebaf20a264f11",
+    ("basis q=4", "json"): "429c3721352a35ba75fcedf36c2b61fc61d91f51c68912e6b69412c3fc3c9314",
+    ("basis q=4", "csv"): "9b5dbb19a6382d991090f5dffb42fe1908232b7132733810592e83218ad0fa07",
+    ("chi y^3", "text"): "5a36168c6b287b86064ec977c8c12911b2dbdf1314cdd428fcec0b501de161af",
+    ("chi y^3", "json"): "824951c58d2b75702bbe9448ee2cc642ab964e35ae4a87f55d8d8dc0dc3f0ca1",
+    ("chi y^3", "csv"): "cacac1d04ae66cb78351d0a5190ad4c53d21857e912707aa66ef3f500348e683",
+    ("chi x y^5", "text"): "57f756c8460257ca31188483424bf085ac1cec8c3507cbcda107994a21e335a1",
+    ("chi x y^5", "json"): "1a117a78405963283582de5a1f862ed217a4c00c8383a122a3977e9c473cfa55",
+    ("chi x y^5", "csv"): "14520badeeec2b5b419d36bf9da32093ece7c6cc94560e689885db00a193c323",
+    ("chi q=4", "text"): "88195a03b9de4f0249ddae050330b8a52f7cfb3ad0bc558c67bc634ec7e217c6",
+    ("chi q=4", "json"): "fbe61f28085176d4e17aeb3c0aefdef4615d24b841a2baa0535c60df4b6d6a3b",
+    ("chi q=4", "csv"): "7b1b54ec2abf7afce060a91218966ef6de5fb4d37d7f3f64e703515bc6737df9",
+    ("nonvanish", "text"): "3167623010b09ba61c89d65ab976703356ae333f5b1aaee00a94536e3d00a546",
+    ("nonvanish", "json"): "573e70fa73f9a6e898df7af9d0d1c3346b962ca804da723d3a86e9362baa4c0f",
+    ("nonvanish", "csv"): "f69a759917ec6a2d17245a93145edf38f07a5239de27ca4252279c4e479edbee",
+    ("nonvanish md", "text"): "bf6c39a85d48d7896f654a3ebd01a169f3830d86c6696d2e55f4b9f7a4b5c068",
+    ("nonvanish md", "json"): "a2c3afc5a9c0509119be902bf0022df00419b248d029e0388aa9b1f443062f78",
+    ("nonvanish md", "csv"): "89e03d0feb80f10a1a33a77a52cac612ff700a58b8c7f38d7fe21a734b044526",
+    ("tuples", "text"): "495b3d5e8c163bde5e5f1794d30888264364483c2583c003567615a5a2d8abe6",
+    ("tuples", "json"): "f545af837371003e0a9f2affa91f1ccf9dbee0328d6297a0e647b419caaf4676",
+    ("tuples", "csv"): "f9c93adfda49513ac453cb7ace41002eac09e4cab4498e117e75b8a38ce91b46",
+    ("rep regular", "text"): "196bcff3e57bc311e102d5fb115465c1a33d0f3c3feb9fc651acb9be30f87f6a",
+    ("rep regular", "json"): "539ce36d9a87cc5545bf4e83fcba4a8043031b6d22a93396ae411e08f266932b",
+    ("rep regular", "csv"): "3d88d8b975b61ad0030bad8ce5031424c8b618853fbac0e7fa0bb1b99249a395",
+    ("rep big", "text"): "7e28b3255cdd6ee10e2302f412617266578dd1dc34630f17975b19bd4fe936ad",
+    ("rep big", "json"): "99d562d15d075174e6227783006ccc77074c2b51c4540ab365bf389c011c8ac8",
+    ("rep big", "csv"): "48eb097f034a87b54857980d5a0093b3e4fb4aa77258801b426a9d0320d2d942",
+    ("rep sum", "text"): "b8cab379dd0dad03d2c3478976d0cc03ca80ff512b89db127ec246100994f2f9",
+    ("rep sum", "json"): "ee208e3f0a27b62b90e89c2b5ef2884237d85dff54ba965e1cf5e7bf9a3a745e",
+    ("rep sum", "csv"): "6cded73281e7dbfd72f1422a75c6cb5ce0a4f3376d7d53d58e1d9ccb03dae78a",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(OUTPUT_DIGESTS))
+def test_command_output_is_frozen(capsys, tmp_path, case, fmt):
+    if case in REP_CASES:
+        build, extra = REP_CASES[case]
+        argv = ["rep-analyze", _write_rep(tmp_path, build()), *extra]
+    else:
+        argv = OUTPUT_CASES[case]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[case, fmt]
+
+
 def test_dickson_bad_dmax(capsys):
     code, _, err = run(capsys, "dickson", "--p", "2", "--n", "2", "--dmax", "1")
     assert code == cli.EXIT_INPUT
@@ -136,6 +209,39 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert bound in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["basis", "--p", "2", "--r", "0", "--max-degree", "3"], "--r must be >= 1"),
+        (["basis", "--p", "2", "--r", "-1", "--max-degree", "3"], "--r must be >= 1"),
+        (["chi", "--p", "3", "--r", "0", "--n", "1", "--alpha", "1"], "--r must be >= 1"),
+        (["nonvanish", "--p", "3", "--r", "0", "--n", "1"], "--r must be >= 1"),
+        (["nonvanish", "--p", "3", "--n", "1", "--max-degree", "-5"], "--max-degree must be >= 0"),
+        (["basis", "--p", "4", "--max-degree", "3"], "p = 4 is not prime"),
+        (["nonvanish", "--p", "4", "--n", "1"], "p = 4 is not prime"),
+        (["tuples", "--p", "4", "--n", "2", "--max", "7"], "p = 4 is not prime"),
+    ],
+    ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
+         "basis-p4", "nonvanish-p4", "tuples-p4"],
+)
+def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
+    def forbidden(*args):
+        raise AssertionError("computed or looked up the cache")
+
+    monkeypatch.setattr(cli, "_cached", forbidden)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == f"error: {bound}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_chi_rejects_exterior_generators_at_p2(capsys):
+    for alpha in ("x", "x y^3"):
+        code, out, err = run(capsys, "chi", "--p", "2", "--n", "2", "--alpha", alpha)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == "error: p = 2 admits no exterior generators\n"
 
 
 def test_dickson_bound_admits_2_5_at_default_dmax():
@@ -226,6 +332,37 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     # and identical to a run without any cache
     code, bare, _ = run(capsys, "dickson", "--p", "2", "--n", "2", "--format", "json")
     assert bare == fresh
+
+
+# one small input per computing command, for the cache round trip
+CACHE_CASES = {
+    "basis": ["basis", "--p", "2", "--r", "2", "--max-degree", "6"],
+    "chi": ["chi", "--p", "3", "--n", "2", "--alpha", "x y^5"],
+    "nonvanish": ["nonvanish", "--p", "3", "--n", "2", "--max-degree", "20"],
+    "dickson": ["dickson", "--p", "3", "--n", "2"],
+    "tuples": ["tuples", "--p", "2", "--n", "3", "--max", "14"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(CACHE_CASES))
+def test_cached_fresh_and_bare_runs_are_byte_identical(capsys, tmp_path, monkeypatch, command, fmt):
+    writes = []
+    put = cache.ResultCache.put
+
+    def counted(self, key, payload):
+        writes.append(key)
+        put(self, key, payload)
+
+    monkeypatch.setattr(cache.ResultCache, "put", counted)
+    argv = [*CACHE_CASES[command], "--format", fmt]
+    bare = run(capsys, *argv)
+    fresh = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert len(writes) == 1 and len(list(tmp_path.glob("*.json"))) == 1
+    cached = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert len(writes) == 1  # a hit: read back, not recomputed
+    assert bare[0] == 0 and bare[1]
+    assert cached == fresh == bare
 
 
 def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):

@@ -131,6 +131,16 @@ def test_kernel_frozen_examples():
     assert kernel(ident) == Subspace.zero_space(ctx, 3)
 
 
+def test_sub_checks_shapes():
+    ctx = FieldCtx(3, 1)
+    a = MatrixFF.identity(ctx, 2)
+    assert a.sub(a) == MatrixFF.from_ints(ctx, [[0, 0], [0, 0]])
+    with pytest.raises(ff.DimensionError, match="shape"):
+        a.sub(MatrixFF.identity(ctx, 3))
+    with pytest.raises(ff.DimensionError, match="shape"):
+        a.sub(MatrixFF.from_ints(ctx, [[1, 0, 0], [0, 1, 0]]))
+
+
 def test_preimage_examples():
     ctx = FieldCtx(3, 1)
     m = MatrixFF.from_ints(ctx, [[1, 0], [0, 0]])
