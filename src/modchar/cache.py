@@ -47,7 +47,7 @@ class ResultCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
             return None
 
     def put(self, key: str, payload) -> None:

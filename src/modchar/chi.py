@@ -56,17 +56,40 @@ class ChiQuery:
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     """Value of the alpha-class on the rank-n basic representation, as a
-    tensor class; zero when alpha has degree 0."""
+    tensor class; zero when alpha has degree 0.
+
+    The left-nested n-fold splitting with every degree-0 factor removed,
+    times (-1)^(n-1).  A split with a degree-0 side is dropped as soon as
+    it appears: the unit splits only as unit (x) unit and right factors
+    are never split again, so every term it leads to has a degree-0
+    factor.  Each distinct first factor is split once per call."""
     ChiQuery(p, r, alpha, n)
     if degree(alpha, p) == 0:
         return TensorClass.zero(p, r, n)
-    split = coalg.iterated_coproduct(p, r, alpha, n)
+    # each monomial's id is its position in `index`, so tuples of factors
+    # are tuples of ints, which hash fast
+    index = {alpha: 0}
+    splits = {}  # first factor -> [(left, right, coefficient)], as ids
+    current = {(0,): 1}
+    for _ in range(n - 1):
+        monomials = list(index)
+        nxt = {}
+        for tup, c in current.items():
+            first, rest = tup[0], tup[1:]
+            pairs = splits.get(first)
+            if pairs is None:
+                pairs = splits[first] = [
+                    (index.setdefault(left, len(index)), index.setdefault(right, len(index)), c2)
+                    for (left, right), c2 in coalg.coproduct(p, r, monomials[first]).items()
+                    if degree(left, p) and degree(right, p)
+                ]
+            for left, right, c2 in pairs:
+                key = (left, right) + rest
+                nxt[key] = (nxt.get(key, 0) + c * c2) % p
+        current = {k: v for k, v in nxt.items() if v}
+    monomials = list(index)
     sign = (-1) ** (n - 1)
-    terms = {}
-    for tup, c in split.items():
-        if any(degree(m, p) == 0 for m in tup):
-            continue
-        terms[tup] = sign * c
+    terms = {tuple(monomials[i] for i in tup): sign * c for tup, c in current.items()}
     return TensorClass(p, r, n, terms)
 
 
@@ -304,27 +327,28 @@ def indecomposable_tuples(p: int, n: int, max_total: int):
     """Sorted n-tuples of positive multiples of p - 1 whose base-p
     addition is carry-free, with total <= max_total; each annotated with
     the homology degree 2B (B itself for p = 2) where B is the total.
-    These certify indecomposable homology classes."""
+    These certify indecomposable homology classes.
+
+    A multiset adds carry-free exactly when each part adds to the sum of
+    the parts before it without a carry, so a prefix is extended only by
+    parts that keep it carry-free."""
     if n < 1:
         raise ValueError("n must be >= 1")
     step = p - 1
     results = []
 
-    def extend(prefix, minimum, remaining):
+    def extend(prefix, minimum, total):
         if len(prefix) == n:
-            if no_carry(p, prefix):
-                total = sum(prefix)
-                deg = total if p == 2 else 2 * total
-                results.append((tuple(prefix), deg))
+            results.append((tuple(prefix), total if p == 2 else 2 * total))
             return
         slots_left = n - len(prefix)
         b = minimum
-        while b * slots_left <= remaining:
-            extend(prefix + [b], b, remaining - b)
+        while total + b * slots_left <= max_total:
+            if no_carry(p, (total, b)):
+                extend(prefix + [b], b, total + b)
             b += step
-        return
 
-    extend([], step, max_total)
+    extend([], step, 0)
     results.sort(key=lambda item: (sum(item[0]), item[0]))
     return results
 

@@ -107,12 +107,16 @@ def _cached(args, command: str, params: dict, compute) -> dict:
     """The payload {"schema", **params, **compute()}, read from the result
     cache when --cache-dir or MODCHAR_CACHE names one, else computed (and
     then stored there).  params are the command's canonical inputs and
-    key the cache."""
+    key the cache.  An entry counts as a hit only when it is an object
+    whose schema and every param equal the request; anything else is a
+    miss, recomputed and overwritten."""
     root = args.cache_dir or os.environ.get("MODCHAR_CACHE")
     if root:
         cache, key = ResultCache(root), ResultCache.key(command, params)
         payload = cache.get(key)
-        if payload is not None:
+        if isinstance(payload, dict) and all(
+            k in payload and payload[k] == v for k, v in {"schema": SCHEMA, **params}.items()
+        ):
             return payload
     payload = {"schema": SCHEMA, **params, **compute()}
     if root:

@@ -3,12 +3,17 @@
 Binomials and multinomials mod p are evaluated digit-wise in base p
 (Lucas), so a multinomial coefficient is nonzero exactly when adding the
 parts produces no carry.  The coproduct splits a monomial across two
-tensor factors with those binomial coefficients, keeps only splittings
-whose factors again satisfy the weight-divisibility condition, and signs
-exterior splittings by the usual shuffle parity.
+tensor factors with those binomial coefficients and signs exterior
+splittings by the usual shuffle parity.  It builds only the splittings
+whose factors again satisfy the weight-divisibility condition: a walk
+over the base-p digits of the exponents, each digit of the left factor
+at most the digit of the monomial, carries the weight mod q - 1 and
+solves the last digit from it.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .mono import Monomial, NotInvariant, is_invariant
 
@@ -24,21 +29,53 @@ def base_p_digits(p: int, m: int) -> list[int]:
     return out
 
 
+# Primes up to this bound read their digit binomials from one Pascal
+# table each, built on first use; larger primes compute them on demand.
+_TABLE_MAX_P = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _pascal(p: int) -> tuple:
+    """Rows of C(d, e) mod p for 0 <= e <= d < p."""
+    rows = [(1,)]
+    for _ in range(1, p):
+        prev = rows[-1]
+        rows.append((1, *((a + b) % p for a, b in zip(prev, prev[1:])), 1))
+    return tuple(rows)
+
+
+def _digit_binomial(p: int, d: int, e: int) -> int:
+    """C(d, e) mod p for base-p digits 0 <= e <= d < p; never 0."""
+    if p <= _TABLE_MAX_P:
+        return _pascal(p)[d][e]
+    e = min(e, d - e)
+    num = den = 1
+    for i in range(e):
+        num = num * (d - i) % p
+        den = den * (i + 1) % p
+    return num * pow(den, -1, p) % p
+
+
+def _digit_binomials(p: int, d: int):
+    """C(d, e) mod p for e = 0, ..., d, a base-p digit d < p."""
+    if p <= _TABLE_MAX_P:
+        return _pascal(p)[d]
+    row = [1]
+    for e in range(d):
+        row.append(row[-1] * (d - e) * pow(e + 1, -1, p) % p)
+    return row
+
+
 def lucas_binomial(p: int, m: int, k: int) -> int:
     """C(m, k) mod p via digit-wise products; 0 when k > m."""
     if k < 0 or k > m:
         return 0
     result = 1
     while k:
-        md, m = m % p, m // p
-        kd, k = k % p, k // p
+        (m, md), (k, kd) = divmod(m, p), divmod(k, p)
         if kd > md:
             return 0
-        num = den = 1
-        for i in range(kd):
-            num = num * (md - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
+        result = result * _digit_binomial(p, md, kd) % p
     return result
 
 
@@ -99,14 +136,16 @@ def _subsets(support):
 
 def coproduct(p: int, r: int, m: Monomial) -> dict:
     """Sparse map (left, right) -> coefficient for the coproduct of an
-    invariant monomial.  Splittings whose left factor fails the
-    weight-divisibility condition are discarded; the complementary right
-    factor then automatically satisfies it."""
+    invariant monomial.  Only invariant left factors are built (see
+    `_left_pows`); the complementary right factor then automatically
+    satisfies the weight-divisibility condition too.  Terms come in the
+    order of the exterior subsets, then of the left exponents: slot by
+    slot, each ascending."""
     if m.r != r:
         raise NotInvariant(f"monomial has r = {m.r}, expected {r}")
     if not is_invariant(m, p):
         raise NotInvariant(f"{m} is not in the invariant basis")
-    q1 = p**r - 1
+    left_pows_for = _left_pows(p, r, m.pows)
     support = tuple(k for k, a in enumerate(m.ext) if a)
     out = {}
     zero_ext = (0,) * r
@@ -118,11 +157,7 @@ def coproduct(p: int, r: int, m: Monomial) -> dict:
         right_supp = tuple(k for k, a in enumerate(right_ext) if a)
         sign = shuffle_sign(left_supp, right_supp) if p != 2 else 1
         left_ext = tuple(left_ext)
-        ext_weight = sum(p**k for k in left_supp)
-        for left_pows, coeff in _pow_splits(p, m.pows):
-            lw = ext_weight + sum(p**k * b for k, b in enumerate(left_pows))
-            if q1 > 1 and lw % q1:
-                continue
+        for left_pows, coeff in left_pows_for(sum(p**k for k in left_supp)):
             left = Monomial(left_ext, left_pows)
             right = Monomial(
                 right_ext, tuple(b - lb for b, lb in zip(m.pows, left_pows))
@@ -131,19 +166,59 @@ def coproduct(p: int, r: int, m: Monomial) -> dict:
     return out
 
 
-def _pow_splits(p, pows):
-    """All coordinate-wise splittings b' <= b with nonzero product of
-    binomials C(b_k, b'_k) mod p, yielding (b', coefficient)."""
-    splits = [((), 1)]
-    for b in pows:
-        new = []
-        for prefix, c in splits:
-            for bp in range(b + 1):
-                f = lucas_binomial(p, b, bp)
-                if f:
-                    new.append((prefix + (bp,), c * f % p))
-        splits = new
-    return splits
+def _left_pows(p: int, r: int, pows):
+    """The digit walk: a function taking the weight w0 of the left
+    exterior part and returning every (b', prod_k C(b_k, b'_k) mod p)
+    with that product nonzero and w0 + weight(b') = 0 mod q - 1.
+
+    By Lucas the product is nonzero exactly when each base-p digit e of
+    b'_k is at most the digit d of b_k, and it is then the product of
+    the digit binomials C(d, e).  A digit e at place t of slot k adds
+    e p^(k+t) to the weight, and p^(k+t) = p^((k+t) mod r) mod q - 1.
+    Every nonzero digit of b except the last (the least significant one
+    of the last nonzero slot) is enumerated once, slot by slot and most
+    significant first, carrying the coefficient and the weight; the last
+    digit is then solved from e = -acc / p^((k+t) mod r) mod q - 1,
+    stepping by q - 1 up to d.  So only invariant left factors are ever
+    built, in ascending order of b' slot by slot."""
+    q1 = p**r - 1
+    nonzero = [k for k, b in enumerate(pows) if b]
+    if not nonzero:
+        return lambda w0: [] if w0 % q1 else [(tuple(pows), 1)]
+    last_k = nonzero[-1]
+    tail = (0,) * (r - 1 - last_k)
+    heads = [((), 1, 0)]  # (b' on the slots before last_k, coefficient, weight)
+    for k in range(last_k + 1):
+        places = [(t, d) for t, d in enumerate(base_p_digits(p, pows[k])) if d]
+        if k == last_k:
+            last_t, last_d = places.pop(0)
+        options = [(0, 1, 0)]  # (b'_k, coefficient, weight) over the places so far
+        for t, d in reversed(places):
+            place, wt, row = p**t, p ** ((k + t) % r), _digit_binomials(p, d)
+            options = [
+                (v + e * place, c * row[e] % p, w + e * wt)
+                for v, c, w in options
+                for e in range(d + 1)
+            ]
+        if k < last_k:  # the last slot's options stay apart for solve
+            heads = [
+                (head + (v,), c * c2 % p, w + w2)
+                for head, c, w in heads
+                for v, c2, w2 in options
+            ]
+    place, inverse = p**last_t, pow(p, -(last_k + last_t), q1)
+
+    def solve(w0):
+        out = []
+        for head, c, w in heads:
+            for v, c2, w2 in options:
+                for e in range(-(w0 + w + w2) * inverse % q1, last_d + 1, q1):
+                    out.append(
+                        ((*head, v + e * place, *tail), c * c2 * _digit_binomial(p, last_d, e) % p)
+                    )
+        return out
+
+    return solve
 
 
 def iterated_coproduct(p: int, r: int, m: Monomial, n: int) -> dict:

@@ -29,7 +29,14 @@ from .chi import (
     witness_splitting,
 )
 from .ff import FieldCtx, MatrixFF
-from .mono import Monomial, degree, enumerate_invariant_basis, is_invariant, weight
+from .mono import (
+    Monomial,
+    TensorClass,
+    degree,
+    enumerate_invariant_basis,
+    is_invariant,
+    weight,
+)
 
 ORACLE_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))
 Q_GRID = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))  # q in {2,3,4,5,8,9}
@@ -501,6 +508,38 @@ def suite_witnesses(profile="quick") -> str:
     return f"{checked} witnesses and expansions checked"
 
 
+@_suite("pruned-expansion")
+def suite_pruned_expansion(profile="quick") -> str:
+    """Criterion 11: chi_basic, which drops unit splits as they appear,
+    against the unpruned route: the whole left-nested iterated coproduct,
+    then every tuple with a degree-0 factor dropped, then the sign
+    (-1)^(n-1).  Invariant y^k at (p, n) = (2,4), k <= 20; (3,3),
+    k <= 32; (5,2), k <= 48; and every basis monomial over GF(4) up to
+    degree 12 and over GF(9) up to degree 16, at n = 2 and 3."""
+    cases = [
+        (p, 1, Monomial((0,), (k,)), n)
+        for p, n, kmax in ((2, 4, 20), (3, 3, 32), (5, 2, 48))
+        for k in range(1, kmax + 1)
+        if k % (p - 1) == 0
+    ]
+    cases += [
+        (p, r, m, n)
+        for p, r, dmax in ((2, 2, 12), (3, 2, 16))
+        for d in range(1, dmax + 1)
+        for m in enumerate_invariant_basis(p, r, d)
+        for n in (2, 3)
+    ]
+    for p, r, alpha, n in cases:
+        unpruned = {
+            tup: (-1) ** (n - 1) * c
+            for tup, c in coalg.iterated_coproduct(p, r, alpha, n).items()
+            if all(degree(m, p) for m in tup)
+        }
+        if chi_basic(p, r, alpha, n) != TensorClass(p, r, n, unpruned):
+            raise SuiteFailure(f"q={p**r}, n={n}, alpha={alpha}")
+    return f"{len(cases)} classes matched the unpruned splitting"
+
+
 # -- random representations ---------------------------------------------------
 
 
@@ -570,6 +609,7 @@ ALL_SUITES = {
     "filtration": suite_filtration,
     "classification": suite_classification,
     "witnesses": suite_witnesses,
+    "pruned": suite_pruned_expansion,
 }
 
 

@@ -87,6 +87,15 @@ CRITERIA = [
         None,
         51,
     ),
+    (
+        11,
+        "pruned expansion: chi_basic matches the unpruned iterated "
+        "coproduct with unit-factor tuples dropped, y^k and GF(4), GF(9) "
+        "basis monomials at n = 2, 3",
+        lambda: verify.suite_pruned_expansion("quick"),
+        None,
+        148,
+    ),
 ]
 
 

@@ -390,6 +390,45 @@ def test_indecomposable_tuples_certify_nonzero_pairings():
             assert deg == (total if p == 2 else 2 * total)
 
 
+def tuples_by_brute_force(p, n, max_total):
+    """Every nondecreasing n-tuple of positive multiples of p - 1 with
+    total <= max_total, kept when its parts' digit sums add up to the
+    total's (carry-free), in (total, tuple) order."""
+
+    def s(m):
+        total = 0
+        while m:
+            m, d = divmod(m, p)
+            total += d
+        return total
+
+    parts = range(p - 1, max_total + 1, p - 1)
+    found = [
+        (t, sum(t) if p == 2 else 2 * sum(t))
+        for t in itertools.combinations_with_replacement(parts, n)
+        if sum(t) <= max_total and s(sum(t)) == sum(s(x) for x in t)
+    ]
+    return sorted(found, key=lambda item: (sum(item[0]), item[0]))
+
+
+@pytest.mark.parametrize(
+    "p,n,max_total",
+    [(2, 1, 10), (2, 2, 7), (2, 3, 40), (2, 4, 30), (3, 2, 60), (3, 3, 80),
+     (3, 4, 60), (5, 2, 100), (5, 4, 200), (7, 2, 150), (3, 2, 1), (2, 5, 30)],
+)
+def test_indecomposable_tuples_match_brute_force(p, n, max_total):
+    assert indecomposable_tuples(p, n, max_total) == tuples_by_brute_force(p, n, max_total)
+
+
+def test_indecomposable_tuples_empty_below_p_to_the_n():
+    # each part has digit sum >= p - 1, so n parts need a total whose digit
+    # sum is >= n(p - 1); the least such total is p^n - 1 (242 for (3,5)),
+    # too far for the brute force above
+    assert indecomposable_tuples(3, 5, 241) == []
+    got = indecomposable_tuples(3, 5, 242)
+    assert got and all(sum(t) == 242 for t, _ in got)
+
+
 def test_nonzero_classes_square_to_nonzero():
     # polynomial images live in a polynomial ring, so nonzero classes
     # stay nonzero under squaring (non-nilpotence surrogate)

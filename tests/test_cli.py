@@ -46,6 +46,28 @@ def test_chi_identity_case(capsys):
     assert out.strip() == "x y"
 
 
+def test_chi_large_prime_builds_only_invariant_splits(capsys):
+    # y^(p-1) at p = 1000003 has one digit, p - 1: its two invariant splits
+    # both have a unit side, and nothing else is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "chi", "--p", "1000003", "--n", "2", "--alpha", "y^1000002")
+    assert (code, out) == (0, "0\n")
+    assert time.perf_counter() - start < 5
+
+
+def test_chi_deep_binary_class_counts_its_terms(capsys):
+    # y^127 at n = 7: each factor takes one binary digit, 7! terms
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "chi", "--p", "2", "--n", "7", "--alpha", "y^127", "--format", "json")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert len(terms) == 5040
+    powers = {tuple(f["B"][0] for f in t["factors"]) for t in terms}
+    assert len(powers) == 5040 and all(sorted(ps) == [2**i for i in range(7)] for ps in powers)
+    assert all(t["coeff"] == 1 for t in terms)
+    assert time.perf_counter() - start < 5
+
+
 def test_chi_non_invariant_is_input_error(capsys):
     code, _, err = run(capsys, "chi", "--p", "3", "--n", "2", "--alpha", "y")
     assert code == cli.EXIT_INPUT
@@ -363,6 +385,22 @@ def test_cached_fresh_and_bare_runs_are_byte_identical(capsys, tmp_path, monkeyp
     assert len(writes) == 1  # a hit: read back, not recomputed
     assert bare[0] == 0 and bare[1]
     assert cached == fresh == bare
+
+
+@pytest.mark.parametrize(
+    "entry", [b'{"schema": "modchar/1"}', b"[]", b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 9}', b"\xff\xfe"]
+)
+def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
+    # hand-written entries under the request's key: wrong shape, missing or
+    # different params, bytes that are not UTF-8
+    argv = ["tuples", "--p", "2", "--n", "2", "--max", "7", "--format", "json"]
+    fresh = run(capsys, *argv)
+    run(capsys, *argv, "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    path.write_bytes(entry)
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
+    assert fresh[0] == 0
+    assert json.loads(path.read_text(encoding="utf-8")) == json.loads(fresh[1])
 
 
 def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):

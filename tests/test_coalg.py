@@ -4,6 +4,7 @@ primitive expansion for the coproduct itself."""
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -72,6 +73,28 @@ def naive_coproduct(p, r, mono):
     for (left, right), c in terms.items():
         if c and is_invariant(left, p) and is_invariant(right, p):
             out[(left, right)] = c
+    return out
+
+
+def brute_coproduct(p, r, mono):
+    """Independent of the digit walk: every left exterior subset with its
+    shuffle sign (one -1 per exterior generator moved left past a later
+    one kept right), every b' <= b with the product of math.comb(b_k, b'_k)
+    mod p, kept when the left factor's weight vanishes mod q - 1."""
+    q1 = p**r - 1
+    out = {}
+    for left_ext in itertools.product(*[range(a + 1) for a in mono.ext]):
+        right_ext = tuple(a - la for a, la in zip(mono.ext, left_ext))
+        moves = sum(1 for i in range(r) for j in range(i + 1, r) if right_ext[i] and left_ext[j])
+        sign = -1 if p != 2 and moves % 2 else 1
+        for left_pows in itertools.product(*[range(b + 1) for b in mono.pows]):
+            w = sum(p**k * (a + b) for k, (a, b) in enumerate(zip(left_ext, left_pows)))
+            if q1 > 1 and w % q1:
+                continue
+            coeff = sign * math.prod(math.comb(b, lb) for b, lb in zip(mono.pows, left_pows)) % p
+            if coeff:
+                right_pows = tuple(b - lb for b, lb in zip(mono.pows, left_pows))
+                out[(Monomial(left_ext, left_pows), Monomial(right_ext, right_pows))] = coeff
     return out
 
 
@@ -209,6 +232,44 @@ def test_coproduct_matches_naive_expansion(p, r):
 def test_coproduct_deep_sign_case_matches_naive():
     alpha = Monomial((1, 1), (5, 5))
     assert coproduct(3, 2, alpha) == naive_coproduct(3, 2, alpha)
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (3, 2), (5, 2)])
+def test_coproduct_matches_brute_force_past_the_word_limit(p, r):
+    # exponents up to 80, far past the word expansion's 8 symbols
+    rng = random.Random(p * 10 + r)
+    picked = []
+    while len(picked) < 12:
+        ext = tuple(rng.randrange(2) if p != 2 else 0 for _ in range(r))
+        m = Monomial(ext, tuple(rng.randrange(81) for _ in range(r)))
+        if is_invariant(m, p):
+            picked.append(m)
+    if p != 2:  # the shuffle signs are exercised
+        assert any(sum(m.ext) == r for m in picked)
+    for m in picked:
+        assert coproduct(p, r, m) == brute_coproduct(p, r, m)
+
+
+@pytest.mark.parametrize("p", [257, 1009])
+def test_coproduct_matches_brute_force_for_large_primes(p):
+    # past the Pascal table: digit binomials computed on demand
+    for m in (
+        Monomial((0,), (5 * p + (p - 1 - 5),)),  # digits (p - 6, 5)
+        Monomial((1,), (2 * p + (p - 2 - 2),)),  # digits (p - 4, 2)
+        Monomial((0,), (p - 1,)),  # last digit solved twice: 0 and p - 1
+    ):
+        assert is_invariant(m, p)
+        assert coproduct(p, 1, m) == brute_coproduct(p, 1, m)
+
+
+def test_coproduct_term_order():
+    # exterior subsets in turn; within each, left exponents ascend slot by slot
+    m = Monomial((1, 1), (13, 13))
+    keys = list(coproduct(3, 2, m))
+    assert len({left.ext for left, _ in keys}) == 4
+    for ext in {left.ext for left, _ in keys}:
+        pows = [left.pows for left, _ in keys if left.ext == ext]
+        assert pows == sorted(pows) and len(set(pows)) == len(pows)
 
 
 def test_iterated_coproduct_base_cases():
