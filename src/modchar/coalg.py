@@ -13,8 +13,6 @@ solves the last digit from it.
 
 from __future__ import annotations
 
-import functools
-
 from .mono import Monomial, NotInvariant, is_invariant
 
 
@@ -29,25 +27,8 @@ def base_p_digits(p: int, m: int) -> list[int]:
     return out
 
 
-# Primes up to this bound read their digit binomials from one Pascal
-# table each, built on first use; larger primes compute them on demand.
-_TABLE_MAX_P = 256
-
-
-@functools.lru_cache(maxsize=8)
-def _pascal(p: int) -> tuple:
-    """Rows of C(d, e) mod p for 0 <= e <= d < p."""
-    rows = [(1,)]
-    for _ in range(1, p):
-        prev = rows[-1]
-        rows.append((1, *((a + b) % p for a, b in zip(prev, prev[1:])), 1))
-    return tuple(rows)
-
-
 def _digit_binomial(p: int, d: int, e: int) -> int:
     """C(d, e) mod p for base-p digits 0 <= e <= d < p; never 0."""
-    if p <= _TABLE_MAX_P:
-        return _pascal(p)[d][e]
     e = min(e, d - e)
     num = den = 1
     for i in range(e):
@@ -58,8 +39,6 @@ def _digit_binomial(p: int, d: int, e: int) -> int:
 
 def _digit_binomials(p: int, d: int):
     """C(d, e) mod p for e = 0, ..., d, a base-p digit d < p."""
-    if p <= _TABLE_MAX_P:
-        return _pascal(p)[d]
     row = [1]
     for e in range(d):
         row.append(row[-1] * (d - e) * pow(e + 1, -1, p) % p)

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from modchar import dickson
+from modchar import dickson, verify
 from modchar.chi import (
     KIND_MIXED,
     KIND_Y_POWER,
@@ -141,6 +141,13 @@ def test_chi_matches_naive_enumeration_r1():
                 assert (
                     chi_basic(p, 1, alpha, n).terms == naive_chi_terms(p, 1, alpha, n)
                 )
+
+
+def test_pruned_expansion_full_grid():
+    # the quick profile keeps the basis monomials at n = 2 only
+    result = verify.suite_pruned_expansion("full")
+    assert result.ok, result.detail
+    assert result.detail.startswith("148 classes")
 
 
 def naive_chi_by_word_expansion(p, r, alpha, n):

@@ -252,7 +252,7 @@ def test_coproduct_matches_brute_force_past_the_word_limit(p, r):
 
 @pytest.mark.parametrize("p", [257, 1009])
 def test_coproduct_matches_brute_force_for_large_primes(p):
-    # past the Pascal table: digit binomials computed on demand
+    # digit binomials with digits up to p - 1 and modular inverses mod p
     for m in (
         Monomial((0,), (5 * p + (p - 1 - 5),)),  # digits (p - 6, 5)
         Monomial((1,), (2 * p + (p - 2 - 2),)),  # digits (p - 4, 2)
