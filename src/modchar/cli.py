@@ -7,9 +7,10 @@ exit 3 before any compute or cache lookup), gets its payload, builds its
 CSV rows and text lines from that payload, and hands all three to
 _emit.  The five computing commands get their payload from _cached, which
 builds {"schema", **params, **compute()} once and, with --cache-dir or
-MODCHAR_CACHE, reads it from and writes it to the result cache; the rows
-and lines read only the payload, so cached and fresh runs print the same
-bytes.  _emit alone reads --format, prints, and sets the exit code.
+MODCHAR_CACHE, reads it from and writes it to the result cache (a hit
+must match the command's params and result shape); the rows and lines
+read only the payload, so cached and fresh runs print the same bytes.
+_emit alone reads --format, prints, and sets the exit code.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 4 internal error (a broken internal invariant, never a check result).
@@ -103,19 +104,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cached(args, command: str, params: dict, compute) -> dict:
+def _fits(value, shape) -> bool:
+    """True when value has the JSON shape: a type (int is not bool), a
+    tuple of alternatives, [item shape], {int: value shape} for an object
+    keyed by decimal strings, or an object with exactly the given keys."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if not isinstance(shape, dict):
+        return type(value) is shape
+    if not isinstance(value, dict):
+        return False
+    if int in shape:
+        return all(k.isdecimal() and _fits(v, shape[int]) for k, v in value.items())
+    return value.keys() == shape.keys() and all(_fits(value[k], s) for k, s in shape.items())
+
+
+def _cached(args, command: str, params: dict, compute, shape: dict) -> dict:
     """The payload {"schema", **params, **compute()}, read from the result
     cache when --cache-dir or MODCHAR_CACHE names one, else computed (and
     then stored there).  params are the command's canonical inputs and
-    key the cache.  An entry counts as a hit only when it is an object
-    whose schema and every param equal the request; anything else is a
-    miss, recomputed and overwritten."""
+    key the cache; shape gives the JSON shape (see _fits) of each result
+    field compute() returns.  An entry counts as a hit only when it is
+    an object whose schema and every param equal the request and whose
+    other fields are exactly those of shape, each of its shape; anything
+    else is a miss, recomputed and overwritten."""
     root = args.cache_dir or os.environ.get("MODCHAR_CACHE")
     if root:
         cache, key = ResultCache(root), ResultCache.key(command, params)
         payload = cache.get(key)
-        if isinstance(payload, dict) and all(
-            k in payload and payload[k] == v for k, v in {"schema": SCHEMA, **params}.items()
+        expected = {"schema": SCHEMA, **params}
+        if _fits(payload, {**{k: type(v) for k, v in expected.items()}, **shape}) and all(
+            payload[k] == v for k, v in expected.items()
         ):
             return payload
     payload = {"schema": SCHEMA, **params, **compute()}
@@ -162,7 +183,7 @@ def cmd_basis(args) -> int:
         return {"basis": by_degree}
 
     params = {"p": args.p, "r": args.r, "max_degree": args.max_degree}
-    payload = _cached(args, "basis", params, compute)
+    payload = _cached(args, "basis", params, compute, {"basis": {int: [str]}})
     basis = [(d, payload["basis"][d]) for d in sorted(payload["basis"], key=int)]
     rows = [(d, m) for d, monomials in basis for m in monomials]
     lines = [f"{d}: " + ", ".join(monomials) for d, monomials in basis]
@@ -185,7 +206,9 @@ def cmd_chi(args) -> int:
         return {"rendered": tc.render(), "terms": terms}
 
     params = {"p": args.p, "r": args.r, "n": args.n, "alpha": mono.format_monomial(alpha)}
-    payload = _cached(args, "chi", params, compute)
+    factor = {"A": [int], "B": [int]}
+    shape = {"rendered": str, "terms": [{"factors": [factor], "coeff": int}]}
+    payload = _cached(args, "chi", params, compute, shape)
     rows = [
         ("⊗".join(mono.format_monomial(Monomial.from_json(f)) for f in t["factors"]), t["coeff"])
         for t in payload["terms"]
@@ -212,7 +235,8 @@ def cmd_nonvanish(args) -> int:
         }
 
     params = {"p": args.p, "r": args.r, "n": args.n, "max_degree": args.max_degree}
-    payload = _cached(args, "nonvanish", params, compute)
+    shape = {"rows": [{"N": int, "alpha": str, "degree": int, "status": str}]}
+    payload = _cached(args, "nonvanish", params, compute, shape)
     rows = [(r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"]]
     lines = ["N={}  alpha={}  degree={}  {}".format(*row) for row in rows]
     return _emit(args, payload, ("N", "alpha", "degree", "status"), rows, lines)
@@ -253,7 +277,9 @@ def dickson_dmax(p: int, n: int, dmax: int | None) -> int:
 def cmd_dickson(args) -> int:
     dmax = dickson_dmax(args.p, args.n, args.dmax)
     params = {"p": args.p, "n": args.n, "dmax": dmax}
-    payload = _cached(args, "dickson", params, lambda: dickson.report(args.p, args.n, dmax))
+    shape = {check: bool for check in ("sparsity", "newton", "inverse", "ok")}
+    shape.update(product_signs={int: (int, str)}, components={int: str})
+    payload = _cached(args, "dickson", params, lambda: dickson.report(args.p, args.n, dmax), shape)
     signs = sorted(payload["product_signs"].items(), key=lambda kv: int(kv[0]))
     checks = [(check, payload[check]) for check in ("sparsity", "newton", "inverse")]
     rows = checks + [(f"product_sign_i={i}", s) for i, s in signs]
@@ -274,7 +300,9 @@ def cmd_tuples(args) -> int:
         tuples = chi.indecomposable_tuples(args.p, args.n, args.max)
         return {"tuples": [{"parts": list(t), "degree": d} for t, d in tuples]}
 
-    payload = _cached(args, "tuples", {"p": args.p, "n": args.n, "max": args.max}, compute)
+    params = {"p": args.p, "n": args.n, "max": args.max}
+    shape = {"tuples": [{"parts": [int], "degree": int}]}
+    payload = _cached(args, "tuples", params, compute, shape)
     rows = [(" ".join(map(str, t["parts"])), t["degree"]) for t in payload["tuples"]]
     lines = [
         f"({', '.join(map(str, t['parts']))})  degree {t['degree']}" for t in payload["tuples"]

@@ -10,6 +10,16 @@ fields are bounded by q <= MAX_EXTENSION_ORDER.  Coefficient lists
 appear only at the file boundary: from_coeffs, to_coeffs and
 MatrixFF.from_ints.  Contexts, matrices and subspaces are immutable and
 hash and compare by value.
+
+Matrix work runs as whole-row operations on plain int lists, reading
+only a row's nonzero entries (_sparse, _axpy).  Over the prime field a
+product adds a times a row of the right factor for each nonzero a into
+one int accumulator and reduces mod p once per entry (Gustavson's
+row-by-row product with delayed reduction), and elimination scales by
+pow(a, p - 2, p).  Over an extension field the same row loops read the
+exp/log/Zech tables, with the right factor's logs taken once per
+product, and add by XOR of the digit ints for p = 2.  The element-level
+FieldCtx methods serve scalar callers.
 """
 
 from __future__ import annotations
@@ -337,8 +347,16 @@ class MatrixFF:
             raise DimensionError("ragged rows")
 
     @classmethod
+    def _of(cls, ctx, rows):
+        """A result built in this module: rows is already a tuple of
+        equal-length tuples, so the checks of __init__ are skipped."""
+        out = object.__new__(cls)
+        out.ctx, out.rows = ctx, rows
+        return out
+
+    @classmethod
     def identity(cls, ctx, n):
-        return cls(ctx, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of(ctx, tuple(tuple([int(i == j) for j in range(n)]) for i in range(n)))
 
     @classmethod
     def from_ints(cls, ctx, rows):
@@ -368,48 +386,25 @@ class MatrixFF:
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in sub")
-        sub = self.ctx.sub
-        return MatrixFF(
-            self.ctx,
-            [
-                [sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        ctx, minus, out = self.ctx, self.ctx.neg(1), []
+        for r1, r2 in zip(self.rows, other.rows):
+            out.append(list(r1))
+            _axpy(ctx, out[-1], minus, _sparse(ctx, r2))
+        return MatrixFF._of(ctx, tuple(map(tuple, out)))
 
     def mul(self, other):
         self._check(other)
         if self.ncols != other.nrows:
             raise DimensionError("shape mismatch in mul")
-        ctx = self.ctx
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = ctx.add(acc, ctx.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return MatrixFF(ctx, out)
+        return MatrixFF._of(self.ctx, _product(self.ctx, self.rows, other.rows, other.ncols))
 
     def matvec(self, v):
-        ctx = self.ctx
         if len(v) != self.ncols:
             raise DimensionError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = ctx.add(acc, ctx.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return _product(self.ctx, (v,), tuple(zip(*self.rows)), self.nrows)[0]
 
     def transpose(self):
-        return MatrixFF(self.ctx, list(zip(*self.rows)))
+        return MatrixFF._of(self.ctx, tuple(zip(*self.rows)))
 
     def kron(self, other):
         self._check(other)
@@ -428,27 +423,30 @@ class MatrixFF:
         return MatrixFF(self.ctx, out)
 
     def pow_int(self, e: int):
+        """self^e by squaring from the top bit down, starting at self: g^2
+        is one product and g^3 two."""
         if self.nrows != self.ncols:
             raise DimensionError("pow of non-square matrix")
-        result = MatrixFF.identity(self.ctx, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
+        if e < 0:
+            raise ValueError("negative matrix power")
+        if not e:
+            return MatrixFF.identity(self.ctx, self.nrows)
+        out = self
+        for bit in bin(e)[3:]:
+            out = out.mul(out)
+            if bit == "1":
+                out = out.mul(self)
+        return out
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionError("inverse of non-square matrix")
         n = self.nrows
-        ident = MatrixFF.identity(self.ctx, n)
-        aug = [list(r) + list(i) for r, i in zip(self.rows, ident.rows)]
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
         red, pivots = _rref(self.ctx, aug)
         if pivots != list(range(n)):
             raise FieldError("matrix is singular")
-        return MatrixFF(self.ctx, [row[n:] for row in red])
+        return MatrixFF._of(self.ctx, tuple(tuple(row[n:]) for row in red))
 
     def rank(self):
         _, pivots = _rref(self.ctx, [list(r) for r in self.rows])
@@ -468,25 +466,86 @@ class MatrixFF:
         return f"MatrixFF({self.nrows}x{self.ncols} over {self.ctx!r})"
 
 
+# -- the row kernel: every matrix operation is whole-row work on int lists --
+
+
+def _sparse(ctx, row, start=0):
+    """(column, entry) for the nonzero entries of row from column start on,
+    with the entry's log in place of the entry at r > 1."""
+    pairs = [(c, y) for c, y in enumerate(row[start:], start) if y]
+    return pairs if ctx.r == 1 else [(c, ctx._log[y]) for c, y in pairs]
+
+
+def _axpy(ctx, xs, f, ys):
+    """xs += f y in place, for f != 0 and y given by _sparse: over the
+    prime field one int expression per entry; over an extension field a
+    product reads exp at f's log plus y's, and a sum is XOR of the digit
+    ints for p = 2, else one Zech-logarithm step."""
+    if ctx.r == 1:
+        p = ctx.p
+        for c, y in ys:
+            xs[c] = (xs[c] + f * y) % p
+        return
+    exp, log, zech = ctx._exp, ctx._log, ctx._zech
+    lf = log[f]
+    if ctx.p == 2:
+        for c, ly in ys:
+            xs[c] ^= exp[lf + ly]
+        return
+    for c, ly in ys:
+        w, x = exp[lf + ly], xs[c]
+        if x:  # x + w = x (1 + w / x)
+            lx = log[x]
+            z = zech[log[w] - lx]
+            w = exp[lx + z] if z >= 0 else 0
+        xs[c] = w
+
+
+def _product(ctx, left, right, n):
+    """Rows of left times the matrix with rows right and n columns, as a
+    tuple of tuples: Gustavson's row-by-row product, which adds a times
+    row k of right for each nonzero a at column k of a left row, reading
+    only right's nonzero entries, taken once per product.  Over the prime
+    field the sums stay plain ints, reduced mod p once per entry at the
+    end; over an extension field each step is one _axpy."""
+    right = [_sparse(ctx, y) for y in right]
+    out = []
+    for row in left:
+        acc = [0] * n
+        if ctx.r == 1:
+            for a, ys in zip(row, right):
+                if a:
+                    for c, y in ys:
+                        acc[c] += a * y
+            acc = [x % ctx.p for x in acc]
+        else:
+            for a, ys in zip(row, right):
+                if a:
+                    _axpy(ctx, acc, a, ys)
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def _rref(ctx, rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    """In-place reduced row echelon form of lists; returns (rows, pivot
+    columns).  A pivot row is zero left of its pivot j, so only its
+    nonzero entries from j on are scaled and eliminated with."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots = []
     i = 0
     for j in range(ncols):
-        k = next((k for k in range(i, m) if rows[k][j]), None)
-        if k is None:
+        for k in range(i, m):
+            if rows[k][j]:
+                break
+        else:
             continue
-        rows[i], rows[k] = rows[k], rows[i]
-        pivot_inv = ctx.inv(rows[i][j])
-        rows[i] = [ctx.mul(pivot_inv, x) for x in rows[i]]
-        for k2 in range(m):
-            if k2 != i and rows[k2][j]:
-                f = rows[k2][j]
-                rows[k2] = [
-                    ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[k2], rows[i])
-                ]
+        row, rows[k], rows[i] = rows[k], rows[i], [0] * ncols
+        _axpy(ctx, rows[i], ctx.inv(row[j]), _sparse(ctx, row, j))
+        ys = _sparse(ctx, rows[i], j)
+        for k2, x in enumerate(rows):
+            if x[j] and k2 != i:
+                _axpy(ctx, x, ctx.neg(x[j]), ys)
         pivots.append(j)
         i += 1
         if i == m:
@@ -540,24 +599,22 @@ class Subspace:
         ctx = self.ctx
         w = list(v)
         for row, c in zip(self.basis, self.pivot_columns()):
-            f = w[c]
-            if f:
-                w = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(w, row)]
+            if w[c]:
+                _axpy(ctx, w, ctx.neg(w[c]), _sparse(ctx, row))
         return tuple(w)
 
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
 
     def membership_matrix(self) -> MatrixFF:
-        """Matrix R with Rv = 0 iff v lies in the subspace."""
-        ctx = self.ctx
-        n = self.ambient_dim
-        ident = [list(r) for r in MatrixFF.identity(ctx, n).rows]
+        """Matrix R with Rv = 0 iff v lies in the subspace: the identity
+        with column c replaced by e_c - b for each basis row b of pivot c."""
+        ctx, n = self.ctx, self.ambient_dim
+        minus = ctx.neg(1)
+        cols = [[int(u == c) for u in range(n)] for c in range(n)]
         for row, c in zip(self.basis, self.pivot_columns()):
-            for u in range(n):
-                ident[u][c] = ctx.sub(ident[u][c], row[u])
-        # rows above: column c of R is e_c - b (b the basis row as a column)
-        return MatrixFF(ctx, ident)
+            _axpy(ctx, cols[c], minus, _sparse(ctx, row))
+        return MatrixFF._of(ctx, tuple(zip(*cols)))
 
     def sum(self, other) -> "Subspace":
         if self.ctx != other.ctx or self.ambient_dim != other.ambient_dim:
@@ -568,18 +625,18 @@ class Subspace:
 
 
 def kernel(M: MatrixFF) -> Subspace:
-    """Null space {v : Mv = 0} in canonical form."""
+    """Null space {v : Mv = 0} in canonical form, spanned for each free
+    column f by -e_f plus column f of the pivot rows at the pivot columns."""
     ctx = M.ctx
     n = M.ncols
     red, pivots = _rref(ctx, [list(r) for r in M.rows])
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
     vecs = []
-    for f in free:
+    for f in (j for j in range(n) if j not in pivot_set):
         v = [0] * n
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = ctx.neg(red[i][f])
+        v[f] = ctx.neg(1)
+        for c, row in zip(pivots, red):
+            v[c] = row[f]
         vecs.append(v)
     return Subspace.from_vectors(ctx, n, vecs)
 
@@ -598,8 +655,4 @@ def preimage(M: MatrixFF, S: Subspace) -> Subspace:
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ctx != s2.ctx or s1.ambient_dim != s2.ambient_dim:
         raise DimensionError("subspace mismatch in intersect")
-    stacked = MatrixFF(
-        s1.ctx,
-        list(s1.membership_matrix().rows) + list(s2.membership_matrix().rows),
-    )
-    return kernel(stacked)
+    return kernel(MatrixFF._of(s1.ctx, s1.membership_matrix().rows + s2.membership_matrix().rows))

@@ -35,6 +35,14 @@ from .dickson import MultiPoly, chi_via_power_sum
 from .ff import FieldCtx, MatrixFF, Subspace
 
 
+# Largest dim a representation file may declare, checked before any matrix
+# is built: without it a 60-byte file with a huge dim and no generators
+# builds a dim x dim identity.  rep-analyze of regular_rep(2, 8) (dim 256)
+# takes about 2 s, and of regular_rep(2, 9) (dim 512) about 12 s (2-core
+# host, Python 3.11).
+MAX_REP_DIM = 256
+
+
 class RepValidationError(ValueError):
     """A matrix family violating the elementary abelian contract."""
 
@@ -72,12 +80,12 @@ class Rep:
         """Matrix of the group element with the given exponent vector."""
         if len(exponents) != self.rank:
             raise ff.DimensionError("exponent vector length != generator count")
-        out = MatrixFF.identity(self.ctx, self.dim)
+        out = None
         for g, e in zip(self.generators, exponents):
             e %= self.ctx.p
             if e:
-                out = out.mul(g.pow_int(e))
-        return out
+                out = g.pow_int(e) if out is None else out.mul(g.pow_int(e))
+        return MatrixFF.identity(self.ctx, self.dim) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -405,19 +413,12 @@ def _pairing(rep: Rep, j0: Subspace, j1: Subspace) -> list[list]:
     pivot c0, which form a basis of J_1 / J_0."""
     ctx = rep.ctx
     c0 = j0.pivot_columns()[0]
-    complement = [b for b, c in zip(j1.basis, j1.pivot_columns()) if c != c0]
+    complement = MatrixFF(ctx, [b for b, c in zip(j1.basis, j1.pivot_columns()) if c != c0])
     rows = []
     for g in rep.generators:
         d = list(g.rows[c0])
         d[c0] = ctx.sub(d[c0], 1)
-        row = []
-        for b in complement:
-            acc = 0
-            for x, y in zip(d, b):
-                if x and y:
-                    acc = ctx.add(acc, ctx.mul(x, y))
-            row.append(acc)
-        rows.append(row)
+        rows.append(list(complement.matvec(d)))
     return rows
 
 
@@ -609,7 +610,8 @@ def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
     """Parse the JSON representation file shape; returns the rep and the
     optional basepoint.  Raises ValueError with field context on bad
     input: p, r, dim and every entry must be JSON integers (booleans are
-    not), matrices, rows and coefficient lists JSON arrays, and dim >= 1."""
+    not), matrices, rows and coefficient lists JSON arrays, and
+    1 <= dim <= MAX_REP_DIM."""
     try:
         p, r, dim = obj["p"], obj.get("r", 1), obj["dim"]
         gen_entries = obj["generators"]
@@ -620,6 +622,10 @@ def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
             raise ValueError(f"representation file bad field: {key} = {value!r} is not an integer")
     if dim < 1:
         raise ValueError(f"dim = {dim} must be >= 1")
+    if dim > MAX_REP_DIM:
+        raise ValueError(
+            f"dim = {dim} exceeds the representation bound dim <= MAX_REP_DIM = {MAX_REP_DIM}"
+        )
     modulus = obj.get("modulus")
     if modulus is not None and not (isinstance(modulus, list) and all(map(ff.is_int, modulus))):
         raise ValueError("modulus must be a list of integer coefficients")

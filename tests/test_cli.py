@@ -388,11 +388,22 @@ def test_cached_fresh_and_bare_runs_are_byte_identical(capsys, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize(
-    "entry", [b'{"schema": "modchar/1"}', b"[]", b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 9}', b"\xff\xfe"]
+    "entry",
+    [
+        b'{"schema": "modchar/1"}',
+        b"[]",
+        b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 9}',
+        b"\xff\xfe",
+        b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 7}',
+        b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 7, "tuples": [{"parts": 5}]}',
+        b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 7, "tuples": [{"parts": [true], "degree": 1}]}',
+        b'{"schema": "modchar/1", "p": 2, "n": 2, "max": 7, "tuples": [], "extra": 1}',
+    ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
     # hand-written entries under the request's key: wrong shape, missing or
-    # different params, bytes that are not UTF-8
+    # different params, bytes that are not UTF-8, result fields missing,
+    # ill-shaped or extra
     argv = ["tuples", "--p", "2", "--n", "2", "--max", "7", "--format", "json"]
     fresh = run(capsys, *argv)
     run(capsys, *argv, "--cache-dir", str(tmp_path))
@@ -401,6 +412,23 @@ def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
     assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
     assert fresh[0] == 0
     assert json.loads(path.read_text(encoding="utf-8")) == json.loads(fresh[1])
+
+
+@pytest.mark.parametrize("command", sorted(CACHE_CASES))
+def test_cache_entry_missing_or_ill_shaped_field_is_a_miss(capsys, tmp_path, command):
+    # every field of a good entry, dropped or given a wrong shape in turn
+    argv = [*CACHE_CASES[command], "--format", "json"]
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    run(capsys, *argv, "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    good = json.loads(path.read_text(encoding="utf-8"))
+    for key in good:
+        dropped = {k: v for k, v in good.items() if k != key}
+        for entry in (dropped, {**good, key: [{"parts": 5}]}):
+            path.write_text(json.dumps(entry), encoding="utf-8")
+            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
+            assert json.loads(path.read_text(encoding="utf-8")) == good
 
 
 def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):
@@ -582,6 +610,26 @@ def test_rep_analyze_rejects_extension_field_over_the_bound(capsys, tmp_path, mo
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_INPUT and out == ""
     assert "MAX_EXTENSION_ORDER" in err
+
+
+def test_rep_analyze_rejects_dim_over_the_bound(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 2, "dim": 100000, "generators": []}))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a matrix")
+
+    monkeypatch.setattr(ff.MatrixFF, "identity", classmethod(forbidden))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "MAX_REP_DIM = 256" in err
+    # the bound itself is admitted
+    path.write_text(json.dumps({"p": 2, "dim": reps.MAX_REP_DIM, "generators": []}))
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "rep-analyze", str(path))
+    assert code == 0 and out.startswith(f"socle dims: {reps.MAX_REP_DIM}\n")
 
 
 def test_rep_analyze_largest_admitted_extension_field(capsys, tmp_path):

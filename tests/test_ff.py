@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modchar import ff
+from modchar import ff, reps
 from modchar.ff import (
     FieldCtx,
     FieldError,
@@ -233,6 +233,26 @@ def test_matrix_inverse_and_singular():
     singular = MatrixFF.from_ints(ctx, [[1, 2], [2, 4]])
     with pytest.raises(FieldError):
         singular.inverse()
+
+
+def test_powers_square_from_the_first_factor(monkeypatch):
+    # g^e squares from the top bit down without the identity: g^2 is one
+    # product, g^3 two; Rep.element starts from its first factor
+    ctx = FieldCtx(5, 1)
+    g = MatrixFF(ctx, [[1, 1], [0, 1]])
+    calls = []
+    mul = MatrixFF.mul
+    monkeypatch.setattr(MatrixFF, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (13, 5)):
+        calls.clear()
+        assert g.pow_int(e).rows == ((1, e % 5), (0, 1)) and len(calls) == products
+    rep = reps.Rep(ctx, 2, (g, g))
+    for exponents, products in (((0, 0), 0), ((1, 0), 0), ((0, 2), 1), ((1, 1), 1), ((2, 3), 4)):
+        calls.clear()
+        assert rep.element(exponents).rows == ((1, sum(exponents) % 5), (0, 1))
+        assert len(calls) == products
+    with pytest.raises(ValueError):
+        g.pow_int(-1)
 
 
 def test_context_equality_and_mismatch():

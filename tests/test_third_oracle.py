@@ -146,3 +146,95 @@ def test_rep_file_round_trip(case):
     back, back_point = reps.rep_from_dict(json.loads(text))
     assert back == rep and back_point == basepoint
     assert json.dumps(reps.rep_to_dict(back, back_point), sort_keys=True) == text
+
+
+# -- the row kernel against sympy -------------------------------------------
+
+
+def _shapes(rng):
+    """(m, k, n) for an m x k times k x n product: 1 x n and n x 1 factors,
+    non-square ones, and twelve seeded draws with each size in 1..5."""
+    return [(1, 1, 1), (1, 5, 1), (1, 3, 5), (5, 3, 1), (4, 1, 4), (2, 5, 3)] + [
+        (rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(12)
+    ]
+
+
+def _draw(rng, ctx, m, n):
+    """A random m x n matrix: all zeros, sparse or dense."""
+    density = rng.choice([0.0, 0.3, 1.0])
+    return [[rng.randrange(1, ctx.q) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+
+
+def _sympy_rows(dm, p):
+    return tuple(tuple(int(e) % p for e in row) for row in dm.to_list())
+
+
+def test_products_match_sympy_over_prime_fields():
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7, 251, 65521):
+        ctx, dom = field((p, 1)), sympy.GF(p)
+        for m, k, n in _shapes(rng):
+            a, b = _draw(rng, ctx, m, k), _draw(rng, ctx, k, n)
+            ours = MatrixFF(ctx, a).mul(MatrixFF(ctx, b))
+            theirs = DomainMatrix([[dom(x) for x in row] for row in a], (m, k), dom) * DomainMatrix(
+                [[dom(x) for x in row] for row in b], (k, n), dom
+            )
+            assert ours.rows == _sympy_rows(theirs, p)
+            v = [rng.randrange(p) for _ in range(k)]
+            assert MatrixFF(ctx, a).matvec(v) == tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+        empty = MatrixFF(ctx, [])
+        assert empty.mul(empty).rows == () and empty.rank() == 0 and kernel(empty).dim == 0
+
+
+def _mult_block(ctx, a):
+    """The r x r matrix over F_p of multiplication by a on the power basis
+    1, t, ..., t^(r-1): column c holds a t^c mod the modulus, from sympy's
+    polynomial arithmetic, never the package's log and Zech tables."""
+    p, modulus = ctx.p, list(reversed(ctx.modulus))
+    cols = []
+    for c in range(ctx.r):
+        prod = gf_rem(gf_mul(_high_first(ctx, a), [1] + [0] * c, p, ZZ), modulus, p, ZZ)
+        cols.append(([int(x) % p for x in reversed(prod)] + [0] * ctx.r)[: ctx.r])
+    return list(zip(*cols))
+
+
+def _blow_up(ctx, rows, ncols):
+    """phi(M) over F_p: each entry replaced by its multiplication block, so
+    phi(AB) = phi(A) phi(B) and rank phi(M) = r rank M."""
+    dom, r = sympy.GF(ctx.p), ctx.r
+    out = []
+    for row in rows:
+        blocks = [_mult_block(ctx, a) for a in row]
+        out += [[dom(x) for block in blocks for x in block[i]] for i in range(r)]
+    return DomainMatrix(out, (len(rows) * r, ncols * r), dom)
+
+
+@pytest.mark.parametrize("pr", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_extension_field_mul_rank_kernel_via_blow_up(pr):
+    ctx, p, r = field(pr), pr[0], pr[1]
+    rng = random.Random(f"blow-up/{pr}")
+    for m, k, n in _shapes(rng):
+        a, b = _draw(rng, ctx, m, k), _draw(rng, ctx, k, n)
+        big_a = _blow_up(ctx, a, k)
+        product = MatrixFF(ctx, a).mul(MatrixFF(ctx, b))
+        assert _sympy_rows(_blow_up(ctx, product.rows, n), p) == _sympy_rows(big_a * _blow_up(ctx, b, n), p)
+        rank = big_a.rank()
+        assert r * MatrixFF(ctx, a).rank() == rank
+        ker = kernel(MatrixFF(ctx, a))
+        assert r * ker.dim == r * k - rank
+        for v in ker.basis:
+            assert not any(map(any, _sympy_rows(big_a * _blow_up(ctx, [[x] for x in v], 1), p)))
+
+
+@pytest.mark.parametrize("pr", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
+def test_pow_int_matches_repeated_mul(pr):
+    ctx, p = field(pr), pr[0]
+    rng = random.Random(f"pow/{pr}")
+    for n in (1, 2, 4):
+        for _ in range(3):
+            g = MatrixFF(ctx, _draw(rng, ctx, n, n))
+            power = MatrixFF.identity(ctx, n)
+            for e in range(2 * p + 4):
+                if e in (0, 1, p, p + 1, 2 * p + 3):
+                    assert g.pow_int(e) == power
+                power = power.mul(g)
