@@ -11,15 +11,9 @@ appear only at the file boundary: from_coeffs, to_coeffs and
 MatrixFF.from_ints.  Contexts, matrices and subspaces are immutable and
 hash and compare by value.
 
-Matrix work runs as whole-row operations on plain int lists, reading
-only a row's nonzero entries (_sparse, _axpy).  Over the prime field a
-product adds a times a row of the right factor for each nonzero a into
-one int accumulator and reduces mod p once per entry (Gustavson's
-row-by-row product with delayed reduction), and elimination scales by
-pow(a, p - 2, p).  Over an extension field the same row loops read the
-exp/log/Zech tables, with the right factor's logs taken once per
-product, and add by XOR of the digit ints for p = 2.  The element-level
-FieldCtx methods serve scalar callers.
+Matrix work runs as whole-row operations on plain int lists through one
+row kernel (_sparse, _axpy, _product, _rref): int sums reduced mod p
+once per entry at r = 1, loops over the exp/log/Zech tables at r > 1.
 """
 
 from __future__ import annotations
@@ -348,8 +342,7 @@ class MatrixFF:
 
     @classmethod
     def _of(cls, ctx, rows):
-        """A result built in this module: rows is already a tuple of
-        equal-length tuples, so the checks of __init__ are skipped."""
+        """Unchecked: rows is already a tuple of equal-length tuples."""
         out = object.__new__(cls)
         out.ctx, out.rows = ctx, rows
         return out
@@ -466,9 +459,6 @@ class MatrixFF:
         return f"MatrixFF({self.nrows}x{self.ncols} over {self.ctx!r})"
 
 
-# -- the row kernel: every matrix operation is whole-row work on int lists --
-
-
 def _sparse(ctx, row, start=0):
     """(column, entry) for the nonzero entries of row from column start on,
     with the entry's log in place of the entry at r > 1."""
@@ -477,10 +467,8 @@ def _sparse(ctx, row, start=0):
 
 
 def _axpy(ctx, xs, f, ys):
-    """xs += f y in place, for f != 0 and y given by _sparse: over the
-    prime field one int expression per entry; over an extension field a
-    product reads exp at f's log plus y's, and a sum is XOR of the digit
-    ints for p = 2, else one Zech-logarithm step."""
+    """xs += f y in place, for f != 0 and y given by _sparse; at r > 1
+    each entry is one exp lookup and one Zech-logarithm step."""
     if ctx.r == 1:
         p = ctx.p
         for c, y in ys:
@@ -488,10 +476,6 @@ def _axpy(ctx, xs, f, ys):
         return
     exp, log, zech = ctx._exp, ctx._log, ctx._zech
     lf = log[f]
-    if ctx.p == 2:
-        for c, ly in ys:
-            xs[c] ^= exp[lf + ly]
-        return
     for c, ly in ys:
         w, x = exp[lf + ly], xs[c]
         if x:  # x + w = x (1 + w / x)
@@ -502,12 +486,9 @@ def _axpy(ctx, xs, f, ys):
 
 
 def _product(ctx, left, right, n):
-    """Rows of left times the matrix with rows right and n columns, as a
-    tuple of tuples: Gustavson's row-by-row product, which adds a times
-    row k of right for each nonzero a at column k of a left row, reading
-    only right's nonzero entries, taken once per product.  Over the prime
-    field the sums stay plain ints, reduced mod p once per entry at the
-    end; over an extension field each step is one _axpy."""
+    """Rows of left times the n-column matrix with rows right (Gustavson):
+    a times row k of right is added for each nonzero a at column k.  At
+    r = 1 the sums stay ints, reduced mod p once per entry at the end."""
     right = [_sparse(ctx, y) for y in right]
     out = []
     for row in left:
@@ -528,8 +509,7 @@ def _product(ctx, left, right, n):
 
 def _rref(ctx, rows):
     """In-place reduced row echelon form of lists; returns (rows, pivot
-    columns).  A pivot row is zero left of its pivot j, so only its
-    nonzero entries from j on are scaled and eliminated with."""
+    columns).  Pivot rows are read only from the pivot column on."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots = []
