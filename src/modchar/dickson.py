@@ -36,7 +36,21 @@ import operator
 from dataclasses import dataclass, field
 
 from .ff import FieldCtx, MatrixFF
-from .mono import SparseCombination, TensorClass, _compositions
+from .mono import SparseCombination, TensorClass
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` naturals summing to `total`, lexicographic."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 class IdentityFailure(ArithmeticError):

@@ -6,10 +6,18 @@ exterior exponents a_k in {0,1} (always all zero for p = 2), pows lists
 the polynomial exponents b_k.  Its weight is sum p^k (a_k + b_k); the
 monomial belongs to the invariant basis exactly when q - 1 divides the
 weight.
+
+The basis is enumerated by a residue walk rather than by filtering all
+monomials: over each exterior subset, the y-exponents are chosen slot by
+slot while the weight is carried mod q - 1, and the last slot, forced by
+the degree, keeps the vector only when the residue closes.  A Monomial
+is built only for a hit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -92,44 +100,57 @@ def sort_key(m: Monomial, p: int):
     return (degree(m, p), m.ext, m.pows)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` naturals summing to `total`, lexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
-    """All invariant monomials of degree d, in canonical order."""
+    """All invariant monomials of degree d, in canonical order, by the
+    residue walk above: each exterior subset of a size the degree's
+    parity allows, then the y-exponents slot by slot (slot k weighs
+    p^k).  basis_walk_size counts the vectors it tests."""
     if d < 0:
         raise ValueError("degree must be >= 0")
+    q1 = p**r - 1
+    w = [pow(p, k, q1) for k in range(r)]
+    last = r - 1
+    w_last = w[last]
     found = []
+
+    def walk(ext, k, rem, res, prefix):
+        if k == last:  # r = 1
+            if (res + w_last * rem) % q1 == 0:
+                found.append(Monomial(ext, prefix + (rem,)))
+            return
+        wk = w[k]
+        if k + 1 == last:  # b here, the remaining rem - b in the last slot
+            res += w_last * rem
+            step = wk - w_last
+            for b in range(rem + 1):
+                if (res + step * b) % q1 == 0:
+                    found.append(Monomial(ext, prefix + (b, rem - b)))
+            return
+        for b in range(rem + 1):
+            walk(ext, k + 1, rem - b, res + wk * b, prefix + (b,))
+
     if p == 2:
-        for pows in _compositions(d, r):
-            m = Monomial((0,) * r, pows)
-            if is_invariant(m, p):
-                found.append(m)
+        walk((0,) * r, 0, d, 0, ())
     else:
-        for ext_total in range(min(d, r) + 1):
-            rem = d - ext_total
-            if rem % 2:
-                continue
-            for ext in _compositions(ext_total, r):
-                if any(a > 1 for a in ext):
-                    continue
-                for pows in _compositions(rem // 2, r):
-                    m = Monomial(ext, pows)
-                    if is_invariant(m, p):
-                        found.append(m)
+        for size in range(d % 2, min(d, r) + 1, 2):
+            for subset in itertools.combinations(range(r), size):
+                ext = tuple(int(k in subset) for k in range(r))
+                walk(ext, 0, (d - size) // 2, sum(w[k] for k in subset), ())
     found.sort(key=lambda m: sort_key(m, p))
     return found
+
+
+def basis_walk_size(p: int, r: int, max_degree: int) -> int:
+    """How many exponent vectors enumerate_invariant_basis tests over the
+    degrees 0..max_degree: the compositions of each y-degree into r
+    slots, once per exterior subset.  Over the y-degrees 0..m these
+    number C(m + r, r)."""
+    if p == 2:
+        return math.comb(max_degree + r, r)
+    return sum(
+        math.comb(r, size) * math.comb((max_degree - size) // 2 + r, r)
+        for size in range(min(max_degree, r) + 1)
+    )
 
 
 # -- text grammar ------------------------------------------------------------

@@ -244,19 +244,32 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
         (["basis", "--p", "4", "--max-degree", "3"], "p = 4 is not prime"),
         (["nonvanish", "--p", "4", "--n", "1"], "p = 4 is not prime"),
         (["tuples", "--p", "4", "--n", "2", "--max", "7"], "p = 4 is not prime"),
+        (
+            ["basis", "--p", "3", "--r", "12", "--max-degree", "30"],
+            "the basis walk would test 11,058,116,888 exponent vectors; "
+            "the basis bound is 4,000,000",
+        ),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
-         "basis-p4", "nonvanish-p4", "tuples-p4"],
+         "basis-p4", "nonvanish-p4", "tuples-p4", "basis-walk"],
 )
 def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
     def forbidden(*args):
         raise AssertionError("computed or looked up the cache")
 
     monkeypatch.setattr(cli, "_cached", forbidden)
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1
     assert code == cli.EXIT_INPUT and out == ""
     assert err == f"error: {bound}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_basis_under_the_walk_bound_answers(capsys):
+    # 3,108,105 tested exponent vectors, of which only the unit is invariant
+    code, out, _ = run(capsys, "basis", "--p", "3", "--r", "8", "--max-degree", "20")
+    assert (code, out) == (0, "0: 1\n")
 
 
 def test_chi_rejects_exterior_generators_at_p2(capsys):

@@ -9,6 +9,7 @@ from modchar.mono import (
     Monomial,
     ParseError,
     TensorClass,
+    basis_walk_size,
     degree,
     enumerate_invariant_basis,
     format_monomial,
@@ -77,6 +78,69 @@ def test_invariant_basis_complete_against_bruteforce():
                 if degree(m, p) == d and is_invariant(m, p):
                     brute.add(m)
         assert brute == set(enumerate_invariant_basis(p, r, d))
+
+
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _basis_by_filtering(p, r, d):
+    """Brute force: every composition of degree d as a Monomial, then the
+    invariant ones, in canonical order."""
+    found = []
+    if p == 2:
+        for pows in _compositions(d, r):
+            m = Monomial((0,) * r, pows)
+            if is_invariant(m, p):
+                found.append(m)
+    else:
+        for ext_total in range(min(d, r) + 1):
+            rem = d - ext_total
+            if rem % 2:
+                continue
+            for ext in _compositions(ext_total, r):
+                if any(a > 1 for a in ext):
+                    continue
+                for pows in _compositions(rem // 2, r):
+                    m = Monomial(ext, pows)
+                    if is_invariant(m, p):
+                        found.append(m)
+    found.sort(key=lambda m: sort_key(m, p))
+    return found
+
+
+@pytest.mark.parametrize(
+    "p, r, max_degree",
+    [(2, 1, 30), (2, 2, 30), (2, 3, 30), (2, 4, 30), (3, 1, 20), (3, 2, 20),
+     (3, 3, 16), (5, 2, 20), (7, 2, 30)],
+)
+def test_invariant_basis_walk_equals_filtering(p, r, max_degree):
+    for d in range(max_degree + 1):
+        assert enumerate_invariant_basis(p, r, d) == _basis_by_filtering(p, r, d), d
+
+
+def test_basis_walk_size_counts_the_tested_vectors():
+    for p, r in [(2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (5, 3)]:
+        for max_degree in range(13):
+            tested = 0
+            for d in range(max_degree + 1):
+                if p == 2:
+                    tested += sum(1 for _ in _compositions(d, r))
+                    continue
+                for ext in itertools.product((0, 1), repeat=r):
+                    rem = d - sum(ext)
+                    if rem >= 0 and rem % 2 == 0:
+                        tested += sum(1 for _ in _compositions(rem // 2, r))
+            assert basis_walk_size(p, r, max_degree) == tested, (p, r, max_degree)
 
 
 def test_weight_additive_under_multiplication():
