@@ -3,10 +3,11 @@ tables, Dickson identity reports, tuple certificates, representation
 file analysis, and the verification driver.
 
 Every command takes the same path.  It validates its input (input errors
-exit 3 before any compute or cache lookup), gets its payload, builds its
-CSV rows and text lines from that payload, and hands all three to
-_emit.  The five computing commands get their payload from _cached, which
-builds {"schema", **params, **compute()} once and, with --cache-dir or
+exit 3 before any compute or cache lookup), gets its payload, and hands
+it to _emit with its CSV rows and text lines as lazy iterables (generator
+expressions over the payload), so only the format printed is ever built.
+The five computing commands get their payload from _cached, which builds
+{"schema", **params, **compute()} once and, with --cache-dir or
 MODCHAR_CACHE, reads it from and writes it to the result cache (a hit
 must match the command's params and result shape); the rows and lines
 read only the payload, so cached and fresh runs print the same bytes.
@@ -23,6 +24,7 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -150,7 +152,8 @@ def _cached(args, command: str, params: dict, compute, shape: dict) -> dict:
 
 def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> int:
     """Print the payload as --format asks (JSON, the CSV rows under header,
-    or the text lines); exit 0, or 1 when a check failed."""
+    or the text lines); exit 0, or 1 when a check failed.  rows and lines
+    are lazy, so the format not asked for is never built."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -205,9 +208,34 @@ def cmd_basis(args) -> int:
     params = {"p": args.p, "r": args.r, "max_degree": args.max_degree}
     payload = _cached(args, "basis", params, compute, {"basis": {int: [str]}})
     basis = [(d, payload["basis"][d]) for d in sorted(payload["basis"], key=int)]
-    rows = [(d, m) for d, monomials in basis for m in monomials]
-    lines = [f"{d}: " + ", ".join(monomials) for d, monomials in basis]
+    rows = ((d, m) for d, monomials in basis for m in monomials)
+    lines = (f"{d}: " + ", ".join(monomials) for d, monomials in basis)
     return _emit(args, payload, ("degree", "monomial"), rows, lines)
+
+
+def _chi_terms(terms):
+    """Each term of a chi payload as (its factor texts joined by ⊗, its
+    coefficient), lazily, formatting each distinct factor once.  The
+    rendered class and the CSV rows both read these."""
+    from .mono import Monomial, format_monomial
+
+    text = functools.cache(lambda ext, pows: format_monomial(Monomial(ext, pows)))
+    return (
+        ("⊗".join(text(tuple(f["A"]), tuple(f["B"])) for f in t["factors"]), t["coeff"])
+        for t in terms
+    )
+
+
+def _chi_result(tc) -> dict:
+    """The result fields of a chi payload: the terms of the tensor class
+    in canonical order, sharing one JSON object per distinct factor, and
+    the class rendered from them ("0" when it is zero)."""
+    from .mono import Monomial, format_term
+
+    to_json = functools.cache(Monomial.to_json)
+    terms = [{"factors": list(map(to_json, tup)), "coeff": c} for tup, c in tc.canonical_items()]
+    rendered = " + ".join(format_term(text, c) for text, c in _chi_terms(terms))
+    return {"rendered": rendered or "0", "terms": terms}
 
 
 def cmd_chi(args) -> int:
@@ -219,23 +247,16 @@ def cmd_chi(args) -> int:
     except mono.ParseError as exc:
         raise InputError(f"cannot parse alpha: {exc}") from exc
 
-    def compute():
-        tc = chi.chi_basic(args.p, args.r, alpha, args.n)
-        terms = [
-            {"factors": [m.to_json() for m in tup], "coeff": c}
-            for tup, c in tc.canonical_items()
-        ]
-        return {"rendered": tc.render(), "terms": terms}
-
     params = {"p": args.p, "r": args.r, "n": args.n, "alpha": mono.format_monomial(alpha)}
     factor = {"A": [int], "B": [int]}
     shape = {"rendered": str, "terms": [{"factors": [factor], "coeff": int}]}
+
+    def compute():
+        return _chi_result(chi.chi_basic(args.p, args.r, alpha, args.n))
+
     payload = _cached(args, "chi", params, compute, shape)
-    rows = [
-        ("⊗".join(mono.format_monomial(mono.Monomial.from_json(f)) for f in t["factors"]), t["coeff"])
-        for t in payload["terms"]
-    ]
-    return _emit(args, payload, ("term", "coeff"), rows, [payload["rendered"]])
+    rows = _chi_terms(payload["terms"])
+    return _emit(args, payload, ("term", "coeff"), rows, (payload["rendered"],))
 
 
 def cmd_nonvanish(args) -> int:
@@ -261,8 +282,8 @@ def cmd_nonvanish(args) -> int:
     params = {"p": args.p, "r": args.r, "n": args.n, "max_degree": args.max_degree}
     shape = {"rows": [{"N": int, "alpha": str, "degree": int, "status": str}]}
     payload = _cached(args, "nonvanish", params, compute, shape)
-    rows = [(r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"]]
-    lines = ["N={}  alpha={}  degree={}  {}".format(*row) for row in rows]
+    rows = ((r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"])
+    lines = ("N={N}  alpha={alpha}  degree={degree}  {status}".format(**r) for r in payload["rows"])
     return _emit(args, payload, ("N", "alpha", "degree", "status"), rows, lines)
 
 
@@ -308,15 +329,21 @@ def cmd_dickson(args) -> int:
     payload = _cached(args, "dickson", params, lambda: dickson.report(args.p, args.n, dmax), shape)
     signs = sorted(payload["product_signs"].items(), key=lambda kv: int(kv[0]))
     checks = [(check, payload[check]) for check in ("sparsity", "newton", "inverse")]
-    rows = checks + [(f"product_sign_i={i}", s) for i, s in signs]
-    rendered = ", ".join(
-        f"i={i}: {'+1' if s == 1 else s if isinstance(s, str) else '-1'}" for i, s in signs
-    )
-    verdicts = ", ".join(f"{check}: {'ok' if passed else 'FAIL'}" for check, passed in checks)
-    lines = [f"{verdicts}, products: {rendered}"] + [
-        f"D_{d} = {payload['components'][d]}" for d in sorted(payload["components"], key=int)
-    ]
-    return _emit(args, payload, ("check", "result"), rows, lines, payload["ok"])
+
+    def rows():
+        yield from checks
+        yield from ((f"product_sign_i={i}", s) for i, s in signs)
+
+    def lines():
+        rendered = ", ".join(
+            f"i={i}: {'+1' if s == 1 else s if isinstance(s, str) else '-1'}" for i, s in signs
+        )
+        verdicts = ", ".join(f"{check}: {'ok' if passed else 'FAIL'}" for check, passed in checks)
+        yield f"{verdicts}, products: {rendered}"
+        for d in sorted(payload["components"], key=int):
+            yield f"D_{d} = {payload['components'][d]}"
+
+    return _emit(args, payload, ("check", "result"), rows(), lines(), payload["ok"])
 
 
 def cmd_tuples(args) -> int:
@@ -331,10 +358,10 @@ def cmd_tuples(args) -> int:
     params = {"p": args.p, "n": args.n, "max": args.max}
     shape = {"tuples": [{"parts": [int], "degree": int}]}
     payload = _cached(args, "tuples", params, compute, shape)
-    rows = [(" ".join(map(str, t["parts"])), t["degree"]) for t in payload["tuples"]]
-    lines = [
+    rows = ((" ".join(map(str, t["parts"])), t["degree"]) for t in payload["tuples"])
+    lines = (
         f"({', '.join(map(str, t['parts']))})  degree {t['degree']}" for t in payload["tuples"]
-    ]
+    )
     return _emit(args, payload, ("parts", "degree"), rows, lines)
 
 
@@ -381,25 +408,33 @@ def cmd_rep_analyze(args) -> int:
         "socle_dims": dims,
         "verdict": red.verdict,
     }
-    rows = [("socle_dims", " ".join(map(str, dims))), ("verdict", red.verdict)]
-    lines = ["socle dims: " + ", ".join(map(str, dims))]
-    if red.verdict == "reduced":
+    reduced = red.verdict == "reduced"
+    if reduced:
         payload["quotient_rank"] = red.quotient_rank
         payload["projection"] = [list(row) for row in red.projection]
-        rows.append(("quotient_rank", red.quotient_rank))
-        lines.append(f"verdict: reduced to rank {red.quotient_rank}")
-        lines += ["  pi " + " ".join(map(str, row)) for row in red.projection]
-    else:
-        lines.append("verdict: zero (all classes vanish)")
     if basepoint is not None:
         payload["basepoint_fixed"] = all(g.matvec(basepoint) == basepoint for g in rep.generators)
-    if wanted:
-        payload["chi"] = {
-            f"y^{k}": reps.chi_from_reduction(rep, red, k).render() for k in wanted
-        }
-        rows += payload["chi"].items()
-        lines += [f"chi[{key}] = {val}" for key, val in payload["chi"].items()]
-    return _emit(args, payload, ("field", "value"), rows, lines)
+    chis = {f"y^{k}": reps.chi_from_reduction(rep, red, k).render() for k in wanted}
+    if chis:
+        payload["chi"] = chis
+
+    def rows():
+        yield "socle_dims", " ".join(map(str, dims))
+        yield "verdict", red.verdict
+        if reduced:
+            yield "quotient_rank", red.quotient_rank
+        yield from chis.items()
+
+    def lines():
+        yield "socle dims: " + ", ".join(map(str, dims))
+        if reduced:
+            yield f"verdict: reduced to rank {red.quotient_rank}"
+            yield from ("  pi " + " ".join(map(str, row)) for row in red.projection)
+        else:
+            yield "verdict: zero (all classes vanish)"
+        yield from (f"chi[{key}] = {val}" for key, val in chis.items())
+
+    return _emit(args, payload, ("field", "value"), rows(), lines())
 
 
 def cmd_verify(args) -> int:
@@ -418,11 +453,12 @@ def cmd_verify(args) -> int:
         ],
     }
     marks = ["pass" if r.ok else "FAIL" for r in results]
-    rows = [(r.name, mark, f"{r.seconds:.3f}") for r, mark in zip(results, marks)]
-    lines = []
-    for r, mark in zip(results, marks):
-        extra = f"  {r.detail}" if (r.detail and not r.ok) else ""
-        lines.append(f"{mark:4s}  {r.name}  ({r.seconds:.2f}s){extra}")
+    rows = ((r.name, mark, f"{r.seconds:.3f}") for r, mark in zip(results, marks))
+    lines = (
+        f"{mark:4s}  {r.name}  ({r.seconds:.2f}s)"
+        + (f"  {r.detail}" if r.detail and not r.ok else "")
+        for r, mark in zip(results, marks)
+    )
     ok = all(r.ok for r in results)
     return _emit(args, payload, ("suite", "result", "seconds"), rows, lines, ok)
 

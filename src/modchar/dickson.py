@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .ff import FieldCtx, MatrixFF
-from .mono import SparseCombination, TensorClass
+from .mono import SparseCombination, TensorClass, format_term
 
 
 def _compositions(total: int, parts: int):
@@ -174,33 +174,14 @@ class MultiPoly(SparseCombination):
             out = out.add(term)
         return out
 
-    def canonical_items(self):
-        """Degree-graded order, lex-leading term first within a degree."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])),
-        )
-
-    def render(self, names=None):
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"z{i + 1}" for i in range(self.nvars)]
+    def render(self) -> str:
+        """The terms in degree-graded order, lex-leading first within a
+        degree, each as format_term of its factors z1 .. z_nvars."""
         parts = []
-        for e, c in self.canonical_items():
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(" ".join(factors))
-            else:
-                parts.append(f"{c} " + " ".join(factors))
-        return " + ".join(parts)
+        for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), [-x for x in kv[0]])):
+            text = " ".join(f"z{i}" if k == 1 else f"z{i}^{k}" for i, k in enumerate(e, 1) if k)
+            parts.append(format_term(text, c))
+        return " + ".join(parts) or "0"
 
 
 def _by_degree(terms: dict) -> dict:

@@ -16,6 +16,7 @@ is built only for a hit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -55,15 +56,8 @@ class Monomial:
     def unit(cls, r: int) -> "Monomial":
         return cls((0,) * r, (0,) * r)
 
-    def is_unit(self) -> bool:
-        return not any(self.ext) and not any(self.pows)
-
     def to_json(self) -> dict:
         return {"A": list(self.ext), "B": list(self.pows)}
-
-    @classmethod
-    def from_json(cls, obj) -> "Monomial":
-        return cls(tuple(obj["A"]), tuple(obj["B"]))
 
 
 def degree(m: Monomial, p: int) -> int:
@@ -192,8 +186,6 @@ def parse_monomial(text: str, r: int) -> Monomial:
 
 
 def format_monomial(m: Monomial) -> str:
-    if m.is_unit():
-        return "1"
     r = m.r
     parts = []
     for k, a in enumerate(m.ext):
@@ -203,7 +195,15 @@ def format_monomial(m: Monomial) -> str:
         if b:
             name = "y" if r == 1 else f"y{k}"
             parts.append(name if b == 1 else f"{name}^{b}")
-    return " ".join(parts)
+    return " ".join(parts) or "1"
+
+
+def format_term(text: str, c: int) -> str:
+    """A term of a sparse class: its coefficient before its factor text
+    when c is not 1, the bare coefficient when there is no text."""
+    if not text:
+        return str(c)
+    return text if c == 1 else f"{c} {text}"
 
 
 # -- sparse classes ----------------------------------------------------------
@@ -286,17 +286,5 @@ class TensorClass(SparseCombination):
         return self.terms.get(tuple(tup), 0)
 
     def canonical_items(self):
-        p = self.p
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: tuple(sort_key(m, p) for m in kv[0]),
-        )
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for tup, c in self.canonical_items():
-            s = "⊗".join(format_monomial(m) for m in tup)
-            parts.append(s if c == 1 else f"{c} {s}")
-        return " + ".join(parts)
+        key = functools.cache(lambda m: sort_key(m, self.p))
+        return sorted(self.terms.items(), key=lambda kv: tuple(map(key, kv[0])))

@@ -129,12 +129,6 @@ def require_valid(rep: Rep) -> None:
         raise RepValidationError(violations)
 
 
-def fixed_space(rep: Rep) -> Subspace:
-    """Common fixed vectors of all generators: the first socle stage J_0,
-    the kernel of the stacked generator differences."""
-    return next(_socle_stages(rep))
-
-
 def _socle_stages(rep: Rep):
     """Yield J_0 < J_1 < ... up to the full space by quotient iteration:
     J_i is the kernel of the stacked matrix [R D_1; ...; R D_s], where

@@ -1,6 +1,7 @@
 """Command-line behavior: frozen outputs, formats, exit codes, cache."""
 
 import hashlib
+import inspect
 import json
 import time
 
@@ -66,6 +67,83 @@ def test_chi_deep_binary_class_counts_its_terms(capsys):
     assert len(powers) == 5040 and all(sorted(ps) == [2**i for i in range(7)] for ps in powers)
     assert all(t["coeff"] == 1 for t in terms)
     assert time.perf_counter() - start < 5
+
+
+def test_chi_result_renders_tensor_terms():
+    # one term formatter: factor texts joined by ⊗, after the coefficient
+    # when it is not 1; the zero class renders as 0
+    y1, y2 = mono.Monomial((0,), (1,)), mono.Monomial((0,), (2,))
+    ab = mono.TensorClass(2, 1, 1, {(y1,): 1}).tensor(mono.TensorClass(2, 1, 1, {(y2,): 1}))
+    assert cli._chi_result(ab)["rendered"] == "y⊗y^2"
+    mixed = mono.TensorClass(3, 1, 2, {(y2, y1): 1, (y1, y2): 2})
+    assert cli._chi_result(mixed)["rendered"] == "2 y⊗y^2 + y^2⊗y"
+    assert cli._chi_result(ab.scale(2)) == {"rendered": "0", "terms": []}
+
+
+def _spy_emit(monkeypatch):
+    """Record the rows and lines each command hands to _emit."""
+    emitted = []
+    emit = cli._emit
+
+    def spy(args, payload, header, rows, lines, ok=True):
+        emitted.append((rows, lines))
+        return emit(args, payload, header, rows, lines, ok)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return emitted
+
+
+def _unbuilt(items) -> bool:
+    """True for a generator that has produced nothing yet."""
+    return inspect.isgenerator(items) and inspect.getgeneratorstate(items) == inspect.GEN_CREATED
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_chi_formats_each_distinct_factor_at_most_twice(capsys, monkeypatch, fmt):
+    # y^127 at n = 7: 5040 terms over 7 distinct factors.  alpha is
+    # formatted once, each factor once for the class and at most once
+    # more for the CSV rows, which text and json never build
+    calls = []
+    format_monomial = mono.format_monomial
+
+    def counted(m):
+        calls.append(m)
+        return format_monomial(m)
+
+    monkeypatch.setattr(mono, "format_monomial", counted)
+    emitted = _spy_emit(monkeypatch)
+    code, out, _ = run(capsys, "chi", "--p", "2", "--n", "7", "--alpha", "y^127", "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) <= 2 * 7 + 1
+    ((rows, _),) = emitted
+    assert _unbuilt(rows) == (fmt != "csv")
+
+
+# one quick input per command, for the laziness check below
+EMIT_CASES = {
+    "basis": ["basis", "--p", "2", "--r", "2", "--max-degree", "6"],
+    "chi": ["chi", "--p", "5", "--n", "3", "--alpha", "y^124"],
+    "nonvanish": ["nonvanish", "--p", "3", "--n", "2"],
+    "dickson": ["dickson", "--p", "2", "--n", "2"],
+    "tuples": ["tuples", "--p", "2", "--n", "3", "--max", "14"],
+    "rep-analyze": ["rep-analyze", None, "--chi", "1,3"],
+    "verify": ["verify", "--suite", "lowest-degrees", "--suite", "witnesses"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(EMIT_CASES))
+def test_each_command_builds_only_the_format_asked(capsys, tmp_path, monkeypatch, command, fmt):
+    # the rows and lines of a format not printed are never started; chi's
+    # one text line is the payload's own rendered string
+    argv = [a if a else _write_rep(tmp_path, reps.regular_rep(2, 2)) for a in EMIT_CASES[command]]
+    emitted = _spy_emit(monkeypatch)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    ((rows, lines),) = emitted
+    assert _unbuilt(rows) == (fmt != "csv")
+    if command != "chi":
+        assert _unbuilt(lines) == (fmt != "text")
 
 
 def test_chi_non_invariant_is_input_error(capsys):
@@ -138,6 +216,10 @@ OUTPUT_CASES = {
     "chi y^3": ["chi", "--p", "2", "--n", "2", "--alpha", "y^3"],
     "chi x y^5": ["chi", "--p", "3", "--n", "2", "--alpha", "x y^5"],
     "chi q=4": ["chi", "--p", "2", "--r", "2", "--n", "2", "--alpha", "y0^3 y1^3"],
+    # 120 terms over 15 distinct factors, coefficients 1 to 4
+    "chi y^124": ["chi", "--p", "5", "--n", "3", "--alpha", "y^124"],
+    # 16 terms of exterior factors over GF(9), coefficients 1 and 2
+    "chi q=9": ["chi", "--p", "3", "--r", "2", "--n", "2", "--alpha", "x0 x1 y0^5 y1^5"],
     "nonvanish": ["nonvanish", "--p", "3", "--n", "2"],
     "nonvanish md": ["nonvanish", "--p", "3", "--n", "2", "--max-degree", "20"],
     "tuples": ["tuples", "--p", "2", "--n", "3", "--max", "14"],
@@ -169,6 +251,12 @@ OUTPUT_DIGESTS = {
     ("chi q=4", "text"): "88195a03b9de4f0249ddae050330b8a52f7cfb3ad0bc558c67bc634ec7e217c6",
     ("chi q=4", "json"): "fbe61f28085176d4e17aeb3c0aefdef4615d24b841a2baa0535c60df4b6d6a3b",
     ("chi q=4", "csv"): "7b1b54ec2abf7afce060a91218966ef6de5fb4d37d7f3f64e703515bc6737df9",
+    ("chi y^124", "text"): "b46bb7a9ee57c98f3426e059dfa42d0292c2d0f3e84b38de8d83da7acd8add33",
+    ("chi y^124", "json"): "8067bb49d121c85676f906c609a86cc12885dff860d6a1651cd5b6c4a50a2b16",
+    ("chi y^124", "csv"): "e8a1cbd6d17fc0f960a1aff29126fb79869e38923ae6aca9d9bface567dbbdc2",
+    ("chi q=9", "text"): "35d062943dd4bf423007c48444939b98bf81251354d3ac224153eefebbe8a31c",
+    ("chi q=9", "json"): "c60ac1f72ee8446876100fbacab8cadc74d2e0965076a072eeceba50e0862a75",
+    ("chi q=9", "csv"): "63fd449c2408270ffac42ade13d5c9cf557404d1bbdc8a3ed397ecdd2cc62490",
     ("nonvanish", "text"): "3167623010b09ba61c89d65ab976703356ae333f5b1aaee00a94536e3d00a546",
     ("nonvanish", "json"): "573e70fa73f9a6e898df7af9d0d1c3346b962ca804da723d3a86e9362baa4c0f",
     ("nonvanish", "csv"): "f69a759917ec6a2d17245a93145edf38f07a5239de27ca4252279c4e479edbee",

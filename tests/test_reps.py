@@ -20,7 +20,6 @@ from modchar.reps import (
     classify,
     direct_sum,
     dual_rep,
-    fixed_space,
     iso_to_basic,
     pullback,
     quotient,
@@ -74,13 +73,13 @@ def test_basic_rep_frozen():
 
 def test_fixed_space_examples():
     pr = basic_rep(3, 1, 2)
-    fs = fixed_space(pr.rep)
+    fs = socle_filtration(pr.rep)[0]
     assert fs.dim == 1 and fs.contains(pr.basepoint)
     two = direct_sum(pr.rep, pr.rep)
-    assert fixed_space(two).dim == 2
+    assert socle_filtration(two)[0].dim == 2
     ctx = pr.rep.ctx
     trivial = Rep(ctx, 2, (MatrixFF.identity(ctx, 2), MatrixFF.identity(ctx, 2)))
-    assert fixed_space(trivial) == Subspace.full(ctx, 2)
+    assert socle_filtration(trivial)[0] == Subspace.full(ctx, 2)
 
 
 def test_sym_power_frozen_f3():
@@ -178,7 +177,7 @@ def test_restrict_and_quotient():
 def test_regular_rep_frozen():
     reg = regular_rep(2, 1)
     assert reg.generators[0] == ints(reg.ctx, [[0, 1], [1, 0]])
-    fs = fixed_space(regular_rep(2, 2))
+    fs = socle_filtration(regular_rep(2, 2))[0]
     assert fs.dim == 1
     ones = (1,) * 4
     assert fs.contains(ones)
@@ -275,7 +274,7 @@ def test_extension_field_reduction_without_basic_model():
 
 def test_dual_of_basic_has_two_fixed_lines():
     nu = dual_rep(basic_rep(2, 1, 2).rep)
-    assert fixed_space(nu).dim == 2
+    assert socle_filtration(nu)[0].dim == 2
     assert classify(nu).verdict == "zero"
 
 
