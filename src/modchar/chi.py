@@ -62,7 +62,8 @@ def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     times (-1)^(n-1).  A split with a degree-0 side is dropped as soon as
     it appears: the unit splits only as unit (x) unit and right factors
     are never split again, so every term it leads to has a degree-0
-    factor.  Each distinct first factor is split once per call."""
+    factor.  A monomial's proper splits are computed once per process
+    (_proper_splits), then given ids once per call."""
     ChiQuery(p, r, alpha, n)
     if degree(alpha, p) == 0:
         return TensorClass.zero(p, r, n)
@@ -80,8 +81,7 @@ def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
             if pairs is None:
                 pairs = splits[first] = [
                     (index.setdefault(left, len(index)), index.setdefault(right, len(index)), c2)
-                    for (left, right), c2 in coalg.coproduct(p, r, monomials[first]).items()
-                    if degree(left, p) and degree(right, p)
+                    for left, right, c2 in _proper_splits(p, r, monomials[first])
                 ]
             for left, right, c2 in pairs:
                 key = (left, right) + rest
@@ -89,8 +89,21 @@ def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
         current = {k: v for k, v in nxt.items() if v}
     monomials = list(index)
     sign = (-1) ** (n - 1)
-    terms = {tuple(monomials[i] for i in tup): sign * c for tup, c in current.items()}
-    return TensorClass(p, r, n, terms)
+    terms = {tuple(monomials[i] for i in tup): sign * c % p for tup, c in current.items()}
+    return TensorClass._of(p, r, n, terms)
+
+
+# shared by every chi_basic call, which splits the same first factors
+# again and again; bounded like _splittable
+@lru_cache(maxsize=4096)
+def _proper_splits(p: int, r: int, m: Monomial) -> tuple:
+    """The coproduct terms (left, right, coefficient) of m whose two
+    sides both have nonzero degree."""
+    return tuple(
+        (left, right, c)
+        for (left, right), c in coalg.coproduct(p, r, m).items()
+        if degree(left, p) and degree(right, p)
+    )
 
 
 def digit_sum(p: int, m: int) -> int:
@@ -344,13 +357,24 @@ def indecomposable_tuples(p: int, n: int, max_total: int):
         slots_left = n - len(prefix)
         b = minimum
         while total + b * slots_left <= max_total:
-            if no_carry(p, (total, b)):
+            if _adds_without_carry(p, total, b):
                 extend(prefix + [b], b, total + b)
             b += step
 
     extend([], step, 0)
     results.sort(key=lambda item: (sum(item[0]), item[0]))
     return results
+
+
+def _adds_without_carry(p: int, a: int, b: int) -> bool:
+    """no_carry(p, (a, b)) for two parts: no base-p digit column of a and
+    b sums to p or more (Kummer: C(a + b, a) is then nonzero mod p)."""
+    while a and b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        if da + db >= p:
+            return False
+    return True
 
 
 def wedge_split_check(p: int, r: int, alpha: Monomial, a: int, b: int) -> bool:
@@ -361,9 +385,7 @@ def wedge_split_check(p: int, r: int, alpha: Monomial, a: int, b: int) -> bool:
         raise ValueError("ranks must be >= 1")
     lhs = chi_basic(p, r, alpha, a + b)
     acc = TensorClass.zero(p, r, a + b)
-    for (left, right), c in coalg.coproduct(p, r, alpha).items():
-        if degree(left, p) == 0 or degree(right, p) == 0:
-            continue
+    for left, right, c in _proper_splits(p, r, alpha):
         piece = chi_basic(p, r, left, a).tensor(chi_basic(p, r, right, b))
         acc = acc.add(piece.scale(c))
     return lhs == acc.neg()

@@ -137,10 +137,9 @@ def coproduct(p: int, r: int, m: Monomial) -> dict:
         sign = shuffle_sign(left_supp, right_supp) if p != 2 else 1
         left_ext = tuple(left_ext)
         for left_pows, coeff in left_pows_for(sum(p**k for k in left_supp)):
-            left = Monomial(left_ext, left_pows)
-            right = Monomial(
-                right_ext, tuple(b - lb for b, lb in zip(m.pows, left_pows))
-            )
+            # valid by construction: sub-supports of m.ext, exponents at most m.pows
+            left = Monomial._of(left_ext, left_pows)
+            right = Monomial._of(right_ext, tuple(b - lb for b, lb in zip(m.pows, left_pows)))
             out[(left, right)] = sign * coeff % p
     return out
 

@@ -35,7 +35,7 @@ class ParseError(ValueError):
     """Malformed monomial text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     ext: tuple[int, ...]
     pows: tuple[int, ...]
@@ -47,6 +47,16 @@ class Monomial:
             raise ValueError("exterior exponents must be 0 or 1")
         if any(b < 0 for b in self.pows):
             raise ValueError("polynomial exponents must be >= 0")
+
+    @classmethod
+    def _of(cls, ext: tuple[int, ...], pows: tuple[int, ...]) -> "Monomial":
+        """A monomial built without __post_init__'s checks, for callers
+        whose ext and pows are valid by construction: tuples of equal
+        length, ext in {0, 1}, pows >= 0."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ext", ext)
+        object.__setattr__(m, "pows", pows)
+        return m
 
     @property
     def r(self) -> int:
@@ -271,6 +281,15 @@ class TensorClass(SparseCombination):
     @classmethod
     def zero(cls, p, r, n) -> "TensorClass":
         return cls(p, r, n, {})
+
+    @classmethod
+    def _of(cls, p: int, r: int, n: int, terms: dict) -> "TensorClass":
+        """A class whose terms are already reduced mod p and nonzero, keyed
+        by n-tuples of valid monomials, built without re-checking them
+        (chi_basic's result)."""
+        tc = object.__new__(cls)
+        tc.p, tc.r, tc.n, tc.terms = p, r, n, terms
+        return tc
 
     def tensor(self, other: "TensorClass") -> "TensorClass":
         """Juxtaposition product: concatenates factor tuples."""

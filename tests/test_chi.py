@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from modchar import dickson, verify
+from modchar import chi, coalg, dickson, verify
 from modchar.chi import (
     KIND_MIXED,
     KIND_Y_POWER,
@@ -32,7 +32,15 @@ from modchar.chi import (
     witness_degree,
     witness_splitting,
 )
-from modchar.mono import Monomial, NotInvariant, degree, is_invariant
+from modchar.coalg import no_carry
+from modchar.mono import (
+    Monomial,
+    NotInvariant,
+    TensorClass,
+    degree,
+    enumerate_invariant_basis,
+    is_invariant,
+)
 
 
 def y(k):
@@ -421,10 +429,19 @@ def tuples_by_brute_force(p, n, max_total):
 @pytest.mark.parametrize(
     "p,n,max_total",
     [(2, 1, 10), (2, 2, 7), (2, 3, 40), (2, 4, 30), (3, 2, 60), (3, 3, 80),
-     (3, 4, 60), (5, 2, 100), (5, 4, 200), (7, 2, 150), (3, 2, 1), (2, 5, 30)],
+     (3, 4, 60), (5, 2, 100), (5, 4, 200), (7, 2, 150), (3, 2, 1), (2, 5, 30),
+     (2, 3, 200), (5, 3, 600)],
 )
 def test_indecomposable_tuples_match_brute_force(p, n, max_total):
     assert indecomposable_tuples(p, n, max_total) == tuples_by_brute_force(p, n, max_total)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 2**4), (3, 3**4), (5, 5**4), (7, 7**3)])
+def test_two_part_carry_test_matches_no_carry(p, bound):
+    # every pair below p^4 (below 7^3 for p = 7: 7^4 squared is 5.8M pairs)
+    for a in range(bound):
+        for b in range(bound):
+            assert chi._adds_without_carry(p, a, b) == no_carry(p, (a, b)), (p, a, b)
 
 
 def test_indecomposable_tuples_empty_below_p_to_the_n():
@@ -464,3 +481,53 @@ def test_wedge_split_various_ranks():
     for a, b in [(1, 2), (2, 1), (2, 2), (1, 3)]:
         assert wedge_split_check(2, 1, y(7), a, b)
         assert wedge_split_check(3, 1, y(8), a, b)
+
+
+# -- the proper-split memo -------------------------------------------------------
+
+# every basis monomial of degrees 25..34 over GF(4), expanded at n = 3
+MEMO_BAND = [m for d in range(25, 35) for m in enumerate_invariant_basis(2, 2, d)]
+
+
+def _count_coproducts(monkeypatch):
+    calls = []
+    inner = coalg.coproduct
+
+    def counted(p, r, m):
+        calls.append(m)
+        return inner(p, r, m)
+
+    monkeypatch.setattr(coalg, "coproduct", counted)
+    return calls
+
+
+def test_band_splits_each_first_factor_once(monkeypatch):
+    chi._proper_splits.cache_clear()
+    calls = _count_coproducts(monkeypatch)
+    for m in MEMO_BAND:
+        chi_basic(2, 2, m, 3)
+    # without the memo each chi_basic call splits its own first factors,
+    # 1,165 coproducts over this band
+    assert len(calls) == len(set(calls)) == 209
+
+
+def test_memo_results_match_cold_warm_and_unpruned(monkeypatch):
+    chi._proper_splits.cache_clear()
+    cold = [chi_basic(2, 2, m, 3) for m in MEMO_BAND]
+    calls = _count_coproducts(monkeypatch)
+    warm = [chi_basic(2, 2, m, 3) for m in MEMO_BAND]
+    assert not calls and warm == cold
+    assert sum(not tc.is_zero() for tc in cold) > 0
+    for m, tc in zip(MEMO_BAND, cold):
+        unpruned = {
+            tup: c  # (-1)^(n - 1) = 1 at n = 3
+            for tup, c in coalg.iterated_coproduct(2, 2, m, 3).items()
+            if all(degree(f, 2) for f in tup)
+        }
+        assert tc == TensorClass(2, 2, 3, unpruned)
+        assert tc == TensorClass(tc.p, tc.r, tc.n, dict(tc.terms))
+
+
+def test_memo_is_bounded():
+    maxsize = chi._proper_splits.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0

@@ -337,9 +337,26 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
             "the basis walk would test 11,058,116,888 exponent vectors; "
             "the basis bound is 4,000,000",
         ),
+        (
+            ["nonvanish", "--p", "2", "--r", "1", "--n", "30"],
+            "the table for p^n = 2^30 would list more than 250,000 rows; "
+            "the nonvanish bound is 250,000 rows",
+        ),
+        (
+            ["nonvanish", "--p", "3", "--r", "1", "--n", "2", "--max-degree", "100000000"],
+            "the table for p^n = 3^2 and max degree 100000000 would list more than "
+            "250,000 rows; the nonvanish bound is 250,000 rows",
+        ),
+        (
+            ["nonvanish", "--p", "2", "--n", "10" * 30],
+            f"the table for p^n = 2^{'10' * 30} would list more than 250,000 rows; "
+            "the nonvanish bound is 250,000 rows",
+        ),
+        (["nonvanish", "--p", "3", "--n", "0"], "--n must be >= 1"),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
-         "basis-p4", "nonvanish-p4", "tuples-p4", "basis-walk"],
+         "basis-p4", "nonvanish-p4", "tuples-p4", "basis-walk", "nonvanish-rows",
+         "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-n0"],
 )
 def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
     def forbidden(*args):
@@ -352,6 +369,22 @@ def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch
     assert code == cli.EXIT_INPUT and out == ""
     assert err == f"error: {bound}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_nonvanish_row_bound_edges():
+    assert cli.NONVANISH_MAX_ROWS == 250_000
+    # (7^6 - 1) x 2 = 235,296 rows, the largest measured table
+    cli._require_nonvanish_rows(7, 2, 6, None)
+    # the pinned tables and (3, 2, 60): (9 - 1) x 63 = 504 rows
+    for max_degree in (None, 20, 60):
+        cli._require_nonvanish_rows(3, 1, 2, max_degree)
+    # the max degree counts only at r = 1
+    cli._require_nonvanish_rows(3, 2, 2, 10**9)
+    for args in [(2, 1, 17, None), (3, 1, 2, 31_248), (2, 1, 1, 250_000)]:
+        with pytest.raises(cli.InputError, match="nonvanish bound is 250,000 rows"):
+            cli._require_nonvanish_rows(*args)
+    cli._require_nonvanish_rows(3, 1, 2, 31_247)  # 8 x 31,250 rows
+    cli._require_nonvanish_rows(2, 1, 1, 249_997)
 
 
 def test_basis_under_the_walk_bound_answers(capsys):

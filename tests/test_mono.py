@@ -188,6 +188,18 @@ def test_parse_errors_carry_position():
         parse_monomial("x^2", 1)
 
 
+def test_monomial_rejects_invalid_exponents():
+    with pytest.raises(ValueError, match="equal length"):
+        Monomial((0, 0), (1,))
+    with pytest.raises(ValueError, match="0 or 1"):
+        Monomial((2,), (1,))
+    with pytest.raises(ValueError, match=">= 0"):
+        Monomial((0,), (-1,))
+    # the unchecked constructor builds an equal monomial with an equal hash
+    m = Monomial._of((1, 0), (2, 5))
+    assert m == Monomial((1, 0), (2, 5)) and hash(m) == hash(Monomial((1, 0), (2, 5)))
+
+
 def test_json_round_trip():
     m = Monomial((1, 0), (2, 5))
     assert m.to_json() == {"A": [1, 0], "B": [2, 5]}

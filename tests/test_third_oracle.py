@@ -17,7 +17,15 @@ from sympy.polys.galoistools import gf_add, gf_mul, gf_rem  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from modchar import ff, reps  # noqa: E402
+from modchar.coalg import coproduct, iterated_coproduct  # noqa: E402
 from modchar.ff import FieldCtx, MatrixFF, kernel  # noqa: E402
+from modchar.mono import (  # noqa: E402
+    Monomial,
+    format_monomial,
+    is_invariant,
+    parse_monomial,
+    weight,
+)
 
 # admitted fields, the largest extension order GF(251^2) included, and a
 # prime field far above the extension bound
@@ -238,3 +246,57 @@ def test_pow_int_matches_repeated_mul(pr):
                 if e in (0, 1, p, p + 1, 2 * p + 3):
                     assert g.pow_int(e) == power
                 power = power.mul(g)
+
+
+# -- coproduct laws on drawn invariant monomials -----------------------------
+
+
+@st.composite
+def invariant_monomials(draw):
+    """(p, r, m): m invariant over GF(p^r), p in {2, 3, 5}, r <= 3.  The
+    first y-exponent is raised by the weight's deficit mod q - 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.integers(1, 3))
+    ext = (0,) * r if p == 2 else tuple(draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    pows = draw(st.lists(st.integers(0, 12), min_size=r, max_size=r))
+    pows[0] += -weight(Monomial(ext, tuple(pows)), p) % (p**r - 1)
+    return p, r, Monomial(ext, tuple(pows))
+
+
+@PROPS
+@given(invariant_monomials())
+def test_coproduct_counit(case):
+    p, r, m = case
+    unit = Monomial.unit(r)
+    delta = coproduct(p, r, m)
+    assert delta[(unit, m)] == 1 and delta[(m, unit)] == 1
+
+
+@PROPS
+@given(invariant_monomials())
+def test_coproduct_coassociative(case):
+    p, r, m = case
+    right_nested = {}
+    for (a, b), c in coproduct(p, r, m).items():
+        for (b1, b2), c2 in coproduct(p, r, b).items():
+            right_nested[(a, b1, b2)] = (right_nested.get((a, b1, b2), 0) + c * c2) % p
+    assert iterated_coproduct(p, r, m, 3) == {k: v for k, v in right_nested.items() if v}
+
+
+@PROPS
+@given(invariant_monomials())
+def test_coproduct_factors_equal_validated_monomials(case):
+    p, r, m = case
+    for pair in coproduct(p, r, m):
+        for f in pair:
+            checked = Monomial(tuple(f.ext), tuple(f.pows))
+            assert f == checked and hash(f) == hash(checked)
+            assert type(f.ext) is tuple and type(f.pows) is tuple
+            assert is_invariant(f, p, r)
+
+
+@PROPS
+@given(invariant_monomials())
+def test_monomial_text_round_trip(case):
+    _, r, m = case
+    assert parse_monomial(format_monomial(m), r) == m
