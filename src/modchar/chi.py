@@ -357,24 +357,13 @@ def indecomposable_tuples(p: int, n: int, max_total: int):
         slots_left = n - len(prefix)
         b = minimum
         while total + b * slots_left <= max_total:
-            if _adds_without_carry(p, total, b):
+            if no_carry(p, (total, b)):
                 extend(prefix + [b], b, total + b)
             b += step
 
     extend([], step, 0)
     results.sort(key=lambda item: (sum(item[0]), item[0]))
     return results
-
-
-def _adds_without_carry(p: int, a: int, b: int) -> bool:
-    """no_carry(p, (a, b)) for two parts: no base-p digit column of a and
-    b sums to p or more (Kummer: C(a + b, a) is then nonzero mod p)."""
-    while a and b:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        if da + db >= p:
-            return False
-    return True
 
 
 def wedge_split_check(p: int, r: int, alpha: Monomial, a: int, b: int) -> bool:

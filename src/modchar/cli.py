@@ -260,18 +260,19 @@ def cmd_chi(args) -> int:
 
 
 # Bound on a nonvanish table: the rows it can list, (p^n - 1) times the
-# entries per dimension N (2, or max_degree + 3 when r = 1 and a max
-# degree is given).  (p, r, n) = (7, 2, 6) lists 235,296 rows in about
-# 3.3 s as text or json on a 2-core host (Python 3.11).
+# entries per dimension N (the witnesses, 1 at p = 2 and 2 otherwise, plus
+# max_degree when r = 1 and a max degree is given).  (p, r, n) = (7, 2, 6)
+# lists 235,296 rows in about 3.3 s as text or json on a 2-core host
+# (Python 3.11).
 NONVANISH_MAX_ROWS = 250_000
 
 
 def _require_nonvanish_rows(p: int, r: int, n: int, max_degree: int | None) -> None:
     if n < 1:
         raise InputError("--n must be >= 1")
-    per_n, table = 2, f"p^n = {p}^{n}"
+    per_n, table = (1 if p == 2 else 2), f"p^n = {p}^{n}"
     if r == 1 and max_degree is not None:
-        per_n, table = max_degree + 3, f"{table} and max degree {max_degree}"
+        per_n, table = per_n + max_degree, f"{table} and max degree {max_degree}"
     q = 1
     for _ in range(n):  # stops once the rows pass the bound, as p >= 2
         q *= p

@@ -61,11 +61,16 @@ def lucas_binomial(p: int, m: int, k: int) -> int:
 def no_carry(p: int, parts) -> bool:
     """True when every base-p digit column of the parts sums below p,
     equivalently when digit sums add up: s_p(sum) = sum of s_p(part)."""
-    parts = [int(x) for x in parts]
-    while any(parts):
-        if sum(x % p for x in parts) >= p:
-            return False
-        parts = [x // p for x in parts]
+    # the parts are carry-free exactly when adding each to the running total is
+    total = 0
+    for b in parts:
+        a = total
+        total += b
+        while a and b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            if da + db >= p:
+                return False
     return True
 
 

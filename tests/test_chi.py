@@ -32,7 +32,6 @@ from modchar.chi import (
     witness_degree,
     witness_splitting,
 )
-from modchar.coalg import no_carry
 from modchar.mono import (
     Monomial,
     NotInvariant,
@@ -434,14 +433,6 @@ def tuples_by_brute_force(p, n, max_total):
 )
 def test_indecomposable_tuples_match_brute_force(p, n, max_total):
     assert indecomposable_tuples(p, n, max_total) == tuples_by_brute_force(p, n, max_total)
-
-
-@pytest.mark.parametrize("p, bound", [(2, 2**4), (3, 3**4), (5, 5**4), (7, 7**3)])
-def test_two_part_carry_test_matches_no_carry(p, bound):
-    # every pair below p^4 (below 7^3 for p = 7: 7^4 squared is 5.8M pairs)
-    for a in range(bound):
-        for b in range(bound):
-            assert chi._adds_without_carry(p, a, b) == no_carry(p, (a, b)), (p, a, b)
 
 
 def test_indecomposable_tuples_empty_below_p_to_the_n():

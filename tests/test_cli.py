@@ -352,11 +352,17 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
             f"the table for p^n = 2^{'10' * 30} would list more than 250,000 rows; "
             "the nonvanish bound is 250,000 rows",
         ),
+        (
+            ["nonvanish", "--p", "2", "--n", "18"],
+            "the table for p^n = 2^18 would list more than 250,000 rows; "
+            "the nonvanish bound is 250,000 rows",
+        ),
         (["nonvanish", "--p", "3", "--n", "0"], "--n must be >= 1"),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
          "basis-p4", "nonvanish-p4", "tuples-p4", "basis-walk", "nonvanish-rows",
-         "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-n0"],
+         "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-rows-p2",
+         "nonvanish-n0"],
 )
 def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
     def forbidden(*args):
@@ -375,16 +381,47 @@ def test_nonvanish_row_bound_edges():
     assert cli.NONVANISH_MAX_ROWS == 250_000
     # (7^6 - 1) x 2 = 235,296 rows, the largest measured table
     cli._require_nonvanish_rows(7, 2, 6, None)
-    # the pinned tables and (3, 2, 60): (9 - 1) x 63 = 504 rows
+    # the pinned tables and (3, 2, 60): (9 - 1) x 62 = 496 rows
     for max_degree in (None, 20, 60):
         cli._require_nonvanish_rows(3, 1, 2, max_degree)
     # the max degree counts only at r = 1
     cli._require_nonvanish_rows(3, 2, 2, 10**9)
-    for args in [(2, 1, 17, None), (3, 1, 2, 31_248), (2, 1, 1, 250_000)]:
+    # one witness per N at p = 2: 2^17 - 1 = 131,071 rows, 2^18 - 1 = 262,143
+    cli._require_nonvanish_rows(2, 1, 17, None)
+    cli._require_nonvanish_rows(3, 1, 2, 31_248)  # 8 x 31,250 rows
+    cli._require_nonvanish_rows(2, 1, 1, 249_999)  # 1 x 250,000 rows
+    for args in [(2, 1, 18, None), (3, 1, 2, 31_249), (2, 1, 1, 250_000)]:
         with pytest.raises(cli.InputError, match="nonvanish bound is 250,000 rows"):
             cli._require_nonvanish_rows(*args)
-    cli._require_nonvanish_rows(3, 1, 2, 31_247)  # 8 x 31,250 rows
-    cli._require_nonvanish_rows(2, 1, 1, 249_997)
+
+
+@pytest.mark.parametrize(
+    "p,r,n,max_degree",
+    [(2, 1, 3, None), (2, 1, 3, 40), (2, 2, 2, None), (3, 1, 2, None), (3, 1, 2, 30),
+     (3, 1, 2, 1), (5, 1, 1, 60), (3, 2, 2, 30), (2, 1, 2, 0)],
+)
+def test_nonvanish_row_count_covers_the_table(monkeypatch, p, r, n, max_degree):
+    from modchar import chi
+
+    rows = len(chi.universal_table(p, r, n, max_degree))
+    # the count never falls below the rows listed
+    monkeypatch.setattr(cli, "NONVANISH_MAX_ROWS", rows - 1)
+    with pytest.raises(cli.InputError):
+        cli._require_nonvanish_rows(p, r, n, max_degree)
+    if p == 2 and max_degree is None:
+        # and is exact for the witness-only table at p = 2
+        monkeypatch.setattr(cli, "NONVANISH_MAX_ROWS", rows)
+        cli._require_nonvanish_rows(p, r, n, max_degree)
+
+
+def test_nonvanish_p2_under_the_row_bound_runs(capsys, tmp_path, monkeypatch):
+    # 2^17 - 1 = 131,071 rows, one witness each; the table itself is stubbed
+    from modchar import chi
+
+    calls = []
+    monkeypatch.setattr(chi, "universal_table", lambda *args: calls.append(args) or [])
+    code, _, _ = run(capsys, "nonvanish", "--p", "2", "--n", "17", "--cache-dir", str(tmp_path))
+    assert code == 0 and calls == [(2, 1, 17, None)]
 
 
 def test_basis_under_the_walk_bound_answers(capsys):

@@ -153,10 +153,13 @@ def test_digit_sum_additivity_equivalence():
             m //= p
         return out
 
-    for p in (2, 3, 5):
-        for a in range(60):
-            for b in range(60):
-                assert no_carry(p, (a, b)) == (s(p, a + b) == s(p, a) + s(p, b))
+    # every pair below p^4, below 2^6 for p = 2 and below 7^3 for p = 7
+    # (7^4 squared is 5.8M pairs)
+    for p, bound in ((2, 2**6), (3, 3**4), (5, 5**4), (7, 7**3)):
+        sums = [s(p, m) for m in range(2 * bound)]
+        for a in range(bound):
+            for b in range(bound):
+                assert no_carry(p, (a, b)) == (sums[a + b] == sums[a] + sums[b]), (p, a, b)
 
 
 def test_gaussian_binomial_values_and_congruence():
