@@ -18,7 +18,8 @@ the result cache is imported only when a cache root is set, so a
 command compiles and loads only its own part of the package.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
-4 internal error (a broken internal invariant, never a check result).
+4 internal error (a broken internal invariant, never a check result),
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class InputError(Exception):
@@ -161,6 +163,7 @@ def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> int:
     else:
         for line in lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main's handler
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
 
@@ -400,27 +403,23 @@ def cmd_rep_analyze(args) -> int:
         raise InputError(f"cannot read {args.path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.path} is not valid JSON: {exc}") from exc
-    try:
-        rep, basepoint = reps.rep_from_dict(obj)
-    except ValueError as exc:  # FieldError too
-        raise InputError(f"{args.path}: {exc}") from exc
     wanted = []
     if args.chi:
         try:
             wanted = [int(part) for part in args.chi.split(",") if part.strip()]
         except ValueError as exc:
             raise InputError(f"bad --chi list: {exc}") from exc
-        if rep.ctx.r != 1:
-            raise InputError(
-                "polynomial classes are only available over the prime field "
-                "(r = 1); this file has r = " + str(rep.ctx.r)
-            )
         if any(k < 1 for k in wanted):
             raise InputError("--chi exponents must be >= 1")
     try:
-        reps.require_valid(rep)
-    except reps.RepValidationError as exc:
+        rep, basepoint = reps.rep_from_dict(obj)
+    except ValueError as exc:  # FieldError and RepValidationError too
         raise InputError(f"{args.path}: {exc}") from exc
+    if args.chi and rep.ctx.r != 1:
+        raise InputError(
+            "polynomial classes are only available over the prime field "
+            "(r = 1); this file has r = " + str(rep.ctx.r)
+        )
     stages = reps.socle_filtration(rep)
     red = reps.reduce_from_stages(rep, stages)
     dims = [s.dim for s in stages]
@@ -504,6 +503,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does): point it at
+        # devnull so the interpreter's final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, ValueError) as exc:  # ParseError, FieldError, NotInvariant too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -219,17 +219,18 @@ class FieldCtx:
     one = 1
 
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
-        _check_field(p, r)
         if modulus is None:
-            modulus = find_irreducible(p, r)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != r + 1 or modulus[r] != 1:
-            raise FieldError("modulus must be monic of degree r")
-        if r == 1:
-            if modulus != (0, 1):
-                raise FieldError("for r = 1 the modulus must be t")
-        elif not _is_irreducible(modulus, p):
-            raise FieldError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = find_irreducible(p, r)  # checks the field
+        else:
+            _check_field(p, r)
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != r + 1 or modulus[r] != 1:
+                raise FieldError("modulus must be monic of degree r")
+            if r == 1:
+                if modulus != (0, 1):
+                    raise FieldError("for r = 1 the modulus must be t")
+            elif not _is_irreducible(modulus, p):
+                raise FieldError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.r = r
         self.q = p**r

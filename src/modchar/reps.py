@@ -58,7 +58,9 @@ class ReductionError(ValueError):
 @dataclass(frozen=True)
 class Rep:
     """dim-dimensional representation of F_p^s given by s commuting
-    invertible matrices of order p over the field of ctx."""
+    invertible matrices of order p over the field of ctx.  Every Rep
+    satisfies that contract: the constructor raises RepValidationError
+    with validate's report otherwise."""
 
     ctx: FieldCtx
     dim: int
@@ -70,6 +72,19 @@ class Rep:
                 raise ff.DimensionError("generator over a different field")
             if g.nrows != self.dim or g.ncols != self.dim:
                 raise ff.DimensionError("generator shape != dim x dim")
+        violations = validate(self)
+        if violations:
+            raise RepValidationError(violations)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, dim: int, generators: tuple) -> "Rep":
+        """A rep built without __post_init__'s checks, for the library
+        constructions: each is valid when its inputs are valid reps."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "ctx", ctx)
+        object.__setattr__(rep, "dim", dim)
+        object.__setattr__(rep, "generators", generators)
+        return rep
 
     @property
     def rank(self) -> int:
@@ -121,12 +136,6 @@ def validate(rep: Rep) -> list[str]:
         if gi.mul(gj) != gj.mul(gi):
             out.append(f"generators {i} and {j} do not commute")
     return out
-
-
-def require_valid(rep: Rep) -> None:
-    violations = validate(rep)
-    if violations:
-        raise RepValidationError(violations)
 
 
 def _socle_stages(rep: Rep):
@@ -194,22 +203,15 @@ def socle_filtration_by_annihilators(rep: Rep) -> list[Subspace]:
 
 def restrict(rep: Rep, space: Subspace) -> Rep:
     """Induced action on an invariant subspace, in its echelon basis."""
-    ctx = rep.ctx
     pivots = space.pivot_columns()
     gens = []
     for idx, g in enumerate(rep.generators):
-        rows = []
-        images = []
-        for v in space.basis:
-            w = g.matvec(v)
-            if not space.contains(w):
-                raise ff.DimensionError(f"subspace not invariant under generator {idx}")
-            images.append(w)
+        images = [g.matvec(v) for v in space.basis]
+        if not all(map(space.contains, images)):
+            raise ff.DimensionError(f"subspace not invariant under generator {idx}")
         # coordinates in the echelon basis read off at the pivot columns
-        for c in pivots:
-            rows.append([w[c] for w in images])
-        gens.append(MatrixFF(ctx, rows))
-    return Rep(ctx, space.dim, tuple(gens))
+        gens.append(MatrixFF(rep.ctx, [[w[c] for w in images] for c in pivots]))
+    return Rep._of(rep.ctx, space.dim, tuple(gens))
 
 
 def quotient(rep: Rep, space: Subspace) -> Rep:
@@ -224,12 +226,9 @@ def quotient(rep: Rep, space: Subspace) -> Rep:
     coset = _coset(space)
     gens = []
     for g in rep.generators:
-        cols = []
-        for j in coset:
-            w = space.reduce(g.matvec(ident.rows[j]))
-            cols.append([w[c] for c in coset])
-        gens.append(MatrixFF(ctx, list(zip(*cols))))
-    return Rep(ctx, len(coset), tuple(gens))
+        images = [space.reduce(g.matvec(ident.rows[j])) for j in coset]
+        gens.append(MatrixFF(ctx, [[w[c] for w in images] for c in coset]))
+    return Rep._of(ctx, len(coset), tuple(gens))
 
 
 def quotient_vector(space: Subspace, v) -> tuple:
@@ -263,7 +262,7 @@ def basic_rep(p: int, r: int, n: int, modulus=None) -> PointedRep:
             rows[0][i] = ctx.pow(ctx.gen(), j) if r > 1 else 1
             gens.append(MatrixFF(ctx, rows))
     basepoint = (1,) + (0,) * n
-    return PointedRep(Rep(ctx, n + 1, tuple(gens)), basepoint)
+    return PointedRep(Rep._of(ctx, n + 1, tuple(gens)), basepoint)
 
 
 def sym_power_rep(p: int, r: int, modulus=None) -> Rep:
@@ -287,7 +286,7 @@ def sym_power_rep(p: int, r: int, modulus=None) -> Rep:
                     row.append(ctx.smul(math.comb(j, l), a_pows[j - l]))
             rows.append(row)
         gens.append(MatrixFF(ctx, rows))
-    return Rep(ctx, p, tuple(gens))
+    return Rep._of(ctx, p, tuple(gens))
 
 
 def tensor_rep(r1: Rep, r2: Rep) -> Rep:
@@ -300,7 +299,7 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
     id2 = MatrixFF.identity(ctx, r2.dim)
     gens = [g.kron(id2) for g in r1.generators]
     gens += [id1.kron(h) for h in r2.generators]
-    return Rep(ctx, r1.dim * r2.dim, tuple(gens))
+    return Rep._of(ctx, r1.dim * r2.dim, tuple(gens))
 
 
 def big_rep(p: int, r: int, n: int, modulus=None) -> Rep:
@@ -324,16 +323,14 @@ def direct_sum(r1: Rep, r2: Rep) -> Rep:
     id2 = MatrixFF.identity(ctx, r2.dim)
     gens = [g.block_diag(id2) for g in r1.generators]
     gens += [id1.block_diag(h) for h in r2.generators]
-    return Rep(ctx, r1.dim + r2.dim, tuple(gens))
+    return Rep._of(ctx, r1.dim + r2.dim, tuple(gens))
 
 
 def wedge_sum(p1: PointedRep, p2: PointedRep) -> PointedRep:
     """Quotient of the direct sum identifying the two basepoints; the
     common image becomes the new basepoint."""
-    if p1.rep.ctx != p2.rep.ctx:
-        raise ff.DimensionError("field context mismatch")
-    ctx = p1.rep.ctx
-    total = direct_sum(p1.rep, p2.rep)
+    total = direct_sum(p1.rep, p2.rep)  # checks the contexts agree
+    ctx = total.ctx
     glue_vec = tuple(p1.basepoint) + tuple(ctx.neg(e) for e in p2.basepoint)
     glue = Subspace.from_vectors(ctx, total.dim, [glue_vec])
     quo = quotient(total, glue)
@@ -343,11 +340,7 @@ def wedge_sum(p1: PointedRep, p2: PointedRep) -> PointedRep:
 
 def dual_rep(rep: Rep) -> Rep:
     """Inverse-transpose on every generator."""
-    return Rep(
-        rep.ctx,
-        rep.dim,
-        tuple(g.inverse().transpose() for g in rep.generators),
-    )
+    return Rep._of(rep.ctx, rep.dim, tuple(g.inverse().transpose() for g in rep.generators))
 
 
 def regular_rep(p: int, n: int) -> Rep:
@@ -367,7 +360,7 @@ def regular_rep(p: int, n: int) -> Rep:
             )
             rows[index[shifted]][col] = 1
         gens.append(MatrixFF(ctx, rows))
-    return Rep(ctx, len(vectors), tuple(gens))
+    return Rep._of(ctx, len(vectors), tuple(gens))
 
 
 def pullback(rep: Rep, exponent_matrix) -> Rep:
@@ -378,7 +371,7 @@ def pullback(rep: Rep, exponent_matrix) -> Rep:
     gens = []
     for l in range(cols):
         gens.append(rep.element([row[l] for row in exponent_matrix]))
-    return Rep(rep.ctx, rep.dim, tuple(gens))
+    return Rep._of(rep.ctx, rep.dim, tuple(gens))
 
 
 # -- classification ----------------------------------------------------------
@@ -480,11 +473,10 @@ def reduce_from_stages(rep: Rep, stages) -> Reduction:
 
 
 def classify(rep: Rep) -> Reduction:
-    """Validate, then reduce from the first two socle stages (see
-    reduce_from_stages): zero verdict unless J_0 is a line, else the
-    projection onto the group acting faithfully on J_1, which pairs
-    against J_1 / J_0, and the basic model that pairing matches."""
-    require_valid(rep)
+    """Reduce from the first two socle stages (see reduce_from_stages):
+    zero verdict unless J_0 is a line, else the projection onto the group
+    acting faithfully on J_1, which pairs against J_1 / J_0, and the basic
+    model that pairing matches."""
     return reduce_from_stages(rep, _socle_stages(rep))
 
 
@@ -497,7 +489,6 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
     function additionally builds T and checks the conjugation generator
     by generator.  Production calls do not run it: verify's filtration
     suite and the tests do."""
-    require_valid(rep)
     ctx = rep.ctx
     if rep.dim < 2:
         raise ReductionError("basic models need dimension >= 2")
@@ -605,7 +596,8 @@ def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
     optional basepoint.  Raises ValueError with field context on bad
     input: p, r, dim and every entry must be JSON integers (booleans are
     not), matrices, rows and coefficient lists JSON arrays, and
-    1 <= dim <= MAX_REP_DIM."""
+    1 <= dim <= MAX_REP_DIM.  The Rep constructor then validates the
+    generators, once: RepValidationError lists every violation."""
     try:
         p, r, dim = obj["p"], obj.get("r", 1), obj["dim"]
         gen_entries = obj["generators"]

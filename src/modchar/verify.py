@@ -57,8 +57,10 @@ class SuiteFailure(Exception):
 
 def _suite(name: str):
     """Run the decorated check as the suite `name`.  The check returns its
-    detail (the case count first) or raises SuiteFailure(detail); the
-    runner times it and builds the SuiteResult."""
+    detail (the case count first) or raises SuiteFailure(detail); a
+    ValueError or ArithmeticError raised inside a route fails the suite
+    too, with the exception named.  The runner times it and builds the
+    SuiteResult."""
 
     def decorate(check):
         @functools.wraps(check)
@@ -68,6 +70,8 @@ def _suite(name: str):
                 ok, detail = True, check(profile)
             except SuiteFailure as exc:
                 ok, detail = False, str(exc)
+            except (ValueError, ArithmeticError) as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
             return SuiteResult(name, ok, detail, time.perf_counter() - start)
 
         return timed
@@ -300,7 +304,7 @@ def suite_filtration(profile="quick") -> str:
     contexts = [FieldCtx(2, 1), FieldCtx(3, 1), FieldCtx(2, 2)]
     for i in range(200):
         rep = random_valid_rep(rng, contexts[i % len(contexts)])
-        bad = reps.validate(rep)
+        bad = reps.validate(rep)  # every construction above yields a valid rep
         if bad:
             raise SuiteFailure(f"random rep {i} invalid: {bad}")
         quot = reps.socle_filtration_by_quotients(rep)
@@ -349,14 +353,8 @@ def suite_classification(profile="quick") -> str:
             raise SuiteFailure(f"direct sum not zero at q={p**r}")
         checked += 1
         if p**r <= 4:
-            trivial = reps.Rep(
-                basic1.rep.ctx,
-                1,
-                tuple(
-                    MatrixFF.identity(basic1.rep.ctx, 1)
-                    for _ in range(basic1.rep.rank)
-                ),
-            )
+            ctx = basic1.rep.ctx
+            trivial = reps.Rep(ctx, 1, (MatrixFF.identity(ctx, 1),) * basic1.rep.rank)
             padded = reps.direct_sum(basic1.rep, trivial)
             if reps.classify(padded).verdict != "zero":
                 raise SuiteFailure(f"trivial pad not zero at q={p**r}")
@@ -548,7 +546,7 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
     """Random valid rep built compositionally (sums, tensors, socle
     restrictions, quotients, duals of the stock constructions), pulled
     back along a random exponent matrix and conjugated by a random
-    invertible matrix."""
+    invertible matrix, which keeps it valid."""
     p, r = ctx.p, ctx.r
 
     def atom():
@@ -596,7 +594,7 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
             break
     inv = mat.inverse()
     gens = tuple(mat.mul(g).mul(inv) for g in rep.generators)
-    return reps.Rep(ctx, rep.dim, gens)
+    return reps.Rep._of(ctx, rep.dim, gens)
 
 
 ALL_SUITES = {

@@ -3,7 +3,11 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -861,6 +865,48 @@ def test_verify_dickson_sign_mismatch_is_a_check_failure(capsys, monkeypatch):
     assert not result["ok"]
     assert "p=2, n=1" in result["detail"] and "i=0" in result["detail"]
     assert "injected sign mismatch" in result["detail"]
+
+
+def test_verify_route_that_raises_fails_its_suite(capsys, monkeypatch):
+    # a ValueError inside a checked route is a failed check (exit 1), not
+    # bad user input (exit 3), and the suites after it still run
+    from modchar import dickson
+
+    def unreachable(rep):
+        raise reps.ReductionError("conjugation does not reach the basic matrices")
+
+    def broken_newton(*args):
+        raise ValueError("injected newton fault")
+
+    monkeypatch.setattr(reps, "iso_to_basic", unreachable)
+    monkeypatch.setattr(dickson, "newton_check", broken_newton)
+    suites = ("--suite", "filtration", "--suite", "dickson", "--suite", "witnesses")
+    code, out, err = run(capsys, "verify", *suites)
+    assert code == cli.EXIT_CHECK_FAILURE and err == ""
+    filtration, dickson_line, witnesses = out.splitlines()
+    assert filtration.startswith("FAIL  filtration")
+    assert filtration.endswith("ReductionError: conjugation does not reach the basic matrices")
+    assert dickson_line.startswith("FAIL  dickson-identities")
+    assert dickson_line.endswith("ValueError: injected newton fault")
+    assert witnesses.startswith("pass  witnesses")
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader keeps one line of a 278 kB listing and closes the pipe:
+    # exit 128 + SIGPIPE, with no traceback on stderr
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modchar.cli", "basis", "--p", "2", "--max-degree", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"0: 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert err == b""
 
 
 def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch):

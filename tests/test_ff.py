@@ -47,6 +47,36 @@ def test_find_irreducible_rejects_bad_input():
         find_irreducible(2, 9)
 
 
+def test_field_checks_a_modulus_once(monkeypatch):
+    # FieldCtx(p, r) trial-divides only the candidates find_irreducible
+    # tries, and checks the field once; a given modulus is still checked
+    calls = {"irreducible": 0, "field": 0}
+    is_irreducible, check_field = ff._is_irreducible, ff._check_field
+
+    def counted_irreducible(poly, p):
+        calls["irreducible"] += 1
+        return is_irreducible(poly, p)
+
+    def counted_field(p, r):
+        calls["field"] += 1
+        return check_field(p, r)
+
+    monkeypatch.setattr(ff, "_is_irreducible", counted_irreducible)
+    monkeypatch.setattr(ff, "_check_field", counted_field)
+    find_irreducible(3, 2)
+    searched = dict(calls)
+    calls.update(irreducible=0, field=0)
+    FieldCtx(3, 2)
+    assert calls == searched and calls["field"] == 1
+    calls.update(irreducible=0, field=0)
+    FieldCtx(3, 2, (1, 0, 1))
+    assert calls == {"irreducible": 1, "field": 1}
+    with pytest.raises(FieldError, match="reducible"):
+        FieldCtx(3, 2, (2, 0, 1))  # t^2 + 2 = (t + 1)(t + 2) over F_3
+    with pytest.raises(FieldError, match="monic"):
+        FieldCtx(3, 2, (1, 0, 2))
+
+
 def test_irreducibility_check_against_roots():
     # degree 2: irreducible iff no root; cross-check trial division
     for p in (2, 3, 5):

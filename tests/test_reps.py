@@ -41,15 +41,65 @@ def ints(ctx, rows):
 
 
 def test_validate_catches_violations():
+    # the public constructor refuses a family that breaks the contract,
+    # with exactly the violations validate reports for it (validate reads
+    # the family through the unchecked Rep._of)
     ctx = FieldCtx(3, 1)
     swap = ints(ctx, [[0, 1], [1, 0]])  # order 2, not 3
-    bad = Rep(ctx, 2, (swap,))
-    assert any("order" in v for v in validate(bad))
     a = ints(ctx, [[1, 1], [0, 1]])
     b = ints(ctx, [[1, 0], [1, 1]])
-    noncomm = Rep(ctx, 2, (a, b))
-    assert any("commute" in v and "0" in v and "1" in v for v in validate(noncomm))
+    singular = ints(ctx, [[1, 1], [1, 1]])
+    for gens, expected in [
+        ((swap,), ["generator 0 does not have order dividing 3"]),
+        ((a, b), ["generators 0 and 1 do not commute"]),
+        ((singular,), ["generator 0 is singular"]),
+    ]:
+        assert validate(Rep._of(ctx, 2, gens)) == expected
+        with pytest.raises(RepValidationError) as info:
+            Rep(ctx, 2, gens)
+        assert info.value.violations == expected
     assert validate(basic_rep(3, 1, 2).rep) == []
+    assert Rep(ctx, 2, (a, a.mul(a))).rank == 2
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_library_constructions_are_valid(p, r):
+    # the constructions build through Rep._of, which skips the contract
+    # check; every one of them must still pass it
+    basic1, basic2 = basic_rep(p, r, 1), basic_rep(p, r, 2)
+    xi = sym_power_rep(p, r)
+    big = big_rep(p, r, 2)
+    stages = socle_filtration(big)
+    exponents = [[(i + 2 * j + 1) % p for j in range(3)] for i in range(basic2.rep.rank)]
+    built = [
+        basic1.rep,
+        basic2.rep,
+        xi,
+        big,
+        tensor_rep(basic1.rep, xi),
+        direct_sum(basic2.rep, xi),
+        dual_rep(big),
+        pullback(basic2.rep, exponents),
+        *(restrict(big, stage) for stage in stages),
+        quotient(big, stages[0]),
+        wedge_sum(basic1, basic2).rep,
+    ]
+    if r == 1:
+        built.append(regular_rep(p, 2))
+    for rep in built:
+        assert validate(rep) == []
+
+
+def test_analysis_of_a_parsed_rep_validates_nothing_more(monkeypatch):
+    calls = []
+    original = reps.validate
+    monkeypatch.setattr(reps, "validate", lambda rep: calls.append(rep) or original(rep))
+    rep, _ = rep_from_dict(json.loads(json.dumps(rep_to_dict(regular_rep(2, 3)))))
+    assert len(calls) == 1
+    assert classify(rep).verdict == "reduced"
+    assert chi_of_rep(rep, 3).is_zero() and not chi_of_rep(rep, 7).is_zero()
+    iso_to_basic(restrict(rep, socle_filtration(rep)[1]))
+    assert len(calls) == 1
 
 
 def test_basic_rep_frozen():

@@ -26,6 +26,7 @@ from modchar.mono import (  # noqa: E402
     parse_monomial,
     weight,
 )
+from modchar.verify import random_valid_rep  # noqa: E402
 
 # admitted fields, the largest extension order GF(251^2) included, and a
 # prime field far above the extension bound
@@ -129,15 +130,27 @@ def test_rank_and_kernel_match_sympy_domain_matrix():
             assert all(ours.contains(v) for v in theirs)
 
 
+REP_FIELDS = [(2, 1), (5, 1), (2, 2), (3, 2), (251, 2)]
+
+
 @st.composite
 def rep_files(draw):
-    ctx = field(draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (251, 2)])))
+    """A valid rep from a drawn seed, and a basepoint drawn apart."""
+    ctx = field(draw(st.sampled_from(REP_FIELDS)))
+    rep = random_valid_rep(random.Random(draw(st.integers(0, 2**32 - 1))), ctx)
+    entry = st.integers(0, ctx.q - 1)
+    basepoint = draw(st.none() | st.tuples(*[entry] * rep.dim))
+    return rep, basepoint
+
+
+@st.composite
+def matrix_families(draw):
+    """Up to three random dim x dim matrices: mostly not a valid rep."""
+    ctx = field(draw(st.sampled_from(REP_FIELDS)))
     dim = draw(st.integers(1, 3))
     entry = st.integers(0, ctx.q - 1)
     gens = draw(st.lists(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim), max_size=3))
-    rep = reps.Rep(ctx, dim, tuple(MatrixFF(ctx, g) for g in gens))
-    basepoint = draw(st.none() | st.tuples(*[entry] * dim))
-    return rep, basepoint
+    return reps.Rep._of(ctx, dim, tuple(MatrixFF(ctx, g) for g in gens))
 
 
 @PROPS
@@ -154,6 +167,19 @@ def test_rep_file_round_trip(case):
     back, back_point = reps.rep_from_dict(json.loads(text))
     assert back == rep and back_point == basepoint
     assert json.dumps(reps.rep_to_dict(back, back_point), sort_keys=True) == text
+
+
+@PROPS
+@given(matrix_families())
+def test_rep_file_refused_with_the_violations_validate_reports(family):
+    violations = reps.validate(family)
+    obj = json.loads(json.dumps(reps.rep_to_dict(family)))
+    if violations:
+        with pytest.raises(reps.RepValidationError) as info:
+            reps.rep_from_dict(obj)
+        assert info.value.violations == violations
+    else:
+        assert reps.rep_from_dict(obj)[0] == family
 
 
 # -- the row kernel against sympy -------------------------------------------
