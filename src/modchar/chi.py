@@ -56,22 +56,31 @@ class ChiQuery:
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     """Value of the alpha-class on the rank-n basic representation, as a
-    tensor class; zero when alpha has degree 0.
+    tensor class; zero when alpha has degree 0 (see _split_ids)."""
+    ChiQuery(p, r, alpha, n)
+    if degree(alpha, p) == 0:
+        return TensorClass.zero(p, r, n)
+    monomials, ids = _split_ids(p, r, alpha, n)
+    terms = {tuple(monomials[i] for i in tup): c for tup, c in ids.items()}
+    return TensorClass._of(p, r, n, terms)
+
+
+def _split_ids(p: int, r: int, alpha: Monomial, n: int) -> tuple[list, dict]:
+    """The class of a valid invariant alpha of nonzero degree at rank n,
+    as (monomials, id tuple -> coefficient): each term's factors are the
+    ids of its monomials, that is their positions in `monomials`, and its
+    coefficient is reduced mod p and nonzero.
 
     The left-nested n-fold splitting with every degree-0 factor removed,
     times (-1)^(n-1).  A split with a degree-0 side is dropped as soon as
     it appears: the unit splits only as unit (x) unit and right factors
     are never split again, so every term it leads to has a degree-0
     factor.  A monomial's proper splits are computed once per process
-    (_proper_splits), then given ids once per call."""
-    ChiQuery(p, r, alpha, n)
-    if degree(alpha, p) == 0:
-        return TensorClass.zero(p, r, n)
-    # each monomial's id is its position in `index`, so tuples of factors
-    # are tuples of ints, which hash fast
+    (_proper_splits), then given ids once per call; tuples of ints hash
+    fast."""
     index = {alpha: 0}
     splits = {}  # first factor -> [(left, right, coefficient)], as ids
-    current = {(0,): 1}
+    current = {(0,): (-1) ** (n - 1) % p}  # the sign, carried by every term
     for _ in range(n - 1):
         monomials = list(index)
         nxt = {}
@@ -87,10 +96,7 @@ def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
                 key = (left, right) + rest
                 nxt[key] = (nxt.get(key, 0) + c * c2) % p
         current = {k: v for k, v in nxt.items() if v}
-    monomials = list(index)
-    sign = (-1) ** (n - 1)
-    terms = {tuple(monomials[i] for i in tup): sign * c % p for tup, c in current.items()}
-    return TensorClass._of(p, r, n, terms)
+    return list(index), current
 
 
 # shared by every chi_basic call, which splits the same first factors

@@ -9,15 +9,24 @@ y-power classes, D * A collapses to the single term -D_{p^n - 1}.
 
 Each side is computed one way here and checked against another:
 
-- `power_sum` enumerates one linear form per line and raises it to the
-  k-th power digit by digit through Frobenius.  `verify`'s oracle suite
-  compares it with the splitting formula of `chi.chi_basic`; the tests
-  compare it with a multinomial identity and with a brute-force sum over
-  every nonzero dual vector.
+- `chi_y_power`, the production route for every y^k class (the report
+  here and `reps.chi_from_reduction`), reads the class off the splitting
+  formula of `chi.chi_basic` (`chi._split_ids`), with the tuple of
+  y-powers (b_1, ..., b_n) as the monomial z_1^b_1 ... z_n^b_n.
+- `power_sum` is the oracle: it enumerates one linear form per line and
+  raises it to the k-th power digit by digit through Frobenius, sharing
+  no code with the splitting formula.  `verify`'s oracle and
+  classification suites and the tests compare the two routes; the tests
+  also compare `power_sum` with a multinomial identity and with a
+  brute-force sum over every nonzero dual vector.  No production call
+  runs it.
 - `dickson_total` reads D off the Dickson recursion for the polynomial
-  whose roots are all dual vectors.  `verify`'s Dickson suite compares
-  every component with the expanded product of (1 + v) over all nonzero
-  dual vectors v.
+  whose roots are all dual vectors, once per (p, n) in a process.
+  `verify`'s Dickson suite compares every component with the expanded
+  product of (1 + v) over all nonzero dual vectors v.  Newton's identity,
+  the series-inverse route and the product signs thus compare the
+  splitting formula with the Dickson recursion, which shares no code
+  with it.
 
 Polynomials and total classes are one type, `MultiPoly`: a total class
 simply holds all its degrees, and `components` splits it by degree.  One
@@ -34,9 +43,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .ff import FieldCtx, MatrixFF
-from .mono import SparseCombination, TensorClass, format_term
+from . import chi
+from .mono import Monomial, SparseCombination, TensorClass, format_term
 
 
 def _compositions(total: int, parts: int):
@@ -82,17 +92,6 @@ class MultiPoly(SparseCombination):
     @classmethod
     def const(cls, p, nvars, c):
         return cls(p, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def linear_form(cls, p, coeffs):
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c % p:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c % p
-        return cls(p, n, terms)
 
     @property
     def components(self) -> dict:
@@ -150,29 +149,41 @@ class MultiPoly(SparseCombination):
 
     def substitute(self, rows, nvars_new):
         """Replace the i-th variable by the linear form with integer
-        coefficient row rows[i] over nvars_new new variables."""
+        coefficient row rows[i] over nvars_new new variables.
+
+        Each form's powers are built one product at a time, up to the
+        highest power of its variable, as plain dicts, and every term's
+        product of powers is summed into one dict.  Exponent tuples are
+        packed into ints as in mul_truncated, in a base above every total
+        degree, which a substitution keeps."""
         if len(rows) != self.nvars:
             raise ValueError("need one substitution row per variable")
-        forms = [MultiPoly.linear_form(self.p, row) for row in rows]
-        for f in forms:
-            if f.nvars != nvars_new:
-                raise ValueError("substitution row length mismatch")
-        pow_cache = [{0: MultiPoly.const(self.p, nvars_new, 1)} for _ in forms]
-
-        def form_pow(i, e):
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = form_pow(i, e - 1).mul(forms[i])
-            return cache[e]
-
-        out = MultiPoly.zero(self.p, nvars_new)
+        if any(len(row) != nvars_new for row in rows):
+            raise ValueError("substitution row length mismatch")
+        p = self.p
+        base = max(map(sum, self.terms), default=0) + 1
+        tables = []
+        for i, row in enumerate(rows):
+            form = {base**j: c % p for j, c in enumerate(row) if c % p}
+            powers = [{0: 1}]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                powers.append(_packed_mul(powers[-1], form, p))
+            tables.append(powers)
+        out: dict = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.const(self.p, nvars_new, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul(form_pow(i, e))
-            out = out.add(term)
-        return out
+            # a one-term power (a power of one variable, or e = 0) only
+            # shifts and scales the term
+            shift, scale, term = 0, c, {0: 1}
+            for powers, e in zip(tables, exps):
+                factor = powers[e]
+                if len(factor) == 1:
+                    [(k, a)] = factor.items()
+                    shift, scale = shift + k, scale * a
+                else:
+                    term = _packed_mul(term, factor, p)
+            for key, v in term.items():
+                out[key + shift] = out.get(key + shift, 0) + v * scale
+        return MultiPoly(p, nvars_new, _unpack(out, base, nvars_new))
 
     def render(self) -> str:
         """The terms in degree-graded order, lex-leading first within a
@@ -182,6 +193,17 @@ class MultiPoly(SparseCombination):
             text = " ".join(f"z{i}" if k == 1 else f"z{i}^{k}" for i, k in enumerate(e, 1) if k)
             parts.append(format_term(text, c))
         return " + ".join(parts) or "0"
+
+
+def _packed_mul(left: dict, right: dict, p: int) -> dict:
+    """Product of two polynomials held as dicts from packed exponents to
+    coefficients, reduced mod p."""
+    out: dict = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            key = k1 + k2
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, c in out.items() if (v := c % p)}
 
 
 def _by_degree(terms: dict) -> dict:
@@ -276,10 +298,23 @@ def power_sum(p: int, n: int, k: int) -> MultiPoly:
     return MultiPoly(p, n, _unpack(total, base, n)).neg()
 
 
-def chi_via_power_sum(p: int, n: int, k: int) -> MultiPoly:
-    """The y^k class of the basic representation, computed as minus the
-    k-th power sum; vanishes unless p - 1 divides k."""
-    return power_sum(p, n, k).neg()
+def chi_y_power(p: int, n: int, k: int) -> MultiPoly:
+    """The y^k class of the rank-n basic representation over F_p by the
+    splitting formula (chi._split_ids), each tuple of y-powers
+    (b_1, ..., b_n) read as the monomial z_1^b_1 ... z_n^b_n; zero unless
+    p - 1 divides k, as y^k is invariant only then.  Over F_p a factor of
+    y^k's splitting is a pure y-power, so distinct tuples of ids give
+    distinct monomials.  It equals minus the k-th power sum (`power_sum`,
+    the oracle)."""
+    if k < 1:
+        raise ValueError("y^k classes are defined for k >= 1")
+    if n < 1:
+        raise ValueError("rank n must be >= 1")
+    if k % (p - 1):
+        return MultiPoly.zero(p, n)
+    monomials, ids = chi._split_ids(p, 1, Monomial((0,), (k,)), n)
+    pows = [m.pows[0] for m in monomials]
+    return MultiPoly(p, n, {tuple(pows[i] for i in tup): c for tup, c in ids.items()})
 
 
 def dickson_total(p: int, n: int) -> MultiPoly:
@@ -291,7 +326,17 @@ def dickson_total(p: int, n: int) -> MultiPoly:
     F_j(X) = F_{j-1}(X)^p - F_{j-1}(z_j)^(p-1) F_{j-1}(X).  Each F_j is a
     p-polynomial in X, and the degree p^n - p^i component is
     (-1)^(p^n - p^i) times the coefficient of X^(p^i) in F_n.  `verify`'s
-    Dickson suite compares every component with the expanded product."""
+    Dickson suite compares every component with the expanded product.
+    The recursion runs once per (p, n) in a process (_dickson_terms); each
+    call returns a fresh MultiPoly holding a copy of its terms."""
+    return MultiPoly(p, n, _dickson_terms(p, n))  # the constructor copies
+
+
+# shared by the n + 4 reads of one report and by later reports; bounded
+# like chi._proper_splits
+@lru_cache(maxsize=64)
+def _dickson_terms(p: int, n: int) -> dict:
+    """The terms of dickson_total(p, n), by the Dickson recursion."""
     # coeffs[i] is the coefficient of X^(p^i) in F_j(X); F_0(X) = X
     coeffs = [MultiPoly.const(p, n, 1)]
     for j in range(n):
@@ -318,7 +363,7 @@ def dickson_total(p: int, n: int) -> MultiPoly:
     terms: dict = {}
     for i, c in enumerate(coeffs):
         terms.update(c.scale((-1) ** (q - p**i)).terms)
-    return MultiPoly(p, n, terms)
+    return terms
 
 
 def alternating_chi_total(p: int, n: int, dmax: int) -> MultiPoly:
@@ -328,7 +373,7 @@ def alternating_chi_total(p: int, n: int, dmax: int) -> MultiPoly:
         raise ValueError("dmax must be >= 1")
     terms: dict = {}
     for k in range(1, dmax + 1):
-        poly = chi_via_power_sum(p, n, k)
+        poly = chi_y_power(p, n, k)
         terms.update((poly.neg() if k % 2 else poly).terms)
     return MultiPoly(p, n, terms)
 
@@ -381,7 +426,7 @@ def product_identity_check(p: int, n: int, i: int) -> int:
     if not 0 <= i <= n:
         raise ValueError("index i must lie in [0, n]")
     k = 2 * p**n - p**i - 1
-    lhs = chi_via_power_sum(p, n, k)
+    lhs = chi_y_power(p, n, k)
     d_total = dickson_total(p, n)
     rhs = d_total.component(p**n - 1).mul(d_total.component(p**n - p**i))
     if lhs == rhs:
@@ -430,40 +475,8 @@ def nonzero_chi_degrees(p: int, n: int) -> list[int]:
     return [
         k
         for k in range(1, 2 * (p**n - 1) + 1)
-        if not chi_via_power_sum(p, n, k).is_zero()
+        if not chi_y_power(p, n, k).is_zero()
     ]
-
-
-def algebraic_independence_check(p: int, n: int, max_total_degree: int = 3) -> bool:
-    """No nonzero polynomial relation of bounded total degree among
-    D_{p^n-1} and the products D_{p^n-1} D_{p^n-p^i} (1 <= i <= n-1),
-    verified by exact rank computation on monomial coefficients."""
-    d_total = dickson_total(p, n)
-    top = d_total.component(p**n - 1)
-    gens = [top]
-    for i in range(1, n):
-        gens.append(top.mul(d_total.component(p**n - p**i)))
-    exponents = [
-        e
-        for e in itertools.product(range(max_total_degree + 1), repeat=len(gens))
-        if sum(e) <= max_total_degree
-    ]
-    expanded = []
-    for e in exponents:
-        poly = MultiPoly.const(p, n, 1)
-        for g, k in zip(gens, e):
-            if k:
-                poly = poly.mul(g.pow(k))
-        expanded.append(poly)
-    monomials = sorted({m for poly in expanded for m in poly.terms})
-    index = {m: j for j, m in enumerate(monomials)}
-    rows = []
-    for poly in expanded:
-        row = [0] * len(monomials)
-        for m, c in poly.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    return MatrixFF(FieldCtx(p, 1), rows).rank() == len(expanded)
 
 
 def tensor_to_poly(tc: TensorClass) -> MultiPoly:

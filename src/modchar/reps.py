@@ -29,10 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import ff
-from .dickson import MultiPoly, chi_via_power_sum
 from .ff import FieldCtx, MatrixFF, Subspace
+
+if TYPE_CHECKING:
+    from .dickson import MultiPoly
 
 
 # Largest dim a representation file may declare, checked before any matrix
@@ -254,7 +257,13 @@ def basic_rep(p: int, r: int, n: int, modulus=None) -> PointedRep:
     the n slots, so the abstract group is F_p^(r n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = FieldCtx(p, r, modulus)
+    return _basic_on(FieldCtx(p, r, modulus), n)
+
+
+def _basic_on(ctx: FieldCtx, n: int) -> PointedRep:
+    """basic_rep over a field already built, so its modulus is not checked
+    again (the basic models of reduce_from_stages and iso_to_basic)."""
+    r = ctx.r
     gens = []
     for i in range(1, n + 1):
         for j in range(r):
@@ -466,7 +475,7 @@ def reduce_from_stages(rep: Rep, stages) -> Reduction:
     projection = tuple(zip(*(quotient_vector(kernel_group, e) for e in units)))
     try:
         _basic_rule(ctx, [pairing[c] for c in coset], n)
-        model = basic_rep(ctx.p, ctx.r, n, ctx.modulus)
+        model = _basic_on(ctx, n)
     except ReductionError:
         model = None
     return Reduction("reduced", len(coset), projection, model)
@@ -516,7 +525,7 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
             v_rows[1 + i][1 + c_idx] = pairing_matrix.rows[i][c_idx]
     v_matrix = MatrixFF(ctx, v_rows)
     t_matrix = v_matrix.mul(u_matrix.inverse())
-    target = basic_rep(ctx.p, ctx.r, n, ctx.modulus)
+    target = _basic_on(ctx, n)
     t_inv = t_matrix.inverse()
     for g, b in zip(rep.generators, target.rep.generators):
         if t_matrix.mul(g).mul(t_inv) != b:
@@ -533,7 +542,10 @@ def chi_of_rep(rep: Rep, k: int) -> MultiPoly:
 def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> MultiPoly:
     """The y^k class of a prime-field rep from its classify() result:
     zero verdict gives 0, otherwise the basic answer for the quotient
-    rank pulled back along the projection."""
+    rank (dickson.chi_y_power, the splitting formula) pulled back along
+    the projection."""
+    from .dickson import MultiPoly, chi_y_power  # only --chi needs it
+
     if rep.ctx.r != 1:
         raise ValueError("polynomial classes of arbitrary reps need r = 1")
     if k < 1:
@@ -541,7 +553,7 @@ def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> MultiPoly:
     p = rep.ctx.p
     if red.verdict == "zero":
         return MultiPoly.zero(p, rep.rank)
-    base = chi_via_power_sum(p, red.quotient_rank, k)
+    base = chi_y_power(p, red.quotient_rank, k)
     return base.substitute([list(row) for row in red.projection], rep.rank)
 
 

@@ -642,6 +642,14 @@ def test_rep_analyze_regular(capsys, tmp_path):
     assert "chi[y^3] = z1^2 z2 + z1 z2^2" in out
 
 
+def test_rep_analyze_chi_at_a_high_power(capsys, tmp_path):
+    # the pull-back builds (z1)^3000 by iteration, not by 3000 nested calls
+    path = _write_rep(tmp_path, reps.basic_rep(2, 1, 1).rep, name="basic21.json")
+    code, out, err = run(capsys, "rep-analyze", path, "--chi", "3000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "chi[y^3000] = z1^3000"
+
+
 def test_rep_analyze_direct_sum_zero(capsys, tmp_path):
     b = reps.basic_rep(2, 1, 1).rep
     path = _write_rep(tmp_path, reps.direct_sum(b, b))

@@ -12,14 +12,13 @@ import random
 
 import pytest
 
-from modchar import dickson
+from modchar import dickson, reps
 from modchar.dickson import (
     IdentityFailure,
     MultiPoly,
-    algebraic_independence_check,
     alternating_chi_total,
     chi_total_from_inverse,
-    chi_via_power_sum,
+    chi_y_power,
     dickson_total,
     newton_check,
     nonzero_chi_degrees,
@@ -29,7 +28,7 @@ from modchar.dickson import (
     tensor_to_poly,
 )
 from modchar.mono import ContextMismatch, Monomial, TensorClass
-from modchar.verify import DICKSON_GRID, dickson_total_by_product
+from modchar.verify import DICKSON_GRID, algebraic_independence_check, dickson_total_by_product
 
 
 def poly(p, n, terms):
@@ -100,14 +99,35 @@ def test_power_sum_matches_sum_over_all_vectors():
             assert power_sum(p, n, k) == brute_power_sum(p, n, k), (p, n, k)
 
 
-def test_chi_via_power_sum_frozen():
-    assert chi_via_power_sum(2, 2, 3) == poly(2, 2, {(2, 1): 1, (1, 2): 1})
-    assert chi_via_power_sum(3, 1, 2) == poly(3, 1, {(2,): 1})
-    assert chi_via_power_sum(3, 1, 1).is_zero()
+def test_chi_y_power_frozen():
+    assert chi_y_power(2, 2, 3) == poly(2, 2, {(2, 1): 1, (1, 2): 1})
+    assert chi_y_power(3, 1, 2) == poly(3, 1, {(2,): 1})
+    assert chi_y_power(3, 1, 1).is_zero()
     # vanishes whenever p - 1 does not divide k
     for k in range(1, 20):
         if k % 4:
-            assert chi_via_power_sum(5, 1, k).is_zero()
+            assert chi_y_power(5, 1, k).is_zero()
+    for bad in ((2, 2, 0), (2, 0, 3)):
+        with pytest.raises(ValueError):
+            chi_y_power(*bad)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_splitting_route_equals_minus_the_power_sum(p, n):
+    """The production route for y^k classes against the oracle, for every
+    k up to the default Dickson dmax 3(p^n - 1)."""
+    for k in range(1, 3 * (p**n - 1) + 1):
+        assert chi_y_power(p, n, k) == power_sum(p, n, k).neg(), (p, n, k)
+
+
+def test_no_production_route_calls_power_sum(monkeypatch):
+    def forbidden(p, n, k):
+        raise AssertionError("power_sum is the oracle only")
+
+    monkeypatch.setattr(dickson, "power_sum", forbidden)
+    assert dickson.report(3, 2, 24)["ok"]
+    assert nonzero_chi_degrees(2, 3) == [7, 11, 13, 14]
+    assert reps.chi_of_rep(reps.regular_rep(2, 2), 3) == poly(2, 2, {(2, 1): 1, (1, 2): 1})
 
 
 def test_dickson_total_frozen_f2():
@@ -120,6 +140,15 @@ def test_dickson_total_frozen_f2():
     assert total22.component(3) == poly(2, 2, {(2, 1): 1, (1, 2): 1})
 
 
+def test_dickson_total_is_a_fresh_copy_each_call():
+    first = dickson_total(3, 2)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(1, 1)] = 2
+    assert dickson_total(3, 2).terms == want
+    assert dickson_total(3, 2) is not dickson_total(3, 2)
+
+
 def test_dickson_sparsity_and_top_product():
     for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)]:
         q = p**n
@@ -130,7 +159,8 @@ def test_dickson_sparsity_and_top_product():
         prod = MultiPoly.const(p, n, 1)
         for coeffs in itertools.product(range(p), repeat=n):
             if any(coeffs):
-                prod = prod.mul(MultiPoly.linear_form(p, coeffs))
+                form = {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs) if c}
+                prod = prod.mul(MultiPoly(p, n, form))
         assert total.component(q - 1) == prod
 
 
@@ -275,6 +305,53 @@ def test_multipoly_substitute():
             got.mul(other)
     with pytest.raises(ValueError):
         poly(2, 2, {(1,): 1})
+
+
+def naive_substitute(source, rows, nvars_new):
+    """Each term expanded one linear factor at a time, on exponent tuples."""
+    p = source.p
+    out = {}
+    for exps, c in source.terms.items():
+        term = {(0,) * nvars_new: c}
+        for row, e in zip(rows, exps):
+            for _ in range(e):
+                nxt = {}
+                for key, v in term.items():
+                    for j, a in enumerate(row):
+                        if a % p:
+                            bumped = key[:j] + (key[j] + 1,) + key[j + 1 :]
+                            nxt[bumped] = (nxt.get(bumped, 0) + v * a) % p
+                term = nxt
+        for key, v in term.items():
+            out[key] = (out.get(key, 0) + v) % p
+    return MultiPoly(p, nvars_new, out)
+
+
+def test_substitute_matches_naive_expansion():
+    rng = random.Random(20261019)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(75):
+            nvars, nvars_new = rng.randrange(1, 4), rng.randrange(1, 4)
+            source = random_poly(rng, p, nvars, 5, rng.randrange(7))  # may be empty
+            rows = [[rng.randrange(-p, p) for _ in range(nvars_new)] for _ in range(nvars)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(nvars)] = [0] * nvars_new
+            assert source.substitute(rows, nvars_new) == naive_substitute(source, rows, nvars_new)
+            cases += 1
+    assert cases == 300
+    assert MultiPoly.zero(3, 2).substitute([[1, 2], [0, 0]], 2).is_zero()
+    with pytest.raises(ValueError):
+        poly(2, 2, {(1, 1): 1}).substitute([[1, 0]], 2)
+    with pytest.raises(ValueError):
+        poly(2, 2, {(1, 1): 1}).substitute([[1, 0], [1]], 2)
+
+
+def test_substitute_reaches_high_powers_without_recursion():
+    got = poly(2, 1, {(3000,): 1}).substitute([[1, 1]], 2)
+    # (Z1 + Z2)^3000 over F_2 by Lucas: one term per pair of disjoint digit sets
+    assert len(got.terms) == 2 ** bin(3000).count("1")
+    assert poly(2, 1, {(3000,): 1}).substitute([[1]], 1) == poly(2, 1, {(3000,): 1})
 
 
 def test_multipoly_render_canonical():

@@ -293,14 +293,14 @@ def test_wedge_of_basics_is_basic():
 def test_wedge_chi_agrees_with_basic_answer():
     w = wedge_sum(basic_rep(2, 1, 1), basic_rep(2, 1, 1))
     for k in (1, 2, 3, 5):
-        assert chi_of_rep(w.rep, k) == dickson.chi_via_power_sum(2, 2, k)
+        assert chi_of_rep(w.rep, k) == dickson.power_sum(2, 2, k).neg()
 
 
 def test_big_rep_chi_agrees_with_basic_answer():
     for p, n in [(2, 2), (3, 2)]:
         big = big_rep(p, 1, n)
         for k in range(1, 2 * (p**n - 1) + 1, max(1, p - 1)):
-            assert chi_of_rep(big, k) == dickson.chi_via_power_sum(p, n, k)
+            assert chi_of_rep(big, k) == dickson.power_sum(p, n, k).neg()
 
 
 def test_socle_tensor_check_mixed_product():
@@ -326,6 +326,25 @@ def test_dual_of_basic_has_two_fixed_lines():
     nu = dual_rep(basic_rep(2, 1, 2).rep)
     assert socle_filtration(nu)[0].dim == 2
     assert classify(nu).verdict == "zero"
+
+
+def test_classify_checks_the_modulus_once(monkeypatch):
+    # the basic model is built on the rep's own field, so classify at
+    # GF(251^2) trial-divides no modulus after the field is made
+    modulus = ff.find_irreducible(251, 2)
+    calls = []
+    is_irreducible = ff._is_irreducible
+
+    def counted(poly, p):
+        calls.append(poly)
+        return is_irreducible(poly, p)
+
+    monkeypatch.setattr(ff, "_is_irreducible", counted)
+    pr = basic_rep(251, 2, 1, modulus)
+    red = classify(pr.rep)
+    assert red.verdict == "reduced" and red.basic_model == pr
+    assert red.basic_model.rep.ctx is pr.rep.ctx
+    assert calls == [modulus]
 
 
 def test_classify_frozen_cases():
@@ -399,7 +418,7 @@ def test_chi_of_rep_regular_matches_power_sums():
     for p, n in [(2, 1), (2, 2), (3, 1)]:
         reg = regular_rep(p, n)
         for k in range(1, 2 * (p**n - 1) + 1):
-            assert chi_of_rep(reg, k) == dickson.chi_via_power_sum(p, n, k)
+            assert chi_of_rep(reg, k) == dickson.power_sum(p, n, k).neg()
 
 
 def test_chi_of_rep_zero_and_pullback():
