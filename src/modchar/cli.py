@@ -13,9 +13,11 @@ must match the command's params and result shape); the rows and lines
 read only the payload, so cached and fresh runs print the same bytes.
 _emit alone reads --format, prints, and sets the exit code.
 
-Each command imports the modules it runs inside its cmd_* function, and
-the result cache is imported only when a cache root is set, so a
-command compiles and loads only its own part of the package.
+Each command imports the modules it runs inside its cmd_* function,
+after the input checks that need none of them, and the result cache is
+imported only when a cache root is set, so a command compiles and loads
+only its own part of the package, and an input error those checks catch
+exits before the compute layers load.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 4 internal error (a broken internal invariant, never a check result),
@@ -242,9 +244,9 @@ def _chi_result(tc) -> dict:
 
 
 def cmd_chi(args) -> int:
+    _require_field(args.p, args.r)
     from . import chi, mono
 
-    _require_field(args.p, args.r)
     try:
         alpha = mono.parse_monomial(args.alpha, args.r)
     except mono.ParseError as exc:
@@ -287,11 +289,10 @@ def _require_nonvanish_rows(p: int, r: int, n: int, max_degree: int | None) -> N
 
 
 def cmd_nonvanish(args) -> int:
-    from . import chi, mono
-
     _require_max_degree(args.max_degree)
     _require_field(args.p, args.r)
     _require_nonvanish_rows(args.p, args.r, args.n, args.max_degree)
+    from . import chi, mono
 
     def compute():
         table = chi.universal_table(args.p, args.r, args.n, args.max_degree)
@@ -348,9 +349,9 @@ def dickson_dmax(p: int, n: int, dmax: int | None) -> int:
 
 
 def cmd_dickson(args) -> int:
+    dmax = dickson_dmax(args.p, args.n, args.dmax)
     from . import dickson
 
-    dmax = dickson_dmax(args.p, args.n, args.dmax)
     params = {"p": args.p, "n": args.n, "dmax": dmax}
     shape = {check: bool for check in ("sparsity", "newton", "inverse", "ok")}
     shape.update(product_signs={int: (int, str)}, components={int: str})
@@ -375,9 +376,8 @@ def cmd_dickson(args) -> int:
 
 
 def cmd_tuples(args) -> int:
-    from . import chi
-
     _require_field(args.p)
+    from . import chi
 
     def compute():
         tuples = chi.indecomposable_tuples(args.p, args.n, args.max)

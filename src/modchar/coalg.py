@@ -13,6 +13,8 @@ solves the last digit from it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .mono import Monomial, NotInvariant, is_invariant
 
 
@@ -27,6 +29,9 @@ def base_p_digits(p: int, m: int) -> list[int]:
     return out
 
 
+# shared by Lucas, the multinomials and the coproduct's solved last digit;
+# one entry per (p, d, e), never a table sized by p, as p can be ~10^6
+@lru_cache(maxsize=4096)
 def _digit_binomial(p: int, d: int, e: int) -> int:
     """C(d, e) mod p for base-p digits 0 <= e <= d < p; never 0."""
     e = min(e, d - e)

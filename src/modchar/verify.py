@@ -435,16 +435,22 @@ def suite_classification(profile="quick") -> str:
 
 @_suite("arithmetic")
 def suite_arithmetic(profile="quick") -> str:
-    """Criterion 9: digit-wise binomials and multinomials against
-    factorial oracles, minimal digit-sum witnesses against a digit DP,
-    and the Grassmannian point-count congruence."""
+    """Criterion 9: digit-wise binomials and multinomials against exact
+    big-integer oracles, minimal digit-sum witnesses against a digit DP,
+    and the Grassmannian point-count congruence.  Each oracle is computed
+    once per case and reduced mod each p: the binomials from exact Pascal
+    rows m <= 300, built by addition and held one row at a time, and the
+    multinomials from a table of 0!, ..., 400!."""
+    primes = (2, 3, 5, 7)
     checked = 0
-    for p in (2, 3, 5, 7):
-        for m in range(0, 301):
-            for k in range(0, m + 1):
-                if coalg.lucas_binomial(p, m, k) != math.comb(m, k) % p:
+    row = [1]
+    for m in range(0, 301):
+        for k, exact in enumerate(row):
+            for p in primes:
+                if coalg.lucas_binomial(p, m, k) != exact % p:
                     raise SuiteFailure(f"binomial p={p} C({m},{k})")
                 checked += 1
+        row = [1, *map(sum, zip(row, row[1:])), 1]
     rng = random.Random(97)
     samples = []
     for x in range(0, 101, 1):
@@ -454,19 +460,19 @@ def suite_arithmetic(profile="quick") -> str:
         samples.append(tuple(rng.randrange(0, 101) for _ in range(3)))
     for _ in range(4000):
         samples.append(tuple(rng.randrange(0, 101) for _ in range(4)))
-    for p in (2, 3, 5, 7):
-        for parts in samples:
+    factorials = [math.factorial(x) for x in range(401)]
+    for parts in samples:
+        exact = factorials[sum(parts)]
+        for x in parts:
+            exact //= factorials[x]
+        for p in primes:
             got = coalg.multinomial_mod_p(p, parts)
-            total = sum(parts)
-            oracle = math.factorial(total)
-            for x in parts:
-                oracle //= math.factorial(x)
-            if got != oracle % p:
+            if got != exact % p:
                 raise SuiteFailure(f"multinomial p={p} parts={parts}")
             if (got != 0) != coalg.no_carry(p, parts):
                 raise SuiteFailure(f"carry criterion p={p} parts={parts}")
             checked += 1
-    for p in (2, 3, 5, 7):
+    for p in primes:
         for s in range(0, 41):
             if min_m_for_digit_sum(p, s) != _min_digit_sum_dp(p, s):
                 raise SuiteFailure(f"digit-sum minimum p={p} s={s}")

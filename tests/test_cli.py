@@ -381,6 +381,43 @@ def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch
     assert not list(tmp_path.iterdir())
 
 
+_LOADED_AT_EXIT = """\
+import sys
+from modchar.cli import main
+code = main(sys.argv[1:])
+print(sorted(name for name in ("modchar.chi", "modchar.dickson") if name in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["chi", "--p", "4", "--n", "2", "--alpha", "y^3"], "p = 4 is not prime"),
+        (["dickson", "--p", "2", "--n", "2", "--dmax", "1"], "--dmax must be at least 3"),
+        (["tuples", "--p", "4", "--n", "2", "--max", "7"], "p = 4 is not prime"),
+        (
+            ["nonvanish", "--p", "2", "--n", "30"],
+            "the table for p^n = 2^30 would list more than 250,000 rows; "
+            "the nonvanish bound is 250,000 rows",
+        ),
+    ],
+    ids=["chi", "dickson", "tuples", "nonvanish"],
+)
+def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AT_EXIT, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == f"error: {bound}\n"
+    assert proc.stdout == "[]\n"
+
+
 def test_nonvanish_row_bound_edges():
     assert cli.NONVANISH_MAX_ROWS == 250_000
     # (7^6 - 1) x 2 = 235,296 rows, the largest measured table

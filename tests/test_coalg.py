@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from modchar import coalg, verify
 from modchar.coalg import (
     coproduct,
     gaussian_binomial,
@@ -120,6 +121,86 @@ def test_lucas_against_factorial_oracle():
         for m in range(0, 120):
             for k in range(0, m + 1):
                 assert lucas_binomial(p, m, k) == math.comb(m, k) % p
+
+
+BIG_P = 1000003
+
+
+def _comb_product(parts):
+    """The multinomial as a product of exact binomials, one per part."""
+    out, total = 1, 0
+    for x in parts:
+        total += x
+        out *= math.comb(total, x)
+    return out
+
+
+# each (m, k) keeps min(k, m - k) small, so math.comb stays cheap at p ~ 10^6
+@pytest.mark.parametrize(
+    "m, k",
+    [
+        ((BIG_P - 1) + (BIG_P - 2) * BIG_P, (BIG_P - 4) + (BIG_P - 2) * BIG_P),
+        ((BIG_P - 2) + (BIG_P - 1) * BIG_P, (BIG_P - 7) + (BIG_P - 1) * BIG_P),
+        (1 + (BIG_P - 1) * BIG_P, (BIG_P - 1) + (BIG_P - 2) * BIG_P),  # carry: 0
+        (BIG_P - 1, BIG_P - 3),
+        (3 + 4 * BIG_P, 2),
+        (3 + 4 * BIG_P, 1 + 4 * BIG_P),
+        (BIG_P + 1, 2),  # carry: 0
+        (5 * BIG_P**2 + 7, 6),
+        (5 * BIG_P**2 + 7, 5 * BIG_P**2 + 2),
+    ],
+)
+def test_lucas_at_a_large_prime(m, k):
+    assert lucas_binomial(BIG_P, m, k) == math.comb(m, k) % BIG_P
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (BIG_P - 3, 2),
+        (2, BIG_P - 3),
+        (BIG_P - 2, 1, 1),  # carry: 0
+        (1, 2, 3),
+        (7, 0, 5 * BIG_P**2),
+        (BIG_P - 1, 1),  # carry: 0
+    ],
+)
+def test_multinomial_at_a_large_prime(parts):
+    assert multinomial_mod_p(BIG_P, parts) == _comb_product(parts) % BIG_P
+
+
+def test_digit_binomial_memo_keeps_primes_apart():
+    # the same digit pair read under each prime in turn: a memo keyed
+    # without p would hand one prime's residue to the next
+    coalg._digit_binomial.cache_clear()
+    for _ in range(2):
+        for d in range(7):
+            for e in range(d + 1):
+                for p in (2, 3, 5, 7):
+                    if d < p:
+                        assert coalg._digit_binomial(p, d, e) == math.comb(d, e) % p
+        for m in range(60):
+            for k in range(m + 1):
+                for p in (2, 3, 5, 7):
+                    assert lucas_binomial(p, m, k) == math.comb(m, k) % p
+                    assert multinomial_mod_p(p, (k, m - k)) == math.comb(m, k) % p
+
+
+def test_digit_binomial_memo_is_bounded():
+    maxsize = coalg._digit_binomial.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
+
+
+def test_arithmetic_suite_catches_a_wrong_digit_binomial(monkeypatch):
+    right = coalg._digit_binomial
+
+    def wrong(p, d, e):
+        return 4 if (p, d, e) == (7, 5, 2) else right(p, d, e)  # C(5,2) = 3 mod 7
+
+    monkeypatch.setattr(coalg, "_digit_binomial", wrong)
+    result = verify.suite_arithmetic("quick")
+    assert not result.ok
+    assert result.detail == "binomial p=7 C(5,2)"
 
 
 def test_no_carry_frozen_examples():
