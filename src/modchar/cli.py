@@ -32,7 +32,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, is_prime
 
 SCHEMA = "modchar/1"
 
@@ -170,8 +170,6 @@ def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> int:
 
 
 def _require_field(p: int, r: int = 1) -> None:
-    from .ff import is_prime
-
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if r < 1:
@@ -421,7 +419,7 @@ def cmd_rep_analyze(args) -> int:
             "(r = 1); this file has r = " + str(rep.ctx.r)
         )
     stages = reps.socle_filtration(rep)
-    red = reps.reduce_from_stages(rep, stages)
+    red = reps.classify(rep)  # reads J_0 and J_1 from the rep's memo
     dims = [s.dim for s in stages]
     payload = {
         "schema": SCHEMA,
@@ -438,7 +436,7 @@ def cmd_rep_analyze(args) -> int:
         payload["projection"] = [list(row) for row in red.projection]
     if basepoint is not None:
         payload["basepoint_fixed"] = all(g.matvec(basepoint) == basepoint for g in rep.generators)
-    chis = {f"y^{k}": reps.chi_from_reduction(rep, red, k).render() for k in wanted}
+    chis = {f"y^{k}": reps.chi_of_rep(rep, k).render() for k in wanted}
     if chis:
         payload["chi"] = chis
 

@@ -22,6 +22,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import is_prime
+
 
 class FieldError(ValueError):
     """Invalid field parameters or illegal element operation."""
@@ -40,34 +42,6 @@ MAX_EXTENSION_ORDER = 1 << 16
 def is_int(x) -> bool:
     """True for a genuine integer: bool is an int subclass but not one here."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _check_field(p: int, r: int) -> None:

@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -35,28 +36,27 @@ class ParseError(ValueError):
     """Malformed monomial text."""
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    ext: tuple[int, ...]
-    pows: tuple[int, ...]
+class Monomial(namedtuple("_Pair", ("ext", "pows"))):
+    """The pair (ext, pows) as a tuple, so hashing and equality run in C:
+    a Monomial equals its plain (ext, pows) pair and sorts like it."""
 
-    def __post_init__(self):
-        if len(self.ext) != len(self.pows):
+    __slots__ = ()
+
+    def __new__(cls, ext: tuple[int, ...], pows: tuple[int, ...]) -> "Monomial":
+        if len(ext) != len(pows):
             raise ValueError("ext and pows must have equal length")
-        if any(a not in (0, 1) for a in self.ext):
+        if any(a not in (0, 1) for a in ext):
             raise ValueError("exterior exponents must be 0 or 1")
-        if any(b < 0 for b in self.pows):
+        if any(b < 0 for b in pows):
             raise ValueError("polynomial exponents must be >= 0")
+        return tuple.__new__(cls, (ext, pows))
 
     @classmethod
     def _of(cls, ext: tuple[int, ...], pows: tuple[int, ...]) -> "Monomial":
-        """A monomial built without __post_init__'s checks, for callers
-        whose ext and pows are valid by construction: tuples of equal
-        length, ext in {0, 1}, pows >= 0."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "ext", ext)
-        object.__setattr__(m, "pows", pows)
-        return m
+        """A monomial built without __new__'s checks, for callers whose
+        ext and pows are valid by construction: tuples of equal length,
+        ext in {0, 1}, pows >= 0."""
+        return tuple.__new__(cls, (ext, pows))
 
     @property
     def r(self) -> int:

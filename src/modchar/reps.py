@@ -9,6 +9,14 @@ previous stage (the identity before J_0).  socle_filtration_by_annihilators
 is an independent second route kept as a reference: verify's filtration
 suite and the tests compare it with the first, production calls do not.
 
+Each rep computes its socle stages and its Reduction at most once: a
+memo on the rep holds the stages as far as any caller has read them, and
+classify's result.  socle_filtration, classify, chi_of_rep, iso_to_basic
+and socle_tensor_check all read it, so classify alone builds only J_0 and
+J_1, and a later socle_filtration continues from there.  The memo is not
+a field: equality, hashing and repr ignore it.  validate is not memoised;
+it runs the rank of a generator only when its order check fails.
+
 The reduction reads only J_0 and J_1 (reduce_from_stages).  Classes
 vanish unless J_0 is a line, with canonical vector w0 and pivot c0.  Then
 each D_l is w0 (x) phi_l on J_1, where phi_l(b) = (row c0 of D_l) . b is
@@ -89,6 +97,15 @@ class Rep:
         object.__setattr__(rep, "generators", generators)
         return rep
 
+    def _socle_memo(self) -> "_SocleMemo":
+        """The memo of this rep's socle stages and Reduction, made on
+        first use.  It lives in the instance dict, outside the fields."""
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = _SocleMemo(self)
+            object.__setattr__(self, "_memo", memo)
+        return memo
+
     @property
     def rank(self) -> int:
         """Rank s of the acting elementary abelian group."""
@@ -129,10 +146,11 @@ def validate(rep: Rep) -> list[str]:
     p = rep.ctx.p
     ident = MatrixFF.identity(rep.ctx, rep.dim)
     for i, g in enumerate(rep.generators):
+        if g.pow_int(p) == ident:
+            continue  # g^p = 1 makes g invertible, so no rank is needed
         if g.rank() != rep.dim:
             out.append(f"generator {i} is singular")
-            continue
-        if g.pow_int(p) != ident:
+        else:
             out.append(f"generator {i} does not have order dividing {p}")
     for i, j in itertools.combinations(range(rep.rank), 2):
         gi, gj = rep.generators[i], rep.generators[j]
@@ -141,34 +159,69 @@ def validate(rep: Rep) -> list[str]:
     return out
 
 
+class _SocleMemo:
+    """One rep's socle stages as far as any caller has read them, and its
+    Reduction once classify has run.  It keeps the generator differences
+    D_g = g - 1 until the last stage is reached, and no reference to the
+    rep, so it dies with the rep."""
+
+    __slots__ = ("ctx", "dim", "diffs", "stages", "reduction")
+
+    def __init__(self, rep: Rep):
+        self.ctx, self.dim = rep.ctx, rep.dim
+        ident = MatrixFF.identity(rep.ctx, rep.dim)
+        self.diffs = [g.sub(ident) for g in rep.generators]
+        self.stages = []
+        self.reduction = None
+
+    def extend(self) -> None:
+        """Append the next stage (see _socle_stages)."""
+        ctx, n, diffs, stages = self.ctx, self.dim, self.diffs, self.stages
+        if stages:
+            member = stages[-1].membership_matrix()
+            stacked = [member.mul(d) for d in diffs]
+        else:
+            stacked = diffs
+        rows = [row for mat in stacked for row in mat.rows]
+        stage = ff.kernel(MatrixFF(ctx, rows)) if rows else Subspace.full(ctx, n)
+        if stages and stage.dim <= stages[-1].dim:
+            raise AssertionError(
+                "socle filtration stalled (is the action unipotent?)"
+            )
+        stages.append(stage)
+        if stage.dim == n:
+            self.diffs = None
+
+
 def _socle_stages(rep: Rep):
     """Yield J_0 < J_1 < ... up to the full space by quotient iteration:
     J_i is the kernel of the stacked matrix [R D_1; ...; R D_s], where
     D_g = g - 1 and R is the membership matrix of J_{i-1} (the identity
     for J_0), i.e. the vectors every generator difference sends into the
-    previous stage."""
-    ctx, n = rep.ctx, rep.dim
-    ident = MatrixFF.identity(ctx, n)
-    diffs = [g.sub(ident) for g in rep.generators]
-    stacked, prev_dim = diffs, -1
+    previous stage.  Stages already in the rep's memo are read from it,
+    and each new one is added to it.  A stall drops the memo, so the next
+    walk stalls again rather than reading a partial one."""
+    memo = rep._socle_memo()
+    stages = memo.stages
+    i = 0
     while True:
-        rows = [row for mat in stacked for row in mat.rows]
-        stage = ff.kernel(MatrixFF(ctx, rows)) if rows else Subspace.full(ctx, n)
-        if stage.dim <= prev_dim:
-            raise AssertionError(
-                "socle filtration stalled (is the action unipotent?)"
-            )
-        yield stage
-        if stage.dim == n:
+        if i == len(stages):
+            try:
+                memo.extend()
+            except AssertionError:
+                rep.__dict__.pop("_memo", None)
+                raise
+        yield stages[i]
+        if stages[i].dim == rep.dim:
             return
-        member = stage.membership_matrix()
-        stacked, prev_dim = [member.mul(d) for d in diffs], stage.dim
+        i += 1
 
 
 def socle_filtration(rep: Rep) -> list[Subspace]:
     """Ascending chain J_0 < J_1 < ... ending at the full space, J_i
     the vectors killed by the (i+1)-st power of the augmentation ideal,
-    each stage the kernel of one stacked matrix (see _socle_stages).
+    each stage the kernel of one stacked matrix (see _socle_stages),
+    computed once per rep; every call returns a new list.
     socle_filtration_by_annihilators is the independent second route;
     verify's filtration suite and the tests compare the two."""
     return list(_socle_stages(rep))
@@ -485,8 +538,12 @@ def classify(rep: Rep) -> Reduction:
     """Reduce from the first two socle stages (see reduce_from_stages):
     zero verdict unless J_0 is a line, else the projection onto the group
     acting faithfully on J_1, which pairs against J_1 / J_0, and the basic
-    model that pairing matches."""
-    return reduce_from_stages(rep, _socle_stages(rep))
+    model that pairing matches.  Computed once per rep, from the stages in
+    its memo, and kept there."""
+    memo = rep._socle_memo()
+    if memo.reduction is None:
+        memo.reduction = reduce_from_stages(rep, _socle_stages(rep))
+    return memo.reduction
 
 
 def iso_to_basic(rep: Rep) -> MatrixFF:
@@ -535,7 +592,8 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
 
 def chi_of_rep(rep: Rep, k: int) -> MultiPoly:
     """The y^k class of an arbitrary prime-field rep, as a polynomial in
-    one variable per generator (see chi_from_reduction)."""
+    one variable per generator (see chi_from_reduction), from the rep's
+    memoised classify result."""
     return chi_from_reduction(rep, classify(rep), k)
 
 

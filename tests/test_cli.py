@@ -385,7 +385,7 @@ _LOADED_AT_EXIT = """\
 import sys
 from modchar.cli import main
 code = main(sys.argv[1:])
-print(sorted(name for name in ("modchar.chi", "modchar.dickson") if name in sys.modules))
+print(sorted(name for name in ("modchar.chi", "modchar.dickson", "modchar.ff") if name in sys.modules))
 sys.exit(code)
 """
 

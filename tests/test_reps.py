@@ -4,6 +4,7 @@ conjugation onto the basic model, tensor compatibility, serialization."""
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -165,6 +166,89 @@ def test_socle_filtration_edge_ranks_and_dims():
     empty = quotient(xi, Subspace.full(xi.ctx, 3))
     assert empty.dim == 0 and empty.rank == 1
     assert [s.dim for s in socle_filtration(empty)] == [0]
+
+
+def _count_kernels(monkeypatch):
+    """Record the column count of every ff.kernel call."""
+    calls = []
+    kernel = ff.kernel
+
+    def counted(mat):
+        calls.append(mat.ncols)
+        return kernel(mat)
+
+    monkeypatch.setattr(ff, "kernel", counted)
+    return calls
+
+
+def test_one_rep_computes_each_socle_stage_and_its_reduction_once(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    rep = wedge_sum(basic_rep(2, 1, 1), basic_rep(2, 1, 2)).rep
+    assert [s.dim for s in socle_filtration(rep)] == [1, 4]
+    red = classify(rep)
+    assert (red.verdict, red.quotient_rank) == ("reduced", 3)
+    assert [chi_of_rep(rep, k).is_zero() for k in (1, 3, 7)] == [True, True, False]
+    iso_to_basic(rep)
+    assert socle_filtration(rep) == socle_filtration(rep)
+    # one kernel per stage (dim 4 columns), one for the trivial subgroup
+    # (one column per generator)
+    assert calls == [4, 4, 3]
+
+
+def test_classify_alone_builds_two_stages(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    rep = regular_rep(2, 4)
+    assert classify(rep).quotient_rank == 4
+    assert calls == [16, 16, 4]
+    # the full filtration continues from J_1
+    assert [s.dim for s in socle_filtration(rep)] == [1, 5, 11, 15, 16]
+    assert calls == [16, 16, 4, 16, 16, 16]
+
+
+def test_socle_memo_is_not_part_of_the_rep():
+    filled = regular_rep(2, 3)
+    socle_filtration(filled)
+    classify(filled)
+    fresh = regular_rep(2, 3)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert classify(fresh) == classify(filled)
+    ref = weakref.ref(filled)
+    del filled
+    assert ref() is None  # nothing the memo holds keeps the rep alive
+
+
+def test_socle_stall_is_raised_on_every_call(monkeypatch):
+    # order 2 over GF(3): not unipotent, so J_1 = J_0 and the walk stalls
+    ctx = FieldCtx(3, 1)
+    rep = Rep._of(ctx, 2, (ints(ctx, [[0, 1], [1, 0]]),))
+    calls = _count_kernels(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="stalled"):
+            socle_filtration(rep)
+    assert calls == [2, 2, 2, 2]  # the second walk recomputes J_0 and J_1
+    with pytest.raises(AssertionError, match="stalled"):
+        classify(rep)
+
+
+def test_validate_ranks_only_generators_of_the_wrong_order(monkeypatch):
+    ranks = []
+    rank = MatrixFF.rank
+    monkeypatch.setattr(MatrixFF, "rank", lambda self: ranks.append(self) or rank(self))
+    for rep in (regular_rep(2, 3), big_rep(3, 1, 2), basic_rep(2, 2, 2).rep):
+        assert validate(rep) == []
+    assert ranks == []
+    ctx = FieldCtx(3, 1)
+    swap = ints(ctx, [[0, 1], [1, 0]])
+    singular = ints(ctx, [[1, 1], [1, 1]])
+    unipotent = ints(ctx, [[1, 1], [0, 1]])
+    assert validate(Rep._of(ctx, 2, (unipotent, singular, swap))) == [
+        "generator 1 is singular",
+        "generator 2 does not have order dividing 3",
+        "generators 0 and 1 do not commute",
+        "generators 0 and 2 do not commute",
+    ]
+    assert ranks == [singular, swap]
 
 
 def test_classify_without_conjugation_or_subspace_loops(monkeypatch):
