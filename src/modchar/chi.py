@@ -11,7 +11,6 @@ and whose polynomial exponents add without base-p carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coalg
@@ -32,32 +31,23 @@ STATUS_ZERO = "zero"
 STATUS_UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class ChiQuery:
-    """A class evaluation request: invariant monomial alpha on the basic
-    representation of rank n over GF(p^r)."""
-
-    p: int
-    r: int
-    alpha: Monomial
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rank n must be >= 1")
-        if self.alpha.r != self.r:
-            raise NotInvariant(f"alpha has r = {self.alpha.r}, expected {self.r}")
-        check_valid(self.alpha, self.p, self.r)
-        if not is_invariant(self.alpha, self.p):
-            raise NotInvariant(
-                f"{self.alpha} is not invariant for q = {self.p ** self.r}"
-            )
+def _check_query(p: int, r: int, alpha: Monomial, n: int) -> None:
+    """Raise unless (p, r, alpha, n) is a class evaluation request: an
+    invariant monomial alpha on the basic representation of rank n over
+    GF(p^r)."""
+    if n < 1:
+        raise ValueError("rank n must be >= 1")
+    if alpha.r != r:
+        raise NotInvariant(f"alpha has r = {alpha.r}, expected {r}")
+    check_valid(alpha, p, r)
+    if not is_invariant(alpha, p):
+        raise NotInvariant(f"{alpha} is not invariant for q = {p ** r}")
 
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     """Value of the alpha-class on the rank-n basic representation, as a
     tensor class; zero when alpha has degree 0 (see _split_ids)."""
-    ChiQuery(p, r, alpha, n)
+    _check_query(p, r, alpha, n)
     if degree(alpha, p) == 0:
         return TensorClass.zero(p, r, n)
     monomials, ids = _split_ids(p, r, alpha, n)
@@ -136,7 +126,7 @@ def is_chi_nonzero(p: int, r: int, alpha: Monomial, n: int) -> bool:
     whose weights each vanish mod q - 1 (carry-freeness and the
     invariance of every factor are exactly this condition, and distinct
     splittings can never cancel)."""
-    ChiQuery(p, r, alpha, n)
+    _check_query(p, r, alpha, n)
     if degree(alpha, p) == 0:
         return False
     q1 = p**r - 1
@@ -283,15 +273,44 @@ def splitting_is_admissible(
     )
 
 
-@dataclass(frozen=True)
 class DegreeTableRow:
     """A nonzero universal class: the alpha-class on the defining
-    N-dimensional representation, with its degree and strength."""
+    N-dimensional representation, with its degree and strength.  A row
+    is frozen: assigning to a field raises AttributeError."""
 
-    N: int
-    alpha: Monomial
-    degree: int
-    status: str
+    __slots__ = ("N", "alpha", "degree", "status")
+
+    def __init__(self, N: int, alpha: Monomial, degree: int, status: str):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "status", status)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen DegreeTableRow")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen DegreeTableRow")
+
+    def _fields(self) -> tuple:
+        return (self.N, self.alpha, self.degree, self.status)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (DegreeTableRow, self._fields())
+
+    def __repr__(self):
+        return (
+            f"DegreeTableRow(N={self.N!r}, alpha={self.alpha!r}, "
+            f"degree={self.degree!r}, status={self.status!r})"
+        )
 
 
 def universal_table(

@@ -17,7 +17,8 @@ Each command imports the modules it runs inside its cmd_* function,
 after the input checks that need none of them, and the result cache is
 imported only when a cache root is set, so a command compiles and loads
 only its own part of the package, and an input error those checks catch
-exits before the compute layers load.
+exits before the compute layers load.  json, too, is imported only by
+JSON output and by rep-analyze, which reads a JSON file.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 4 internal error (a broken internal invariant, never a check result),
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -159,6 +159,8 @@ def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> int:
     or the text lines); exit 0, or 1 when a check failed.  rows and lines
     are lazy, so the format not asked for is never built."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
         sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
@@ -374,6 +376,8 @@ def cmd_dickson(args) -> int:
 
 
 def cmd_tuples(args) -> int:
+    if args.max < 0:
+        raise InputError("--max must be >= 0")
     _require_field(args.p)
     from . import chi
 
@@ -392,6 +396,8 @@ def cmd_tuples(args) -> int:
 
 
 def cmd_rep_analyze(args) -> int:
+    import json
+
     from . import reps
 
     try:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import chi
@@ -67,15 +66,12 @@ class IdentityFailure(ArithmeticError):
     """An exact polynomial identity that must hold failed to verify."""
 
 
-@dataclass
 class MultiPoly(SparseCombination):
     """Sparse multivariate polynomial over F_p; keys are exponent tuples.
     A total class is one of these holding all its degrees; `components`
     splits it into its homogeneous parts."""
 
-    p: int
-    nvars: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("p", "nvars", "terms")
 
     def _context(self):
         return (self.p, self.nvars)
@@ -86,8 +82,17 @@ class MultiPoly(SparseCombination):
                 raise ValueError("exponent vector length != nvars")
 
     @classmethod
+    def _of(cls, p: int, nvars: int, terms: dict) -> "MultiPoly":
+        """A polynomial whose terms are already reduced mod p and nonzero,
+        keyed by nvars-tuples, built without the constructor's pass over
+        them (zero, products and the splitting formula's classes)."""
+        poly = object.__new__(cls)
+        poly.p, poly.nvars, poly.terms = p, nvars, terms
+        return poly
+
+    @classmethod
     def zero(cls, p, nvars):
-        return cls(p, nvars, {})
+        return cls._of(p, nvars, {})
 
     @classmethod
     def const(cls, p, nvars, c):
@@ -135,7 +140,7 @@ class MultiPoly(SparseCombination):
                         key = k1 + k2
                         out[key] = out.get(key, 0) + c1 * c2
             terms.update(_unpack({k: v for k, c in out.items() if (v := c % p)}, d + 1, nvars))
-        return MultiPoly(p, nvars, terms)
+        return MultiPoly._of(p, nvars, terms)
 
     def pow(self, k):
         result = MultiPoly.const(self.p, self.nvars, 1)
@@ -314,7 +319,7 @@ def chi_y_power(p: int, n: int, k: int) -> MultiPoly:
         return MultiPoly.zero(p, n)
     monomials, ids = chi._split_ids(p, 1, Monomial((0,), (k,)), n)
     pows = [m.pows[0] for m in monomials]
-    return MultiPoly(p, n, {tuple(pows[i] for i in tup): c for tup, c in ids.items()})
+    return MultiPoly._of(p, n, {tuple(pows[i] for i in tup): c for tup, c in ids.items()})
 
 
 def dickson_total(p: int, n: int) -> MultiPoly:

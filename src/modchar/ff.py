@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import is_prime
 
@@ -508,17 +507,41 @@ def _rref(ctx, rows):
     return rows, pivots
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """Subspace of F_q^n held as a canonical reduced row-echelon basis.
+    """Subspace of F_q^n held as a canonical reduced row-echelon basis
+    (basis: a tuple of row vectors, tuples of field elements).
 
     Canonicality makes equality structural: two subspaces are equal as
-    sets of vectors iff their basis tuples are equal.
+    sets of vectors iff their basis tuples are equal.  A subspace is
+    frozen: assigning to a field raises AttributeError.
     """
 
-    ctx: FieldCtx
-    ambient_dim: int
-    basis: tuple  # tuple of row vectors (tuples of field elements)
+    __slots__ = ("ctx", "ambient_dim", "basis")
+
+    def __init__(self, ctx: FieldCtx, ambient_dim: int, basis: tuple):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Subspace")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Subspace")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.ambient_dim, self.basis) == (other.ctx, other.ambient_dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.ctx, self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(ctx={self.ctx!r}, ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (Subspace, (self.ctx, self.ambient_dim, self.basis))
 
     @classmethod
     def from_vectors(cls, ctx, ambient_dim, vectors):

@@ -21,7 +21,6 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 
 class ContextMismatch(ValueError):
@@ -164,8 +163,11 @@ _TOKEN = re.compile(r"([xy])(\d*)(?:\^(\d+))?$")
 
 def parse_monomial(text: str, r: int) -> Monomial:
     """Parse the grammar `x0 x1 y0^3 y1^2`; for r = 1 indices may be
-    omitted (`x y^4`); the literal `1` is the unit monomial."""
+    omitted (`x y^4`); the literal `1` is the unit monomial, and empty or
+    blank text is a ParseError."""
     text = text.strip()
+    if not text:
+        raise ParseError("empty monomial (write 1 for the unit)")
     if text == "1":
         return Monomial.unit(r)
     ext = [0] * r
@@ -222,15 +224,37 @@ def format_term(text: str, c: int) -> str:
 class SparseCombination:
     """What every sparse F_p-combination shares: coefficients reduced mod
     p with zero terms dropped, add/sub/neg/scale and the context check.
-    Subclasses are dataclasses whose fields are the context, then
-    `terms`; each validates its own keys in `_check_keys` and names its
-    context in `_context`.  Equality is the dataclass one: same type,
-    same context, same terms."""
 
-    def __post_init__(self):
+    A subclass lists its context fields, then `terms`, as its
+    `__slots__`; the constructor takes them in that order (terms may be
+    left out for the zero class), validates the keys in `_check_keys`,
+    and `_context` returns the context fields.  Equality means same
+    type, same context and same terms; a combination is mutable, so it
+    has no hash.  repr is `Name(field=value, ...)`."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) == len(names) - 1:
+            fields += ({},)
+        elif len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, fields):
+            setattr(self, name, value)
         p = self.p
         self.terms = {key: v for key, c in self.terms.items() if (v := c % p)}
         self._check_keys()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def _like(self, terms: dict):
         return type(self)(*self._context(), terms)
@@ -259,14 +283,10 @@ class SparseCombination:
         return not self.terms
 
 
-@dataclass
 class TensorClass(SparseCombination):
     """Sparse F_p-combination of n-tuples of monomials."""
 
-    p: int
-    r: int
-    n: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("p", "r", "n", "terms")
 
     def _context(self):
         return (self.p, self.r, self.n)

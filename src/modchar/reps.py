@@ -36,14 +36,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import ff
 from .ff import FieldCtx, MatrixFF, Subspace
-
-if TYPE_CHECKING:
-    from .dickson import MultiPoly
 
 
 # Largest dim a representation file may declare, checked before any matrix
@@ -66,41 +61,67 @@ class ReductionError(ValueError):
     """Preconditions of a basic-model reduction fail."""
 
 
-@dataclass(frozen=True)
 class Rep:
     """dim-dimensional representation of F_p^s given by s commuting
     invertible matrices of order p over the field of ctx.  Every Rep
     satisfies that contract: the constructor raises RepValidationError
-    with validate's report otherwise."""
+    with validate's report otherwise.
 
-    ctx: FieldCtx
-    dim: int
-    generators: tuple
+    The fields ctx, dim and generators are frozen: assigning to one
+    raises AttributeError.  Equality, hashing and repr read only them,
+    never the socle memo in the _memo slot."""
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ctx != self.ctx:
+    __slots__ = ("ctx", "dim", "generators", "_memo", "__weakref__")
+
+    def __init__(self, ctx: FieldCtx, dim: int, generators: tuple):
+        for g in generators:
+            if g.ctx != ctx:
                 raise ff.DimensionError("generator over a different field")
-            if g.nrows != self.dim or g.ncols != self.dim:
+            if g.nrows != dim or g.ncols != dim:
                 raise ff.DimensionError("generator shape != dim x dim")
+        self._set(ctx, dim, generators)
         violations = validate(self)
         if violations:
             raise RepValidationError(violations)
 
     @classmethod
     def _of(cls, ctx: FieldCtx, dim: int, generators: tuple) -> "Rep":
-        """A rep built without __post_init__'s checks, for the library
+        """A rep built without __init__'s checks, for the library
         constructions: each is valid when its inputs are valid reps."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "ctx", ctx)
-        object.__setattr__(rep, "dim", dim)
-        object.__setattr__(rep, "generators", generators)
+        rep._set(ctx, dim, generators)
         return rep
+
+    def _set(self, ctx: FieldCtx, dim: int, generators: tuple) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_memo", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Rep")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Rep")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.dim, self.generators) == (other.ctx, other.dim, other.generators)
+
+    def __hash__(self):
+        return hash((self.ctx, self.dim, self.generators))
+
+    def __repr__(self):
+        return f"Rep(ctx={self.ctx!r}, dim={self.dim!r}, generators={self.generators!r})"
+
+    def __reduce__(self):  # copy and pickle the fields, not the memo
+        return (Rep._of, (self.ctx, self.dim, self.generators))
 
     def _socle_memo(self) -> "_SocleMemo":
         """The memo of this rep's socle stages and Reduction, made on
-        first use.  It lives in the instance dict, outside the fields."""
-        memo = self.__dict__.get("_memo")
+        first use.  It lives in the _memo slot, outside the fields."""
+        memo = self._memo
         if memo is None:
             memo = _SocleMemo(self)
             object.__setattr__(self, "_memo", memo)
@@ -123,21 +144,42 @@ class Rep:
         return MatrixFF.identity(self.ctx, self.dim) if out is None else out
 
 
-@dataclass(frozen=True)
 class PointedRep:
-    """Representation with a chosen nonzero fixed vector."""
+    """Representation with a chosen nonzero fixed vector; frozen, like
+    Rep."""
 
-    rep: Rep
-    basepoint: tuple
+    __slots__ = ("rep", "basepoint")
 
-    def __post_init__(self):
-        if len(self.basepoint) != self.rep.dim:
+    def __init__(self, rep: Rep, basepoint: tuple):
+        if len(basepoint) != rep.dim:
             raise ff.DimensionError("basepoint length != dim")
-        if not any(self.basepoint):
+        if not any(basepoint):
             raise RepValidationError(["basepoint is zero"])
-        for i, g in enumerate(self.rep.generators):
-            if g.matvec(self.basepoint) != self.basepoint:
+        for i, g in enumerate(rep.generators):
+            if g.matvec(basepoint) != basepoint:
                 raise RepValidationError([f"generator {i} moves the basepoint"])
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "basepoint", basepoint)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen PointedRep")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen PointedRep")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rep, self.basepoint) == (other.rep, other.basepoint)
+
+    def __hash__(self):
+        return hash((self.rep, self.basepoint))
+
+    def __repr__(self):
+        return f"PointedRep(rep={self.rep!r}, basepoint={self.basepoint!r})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (PointedRep, (self.rep, self.basepoint))
 
 
 def validate(rep: Rep) -> list[str]:
@@ -209,7 +251,7 @@ def _socle_stages(rep: Rep):
             try:
                 memo.extend()
             except AssertionError:
-                rep.__dict__.pop("_memo", None)
+                object.__setattr__(rep, "_memo", None)
                 raise
         yield stages[i]
         if stages[i].dim == rep.dim:
@@ -231,30 +273,29 @@ socle_filtration_by_quotients = socle_filtration
 
 
 def socle_filtration_by_annihilators(rep: Rep) -> list[Subspace]:
-    ctx = rep.ctx
-    ident = MatrixFF.identity(ctx, rep.dim)
+    """J_0 < J_1 < ... by the direct definition: J_i is the kernel of
+    every (i+1)-fold product of generator differences D_g = g - 1, taken
+    as one kernel of all their rows stacked.  The differences commute,
+    so products over multisets of growing size exhaust the powers of the
+    augmentation ideal.  It shares nothing with socle_filtration but
+    ff.kernel: no memo, no membership matrix, no earlier stage."""
+    ctx, n = rep.ctx, rep.dim
+    ident = MatrixFF.identity(ctx, n)
     diffs = [g.sub(ident) for g in rep.generators]
-    full = Subspace.full(ctx, rep.dim)
+    full = Subspace.full(ctx, n)
     stages = []
-    # products of generator differences over multisets of growing size
-    # (differences commute, so multisets exhaust the ideal powers)
-    products = [(ident, 0)]
+    products = [(ident, 0)]  # (product, index of its last difference)
     while True:
-        new_products = []
-        for mat, start in products:
-            for j in range(start, len(diffs)):
-                new_products.append((mat.mul(diffs[j]), j))
-        products = new_products
-        stage = full
-        for mat, _ in products:
-            stage = ff.intersect(stage, ff.kernel(mat))
+        products = [
+            (mat.mul(diffs[j]), j) for mat, start in products for j in range(start, len(diffs))
+        ]
+        rows = tuple(row for mat, _ in products for row in mat.rows if any(row))
+        stage = ff.kernel(MatrixFF._of(ctx, rows)) if rows else full
         stages.append(stage)
         if stage == full:
             return stages
-        if len(stages) > rep.dim:
-            raise AssertionError(
-                "socle filtration stalled (is the action unipotent?)"
-            )
+        if len(stages) > n:
+            raise AssertionError("socle filtration stalled (is the action unipotent?)")
 
 
 def restrict(rep: Rep, space: Subspace) -> Rep:
@@ -439,19 +480,54 @@ def pullback(rep: Rep, exponent_matrix) -> Rep:
 # -- classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Reduction:
-    """Outcome of reducing a representation's classes to a basic model.
+    """Outcome of reducing a representation's classes to a basic model;
+    frozen, like Rep.
 
     verdict 'zero' means every class vanishes (fixed space too large);
     'reduced' carries the quotient rank m, the projection F_p^s -> F_p^m
     (rows of integer residues), and, when available, the rank-m basic
     representation the classes pull back from."""
 
-    verdict: str
-    quotient_rank: int | None = None
-    projection: tuple | None = None
-    basic_model: PointedRep | None = None
+    __slots__ = ("verdict", "quotient_rank", "projection", "basic_model")
+
+    def __init__(
+        self,
+        verdict: str,
+        quotient_rank: int | None = None,
+        projection: tuple | None = None,
+        basic_model: PointedRep | None = None,
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "quotient_rank", quotient_rank)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "basic_model", basic_model)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Reduction")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Reduction")
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.quotient_rank, self.projection, self.basic_model)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (Reduction, self._fields())
+
+    def __repr__(self):
+        return (
+            f"Reduction(verdict={self.verdict!r}, quotient_rank={self.quotient_rank!r}, "
+            f"projection={self.projection!r}, basic_model={self.basic_model!r})"
+        )
 
 
 def _pairing(rep: Rep, j0: Subspace, j1: Subspace) -> list[list]:
@@ -590,14 +666,14 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
     return t_matrix
 
 
-def chi_of_rep(rep: Rep, k: int) -> MultiPoly:
+def chi_of_rep(rep: Rep, k: int) -> "MultiPoly":
     """The y^k class of an arbitrary prime-field rep, as a polynomial in
     one variable per generator (see chi_from_reduction), from the rep's
     memoised classify result."""
     return chi_from_reduction(rep, classify(rep), k)
 
 
-def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> MultiPoly:
+def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> "MultiPoly":
     """The y^k class of a prime-field rep from its classify() result:
     zero verdict gives 0, otherwise the basic answer for the quotient
     rank (dickson.chi_y_power, the splitting formula) pulled back along

@@ -9,7 +9,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from . import chi as chi_mod
 from . import coalg, dickson, reps
@@ -28,7 +27,7 @@ from .chi import (
     witness_degree,
     witness_splitting,
 )
-from .ff import FieldCtx, MatrixFF
+from .ff import FieldCtx, FieldError, MatrixFF
 from .mono import (
     Monomial,
     TensorClass,
@@ -43,12 +42,29 @@ Q_GRID = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))  # q in {2,3,4,5,8,9}
 DICKSON_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))  # quick profile
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+    """One suite's outcome: its name, whether it passed, its detail and
+    its running time.  Equality compares every field; it has no hash."""
+
+    __slots__ = ("name", "ok", "detail", "seconds")
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
+
+    def _fields(self) -> tuple:
+        return (self.name, self.ok, self.detail, self.seconds)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"SuiteResult(name={self.name!r}, ok={self.ok!r}, "
+            f"detail={self.detail!r}, seconds={self.seconds!r})"
+        )
 
 
 class SuiteFailure(Exception):
@@ -628,9 +644,11 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
             for _ in range(rep.dim)
         ]
         mat = MatrixFF(ctx, cand)
-        if mat.rank() == rep.dim:
-            break
-    inv = mat.inverse()
+        try:
+            inv = mat.inverse()
+        except FieldError:  # singular: draw again
+            continue
+        break
     gens = tuple(mat.mul(g).mul(inv) for g in rep.generators)
     return reps.Rep._of(ctx, rep.dim, gens)
 

@@ -18,7 +18,6 @@ from modchar.chi import (
     STATUS_NONZERO,
     STATUS_UNDEFINED,
     STATUS_ZERO,
-    ChiQuery,
     chi_basic,
     digit_sum,
     indecomposable_tuples,
@@ -121,7 +120,7 @@ def test_chi_rejects_non_invariant():
     with pytest.raises(NotInvariant):
         chi_basic(3, 1, y(1), 2)
     with pytest.raises(NotInvariant):
-        ChiQuery(3, 1, y(1), 2)
+        chi._check_query(3, 1, y(1), 2)
 
 
 def test_chi_rejects_exterior_generators_at_p2():

@@ -162,6 +162,13 @@ def test_chi_parse_error(capsys):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("alpha", ["", "   "])
+def test_chi_empty_or_blank_alpha_is_a_parse_error(capsys, alpha):
+    code, out, err = run(capsys, "chi", "--p", "3", "--n", "2", "--alpha", alpha)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: cannot parse alpha: empty monomial (write 1 for the unit)\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--p", "2"])
@@ -336,6 +343,7 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
         (["basis", "--p", "4", "--max-degree", "3"], "p = 4 is not prime"),
         (["nonvanish", "--p", "4", "--n", "1"], "p = 4 is not prime"),
         (["tuples", "--p", "4", "--n", "2", "--max", "7"], "p = 4 is not prime"),
+        (["tuples", "--p", "2", "--n", "3", "--max", "-5"], "--max must be >= 0"),
         (
             ["basis", "--p", "3", "--r", "12", "--max-degree", "30"],
             "the basis walk would test 11,058,116,888 exponent vectors; "
@@ -364,7 +372,7 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
         (["nonvanish", "--p", "3", "--n", "0"], "--n must be >= 1"),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
-         "basis-p4", "nonvanish-p4", "tuples-p4", "basis-walk", "nonvanish-rows",
+         "basis-p4", "nonvanish-p4", "tuples-p4", "tuples-max-5", "basis-walk", "nonvanish-rows",
          "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-rows-p2",
          "nonvanish-n0"],
 )
@@ -401,8 +409,9 @@ sys.exit(code)
             "the table for p^n = 2^30 would list more than 250,000 rows; "
             "the nonvanish bound is 250,000 rows",
         ),
+        (["tuples", "--p", "2", "--n", "3", "--max", "-5"], "--max must be >= 0"),
     ],
-    ids=["chi", "dickson", "tuples", "nonvanish"],
+    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max"],
 )
 def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -416,6 +425,54 @@ def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr == f"error: {bound}\n"
     assert proc.stdout == "[]\n"
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize at start-up; no
+# command may load either.  json loads only for JSON output and rep files.
+_START_UP_MODULES = """\
+import sys
+before = set(sys.modules)
+from modchar.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+new = set(sys.modules) - before
+sys.stderr.write(f"loaded: {sorted(name for name in ('dataclasses', 'inspect', 'json') if name in new)}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["basis", "--p", "3", "--max-degree", "6"], 0, []),
+        (["chi", "--p", "3", "--n", "2", "--alpha", "y^4", "--format", "json"], 0, ["json"]),
+        (["nonvanish", "--p", "3", "--n", "2", "--format", "csv"], 0, []),
+        (["tuples", "--p", "2", "--n", "3", "--max", "20"], 0, []),
+        (["dickson", "--p", "2", "--n", "2"], 0, []),
+        (["rep-analyze", "{regular}", "--chi", "3,7"], 0, ["json"]),
+        (["rep-analyze", "{noncommuting}"], 3, ["json"]),
+        (["verify", "--suite", "filtration"], 0, []),
+    ],
+    ids=["basis", "chi", "nonvanish", "tuples", "dickson", "rep-analyze-chi", "rep-error", "verify"],
+)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv, code, loaded):
+    files = {
+        "regular": _write_rep(tmp_path, reps.regular_rep(2, 3)),
+        "noncommuting": str(tmp_path / "noncommuting.json"),
+    }
+    generators = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]
+    Path(files["noncommuting"]).write_text(json.dumps({"p": 2, "dim": 3, "generators": generators}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_MODULES, *(arg.format(**files) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    # json may already be loaded at start-up, so a command that uses it may not load it anew
+    assert proc.stderr.splitlines()[-1] in {f"loaded: {loaded}", "loaded: []"}
 
 
 def test_nonvanish_row_bound_edges():

@@ -177,6 +177,18 @@ def test_parse_and_format_round_trip():
         assert parse_monomial(format_monomial(parsed), r) == parsed
 
 
+@pytest.mark.parametrize("text", ["", " ", "\t\n"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_parse_rejects_empty_or_blank_text(text, r):
+    with pytest.raises(ParseError, match="empty monomial"):
+        parse_monomial(text, r)
+
+
+@pytest.mark.parametrize("text", ["1", " 1 "])
+def test_parse_literal_one_is_the_unit(text):
+    assert parse_monomial(text, 2) == Monomial.unit(2)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError, match="position 1"):
         parse_monomial("y^2 z^3", 1)

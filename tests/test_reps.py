@@ -616,3 +616,46 @@ def test_random_reps_filtration_agreement():
         dims = [s.dim for s in quot]
         assert dims[-1] == rep.dim
         assert all(b > a for a, b in zip(dims, dims[1:]))
+
+
+def _annihilator_stages_by_intersection(rep):
+    """Reference for socle_filtration_by_annihilators: J_i as the
+    intersection of the kernels of the (i+1)-fold products of generator
+    differences, one product at a time."""
+    ctx, n = rep.ctx, rep.dim
+    ident = MatrixFF.identity(ctx, n)
+    diffs = [g.sub(ident) for g in rep.generators]
+    full = Subspace.full(ctx, n)
+    stages, products = [], [(ident, 0)]
+    while not stages or stages[-1] != full:
+        products = [(m.mul(diffs[j]), j) for m, start in products for j in range(start, len(diffs))]
+        stage = full
+        for m, _ in products:
+            stage = ff.intersect(stage, ff.kernel(m))
+        stages.append(stage)
+    return stages
+
+
+def test_annihilator_route_matches_intersected_kernels_on_random_reps():
+    from modchar.verify import random_valid_rep
+
+    rng = random.Random(11)
+    for i in range(24):
+        rep = random_valid_rep(rng, [FieldCtx(2, 1), FieldCtx(3, 1), FieldCtx(2, 2)][i % 3])
+        assert reps.socle_filtration_by_annihilators(rep) == _annihilator_stages_by_intersection(rep)
+
+
+def test_annihilator_route_reads_no_memo_and_no_membership_matrix(monkeypatch):
+    def forbidden(*args):
+        raise RuntimeError("the annihilator route must stay independent")
+
+    rep = regular_rep(3, 2)
+    want = _annihilator_stages_by_intersection(rep)
+    monkeypatch.setattr(reps._SocleMemo, "extend", forbidden)
+    monkeypatch.setattr(Subspace, "membership_matrix", forbidden)
+    for r in (rep, big_rep(2, 2, 2), basic_rep(3, 1, 2).rep):
+        stages = reps.socle_filtration_by_annihilators(r)
+        assert stages[-1] == Subspace.full(r.ctx, r.dim)
+    assert reps.socle_filtration_by_annihilators(rep) == want
+    with pytest.raises(RuntimeError, match="independent"):
+        socle_filtration(regular_rep(2, 2))
