@@ -183,6 +183,11 @@ def _require_max_degree(max_degree: int | None) -> None:
         raise InputError("--max-degree must be >= 0")
 
 
+def _require_rank(n: int) -> None:
+    if n < 1:
+        raise InputError("--n must be >= 1")
+
+
 # Bound on a basis listing: the residue walk tests at most this many
 # exponent vectors (mono.basis_walk_size) over all the degrees asked for.
 # (p, r, max_degree) = (3, 8, 20) tests 3,108,105 of them in about 2 s
@@ -245,6 +250,7 @@ def _chi_result(tc) -> dict:
 
 def cmd_chi(args) -> int:
     _require_field(args.p, args.r)
+    _require_rank(args.n)
     from . import chi, mono
 
     try:
@@ -273,8 +279,7 @@ NONVANISH_MAX_ROWS = 250_000
 
 
 def _require_nonvanish_rows(p: int, r: int, n: int, max_degree: int | None) -> None:
-    if n < 1:
-        raise InputError("--n must be >= 1")
+    _require_rank(n)
     per_n, table = (1 if p == 2 else 2), f"p^n = {p}^{n}"
     if r == 1 and max_degree is not None:
         per_n, table = per_n + max_degree, f"{table} and max degree {max_degree}"
@@ -327,8 +332,7 @@ DICKSON_MAX_ORDER = 49
 def dickson_dmax(p: int, n: int, dmax: int | None) -> int:
     """The dmax a dickson report runs with, or InputError naming the
     bound the input breaks."""
-    if n < 1:
-        raise InputError("--n must be >= 1")
+    _require_rank(n)
     _require_field(p)
     q = 1
     for _ in range(n):  # stops within six steps, as p >= 2
@@ -379,6 +383,7 @@ def cmd_tuples(args) -> int:
     if args.max < 0:
         raise InputError("--max must be >= 0")
     _require_field(args.p)
+    _require_rank(args.n)
     from . import chi
 
     def compute():

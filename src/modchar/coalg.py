@@ -54,12 +54,17 @@ def lucas_binomial(p: int, m: int, k: int) -> int:
     """C(m, k) mod p via digit-wise products; 0 when k > m."""
     if k < 0 or k > m:
         return 0
+    if p == 2:  # every binary digit binomial is C(0, 0), C(1, 0) or C(1, 1) = 1
+        return 0 if k & ~m else 1
     result = 1
     while k:
-        (m, md), (k, kd) = divmod(m, p), divmod(k, p)
+        md, kd = m % p, k % p
         if kd > md:
             return 0
-        result = result * _digit_binomial(p, md, kd) % p
+        if kd and kd != md:  # C(d, 0) = C(d, d) = 1
+            result = result * _digit_binomial(p, md, kd) % p
+        m //= p
+        k //= p
     return result
 
 
@@ -71,6 +76,10 @@ def no_carry(p: int, parts) -> bool:
     for b in parts:
         a = total
         total += b
+        if p == 2:  # a binary column carries exactly where both have a 1
+            if a & b:
+                return False
+            continue
         while a and b:
             a, da = divmod(a, p)
             b, db = divmod(b, p)

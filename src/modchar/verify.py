@@ -7,7 +7,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+import threading
 import time
 
 from . import chi as chi_mod
@@ -638,19 +640,26 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
         [rng.randrange(p) for _ in range(s_new)] for _ in range(rep.rank)
     ]
     rep = reps.pullback(rep, exponents)
-    while True:
-        cand = [
-            [ctx.from_coeffs([rng.randrange(p) for _ in range(r)]) for _ in range(rep.dim)]
-            for _ in range(rep.dim)
-        ]
-        mat = MatrixFF(ctx, cand)
-        try:
-            inv = mat.inverse()
-        except FieldError:  # singular: draw again
-            continue
-        break
+    mat, inv = _random_invertible(rng, ctx, rep.dim)
     gens = tuple(mat.mul(g).mul(inv) for g in rep.generators)
     return reps.Rep._of(ctx, rep.dim, gens)
+
+
+def _random_invertible(rng: random.Random, ctx: FieldCtx, dim: int):
+    """A random invertible dim x dim matrix and its inverse: each entry
+    draws its r base-p digits, least significant first, and a singular
+    draw is drawn again."""
+    places = [ctx.p**i for i in range(ctx.r)]
+    while True:
+        rows = tuple(
+            tuple([sum([rng.randrange(ctx.p) * place for place in places]) for _ in range(dim)])
+            for _ in range(dim)
+        )
+        mat = MatrixFF._of(ctx, rows)
+        try:
+            return mat, mat.inverse()
+        except FieldError:  # singular: draw again
+            pass
 
 
 ALL_SUITES = {
@@ -669,6 +678,113 @@ ALL_SUITES = {
 
 
 def run(profile: str = "quick", names=None) -> list[SuiteResult]:
+    """Run the named suites (every suite by default) and return their
+    results in the order named.
+
+    The suites run in forked worker processes, at most one per usable
+    CPU and one per suite, each worker pinned to a CPU of its own.  They
+    start in ALL_SUITES order, so the longest, arithmetic, starts first,
+    and the CPU a worker frees goes to the next suite.  Each worker
+    sends its SuiteResult (or the exception that escaped its suite,
+    raised again here) down a pipe and leaves with os._exit, writing
+    nothing to stdout or stderr.  With one worker (one usable CPU, one
+    suite, no os.fork, or other live threads, which a fork does not
+    copy) the suites run in this process.  Every worker is reaped before
+    run returns or raises."""
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
-    return [ALL_SUITES[key](profile) for key in names or ALL_SUITES]
+    keys = list(names or ALL_SUITES)
+    suites = [ALL_SUITES[key] for key in keys]
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform: workers run anywhere
+        cpus = [None] * (os.cpu_count() or 1)
+    if min(len(cpus), len(suites)) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [suite(profile) for suite in suites]
+    # only a forking run loads these, so importing verify for random_valid_rep stays cheap
+    import pickle
+    import select
+    import signal
+
+    position = list(ALL_SUITES)
+    pending = iter(sorted(range(len(keys)), key=lambda i: position.index(keys[i])))
+    idle = cpus[: len(suites)]
+    results = [None] * len(suites)
+    live = {}  # read end of a worker's pipe -> [pid, suite index, its CPU, chunks read]
+
+    def start(i):
+        cpu = idle.pop()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _worker(suites[i], profile, cpu, read_fd, write_fd)
+        os.close(write_fd)
+        live[read_fd] = [pid, i, cpu, []]
+
+    try:
+        for i in itertools.islice(pending, len(idle)):
+            start(i)
+        while live:
+            for fd in select.select(list(live), [], [])[0]:
+                pid, i, cpu, chunks = live[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                # at EOF the worker has written everything, so reaping cannot block on the pipe
+                _, status = os.waitpid(pid, 0)
+                del live[fd]
+                os.close(fd)
+                idle.append(cpu)
+                if not chunks:
+                    raise RuntimeError(
+                        f"the worker for suite {keys[i]!r} left without a result "
+                        f"(exit status {os.waitstatus_to_exitcode(status)})"
+                    )
+                done, value = pickle.loads(b"".join(chunks))
+                if not done:
+                    raise value
+                results[i] = value
+                for nxt in itertools.islice(pending, 1):
+                    start(nxt)
+    except BaseException:
+        for fd, (pid, *_) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        raise
+    return results
+
+
+def _worker(suite, profile, cpu, read_fd, write_fd):
+    """A forked worker's whole life: move to its CPU, run the suite,
+    pickle (True, its SuiteResult) or (False, the exception that escaped
+    it) to write_fd, and leave with os._exit, never returning into the
+    parent's code.  Unpinned, the kernel can leave a fresh worker on its
+    parent's CPU, next to the other worker, for the whole suite."""
+    import pickle
+
+    try:
+        os.close(read_fd)
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # the CPU left the set since run read it: run anywhere
+                pass
+        try:
+            blob = pickle.dumps((True, suite(profile)))
+        except BaseException as exc:
+            try:
+                blob = pickle.dumps((False, exc))
+                pickle.loads(blob)  # an exception whose __init__ takes other args fails here
+            except Exception:
+                blob = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write_fd, "wb") as out:
+            out.write(blob)
+    finally:
+        os._exit(0)

@@ -410,8 +410,10 @@ sys.exit(code)
             "the nonvanish bound is 250,000 rows",
         ),
         (["tuples", "--p", "2", "--n", "3", "--max", "-5"], "--max must be >= 0"),
+        (["chi", "--p", "2", "--n", "0", "--alpha", "y^3"], "--n must be >= 1"),
+        (["tuples", "--p", "2", "--n", "0", "--max", "7"], "--n must be >= 1"),
     ],
-    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max"],
+    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max", "chi-n0", "tuples-n0"],
 )
 def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
     src = str(Path(cli.__file__).resolve().parent.parent)

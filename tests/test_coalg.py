@@ -123,6 +123,62 @@ def test_lucas_against_factorial_oracle():
                 assert lucas_binomial(p, m, k) == math.comb(m, k) % p
 
 
+def test_lucas_at_two_on_big_ints():
+    # k within 12 of 0 or of m keeps math.comb cheap for m up to 2^70
+    rng = random.Random(2)
+    for bits in (1, 2, 7, 33, 64, 70):
+        for _ in range(6):
+            m = rng.getrandbits(bits) | (1 << (bits - 1))
+            ks = {*range(0, min(m, 12) + 1), *range(max(0, m - 12), m + 1), m + 1, m + 5, 2 * m}
+            for k in ks:
+                assert lucas_binomial(2, m, k) == math.comb(m, k) % 2, (m, k)
+    assert lucas_binomial(2, 2**70 - 1, 2**69 + 12345) == 1  # every bit of m is set
+    assert lucas_binomial(2, 2**70, 2**69) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lucas_at_odd_primes_digit_by_digit(p):
+    # every digit of k is 0, equal to m's digit, above it, or in between,
+    # checked against the product of exact digit binomials and math.comb
+    rng = random.Random(p)
+    for _ in range(300):
+        m_digits = [rng.randrange(p) for _ in range(rng.randrange(1, 6))]
+        k_digits = [rng.choice((0, d, d + 1, rng.randrange(d + 1))) % p for d in m_digits]
+        m = sum(d * p**t for t, d in enumerate(m_digits))
+        k = sum(e * p**t for t, e in enumerate(k_digits))
+        want = math.prod(math.comb(d, e) for d, e in zip(m_digits, k_digits)) % p
+        assert lucas_binomial(p, m, k) == want == math.comb(m, k) % p, (m, k)
+
+
+def _no_carry_by_columns(p, parts):
+    """Every base-p digit column of the parts sums below p."""
+    parts = list(parts)
+    while any(parts):
+        if sum(x % p for x in parts) >= p:
+            return False
+        parts = [x // p for x in parts]
+    return True
+
+
+def test_no_carry_at_two_on_big_ints():
+    # parts cut from one random mask never share a bit; one shared bit
+    # added to two of them makes a carry
+    rng = random.Random(3)
+    for bits in (8, 64, 70, 200):
+        for _ in range(50):
+            mask = rng.getrandbits(bits)
+            owners = [rng.randrange(4) for _ in range(bits)]
+            parts = [0] * 4
+            for t in range(bits):
+                parts[owners[t]] |= mask & 1 << t
+            assert no_carry(2, parts) and _no_carry_by_columns(2, parts)
+            t = rng.randrange(bits)
+            clashing = [parts[0] | 1 << t, parts[1] | 1 << t, *parts[2:]]
+            assert not no_carry(2, clashing) and not _no_carry_by_columns(2, clashing)
+            loose = [rng.getrandbits(bits) for _ in range(rng.randrange(1, 4))]
+            assert no_carry(2, loose) == _no_carry_by_columns(2, loose)
+
+
 BIG_P = 1000003
 
 
