@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import coalg
+from . import Frozen, coalg
 from .coalg import base_p_digits, no_carry
 from .mono import (
     Monomial,
@@ -273,44 +273,12 @@ def splitting_is_admissible(
     )
 
 
-class DegreeTableRow:
+class DegreeTableRow(Frozen):
     """A nonzero universal class: the alpha-class on the defining
     N-dimensional representation, with its degree and strength.  A row
     is frozen: assigning to a field raises AttributeError."""
 
-    __slots__ = ("N", "alpha", "degree", "status")
-
-    def __init__(self, N: int, alpha: Monomial, degree: int, status: str):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "status", status)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen DegreeTableRow")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen DegreeTableRow")
-
-    def _fields(self) -> tuple:
-        return (self.N, self.alpha, self.degree, self.status)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return (DegreeTableRow, self._fields())
-
-    def __repr__(self):
-        return (
-            f"DegreeTableRow(N={self.N!r}, alpha={self.alpha!r}, "
-            f"degree={self.degree!r}, status={self.status!r})"
-        )
+    __slots__ = _names = ("N", "alpha", "degree", "status")
 
 
 def universal_table(

@@ -322,10 +322,9 @@ def cmd_nonvanish(args) -> int:
 
 
 # Bound on a dickson report: p^n <= 49 and dmax <= 3(p^n - 1), the
-# default.  The slowest report inside it, (p, n) = (2, 5), takes about
-# 5 s (medians 4.6-5.6 s in four sets of five runs on a 2-core host,
-# Python 3.11); 2^5 at dmax 120 takes about 50 s and 2^6 at its default
-# longer.
+# default.  The slowest report inside it, (p, n) = (2, 5), took 2.7-3.7 s
+# in five runs (2-vCPU host, Python 3.11.7, which at busier hours ran it
+# in 4.0-5.7 s).  Outside it, (2, 5) at dmax 120 took 27.8 s in-process.
 DICKSON_MAX_ORDER = 49
 
 

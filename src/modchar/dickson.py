@@ -71,24 +71,12 @@ class MultiPoly(SparseCombination):
     A total class is one of these holding all its degrees; `components`
     splits it into its homogeneous parts."""
 
-    __slots__ = ("p", "nvars", "terms")
-
-    def _context(self):
-        return (self.p, self.nvars)
+    __slots__ = _names = ("p", "nvars", "terms")
 
     def _check_keys(self):
         for e in self.terms:
             if len(e) != self.nvars:
                 raise ValueError("exponent vector length != nvars")
-
-    @classmethod
-    def _of(cls, p: int, nvars: int, terms: dict) -> "MultiPoly":
-        """A polynomial whose terms are already reduced mod p and nonzero,
-        keyed by nvars-tuples, built without the constructor's pass over
-        them (zero, products and the splitting formula's classes)."""
-        poly = object.__new__(cls)
-        poly.p, poly.nvars, poly.terms = p, nvars, terms
-        return poly
 
     @classmethod
     def zero(cls, p, nvars):

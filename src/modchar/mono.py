@@ -22,6 +22,8 @@ import math
 import re
 from collections import namedtuple
 
+from . import Record
+
 
 class ContextMismatch(ValueError):
     """Operands built over different (p, r, n) contexts."""
@@ -221,43 +223,34 @@ def format_term(text: str, c: int) -> str:
 # -- sparse classes ----------------------------------------------------------
 
 
-class SparseCombination:
+class SparseCombination(Record):
     """What every sparse F_p-combination shares: coefficients reduced mod
     p with zero terms dropped, add/sub/neg/scale and the context check.
 
-    A subclass lists its context fields, then `terms`, as its
-    `__slots__`; the constructor takes them in that order (terms may be
-    left out for the zero class), validates the keys in `_check_keys`,
-    and `_context` returns the context fields.  Equality means same
-    type, same context and same terms; a combination is mutable, so it
-    has no hash.  repr is `Name(field=value, ...)`."""
+    A subclass names its context fields, then `terms`, as its `_names`
+    and `__slots__`; the constructor takes them in that order (terms may
+    be left out for the zero class), reduces the terms and validates the
+    keys in `_check_keys`, and `_context` is the context fields.  `_of`
+    skips both, for terms already reduced and nonzero with valid keys.
+    As a Record, equality means same type, same context and same terms,
+    and a combination is mutable, so it has no hash."""
 
     __slots__ = ()
-    __hash__ = None
 
     def __init__(self, *fields):
-        names = self.__slots__
-        if len(fields) == len(names) - 1:
+        if len(fields) == len(self._names) - 1:
             fields += ({},)
-        elif len(fields) != len(names):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, fields):
-            setattr(self, name, value)
+        super().__init__(*fields)
         p = self.p
         self.terms = {key: v for key, c in self.terms.items() if (v := c % p)}
         self._check_keys()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._context() == other._context() and self.terms == other.terms
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+    def _context(self) -> tuple:
+        return self._fields(self)[:-1]
 
     def _like(self, terms: dict):
-        return type(self)(*self._context(), terms)
+        p = self.p
+        return self._of(*self._context(), {key: v for key, c in terms.items() if (v := c % p)})
 
     def _check(self, other):
         if type(other) is not type(self) or self._context() != other._context():
@@ -286,10 +279,7 @@ class SparseCombination:
 class TensorClass(SparseCombination):
     """Sparse F_p-combination of n-tuples of monomials."""
 
-    __slots__ = ("p", "r", "n", "terms")
-
-    def _context(self):
-        return (self.p, self.r, self.n)
+    __slots__ = _names = ("p", "r", "n", "terms")
 
     def _check_keys(self):
         for tup in self.terms:
@@ -301,15 +291,6 @@ class TensorClass(SparseCombination):
     @classmethod
     def zero(cls, p, r, n) -> "TensorClass":
         return cls(p, r, n, {})
-
-    @classmethod
-    def _of(cls, p: int, r: int, n: int, terms: dict) -> "TensorClass":
-        """A class whose terms are already reduced mod p and nonzero, keyed
-        by n-tuples of valid monomials, built without re-checking them
-        (chi_basic's result)."""
-        tc = object.__new__(cls)
-        tc.p, tc.r, tc.n, tc.terms = p, r, n, terms
-        return tc
 
     def tensor(self, other: "TensorClass") -> "TensorClass":
         """Juxtaposition product: concatenates factor tuples."""

@@ -37,15 +37,17 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import ff
+from . import Frozen, ff
 from .ff import FieldCtx, MatrixFF, Subspace
 
 
 # Largest dim a representation file may declare, checked before any matrix
 # is built: without it a 60-byte file with a huge dim and no generators
-# builds a dim x dim identity.  rep-analyze of regular_rep(2, 8) (dim 256)
-# takes about 2 s, and of regular_rep(2, 9) (dim 512) about 12 s (2-core
-# host, Python 3.11).
+# builds a dim x dim identity.  rep-analyze of a regular_rep(2, 8) file
+# (dim 256) took 1.8-2.1 s in five runs; the same work on regular_rep(2, 9)
+# (dim 512: the checking constructor, socle_filtration and classify) took
+# 8.2-9.4 s in-process in two (2-vCPU host, Python 3.11.7, which at busier
+# hours ran both about 1.5x slower).
 MAX_REP_DIM = 256
 
 
@@ -61,7 +63,7 @@ class ReductionError(ValueError):
     """Preconditions of a basic-model reduction fail."""
 
 
-class Rep:
+class Rep(Frozen):
     """dim-dimensional representation of F_p^s given by s commuting
     invertible matrices of order p over the field of ctx.  Every Rep
     satisfies that contract: the constructor raises RepValidationError
@@ -71,7 +73,8 @@ class Rep:
     raises AttributeError.  Equality, hashing and repr read only them,
     never the socle memo in the _memo slot."""
 
-    __slots__ = ("ctx", "dim", "generators", "_memo", "__weakref__")
+    _names = ("ctx", "dim", "generators")
+    __slots__ = _names + ("_memo", "__weakref__")
 
     def __init__(self, ctx: FieldCtx, dim: int, generators: tuple):
         for g in generators:
@@ -79,7 +82,8 @@ class Rep:
                 raise ff.DimensionError("generator over a different field")
             if g.nrows != dim or g.ncols != dim:
                 raise ff.DimensionError("generator shape != dim x dim")
-        self._set(ctx, dim, generators)
+        super().__init__(ctx, dim, generators)
+        object.__setattr__(self, "_memo", None)
         violations = validate(self)
         if violations:
             raise RepValidationError(violations)
@@ -88,35 +92,12 @@ class Rep:
     def _of(cls, ctx: FieldCtx, dim: int, generators: tuple) -> "Rep":
         """A rep built without __init__'s checks, for the library
         constructions: each is valid when its inputs are valid reps."""
-        rep = object.__new__(cls)
-        rep._set(ctx, dim, generators)
+        rep = super()._of(ctx, dim, generators)
+        object.__setattr__(rep, "_memo", None)
         return rep
 
-    def _set(self, ctx: FieldCtx, dim: int, generators: tuple) -> None:
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_memo", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen Rep")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen Rep")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.dim, self.generators) == (other.ctx, other.dim, other.generators)
-
-    def __hash__(self):
-        return hash((self.ctx, self.dim, self.generators))
-
-    def __repr__(self):
-        return f"Rep(ctx={self.ctx!r}, dim={self.dim!r}, generators={self.generators!r})"
-
     def __reduce__(self):  # copy and pickle the fields, not the memo
-        return (Rep._of, (self.ctx, self.dim, self.generators))
+        return (Rep._of, self._fields(self))
 
     def _socle_memo(self) -> "_SocleMemo":
         """The memo of this rep's socle stages and Reduction, made on
@@ -144,11 +125,11 @@ class Rep:
         return MatrixFF.identity(self.ctx, self.dim) if out is None else out
 
 
-class PointedRep:
+class PointedRep(Frozen):
     """Representation with a chosen nonzero fixed vector; frozen, like
     Rep."""
 
-    __slots__ = ("rep", "basepoint")
+    __slots__ = _names = ("rep", "basepoint")
 
     def __init__(self, rep: Rep, basepoint: tuple):
         if len(basepoint) != rep.dim:
@@ -158,28 +139,7 @@ class PointedRep:
         for i, g in enumerate(rep.generators):
             if g.matvec(basepoint) != basepoint:
                 raise RepValidationError([f"generator {i} moves the basepoint"])
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "basepoint", basepoint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen PointedRep")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen PointedRep")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rep, self.basepoint) == (other.rep, other.basepoint)
-
-    def __hash__(self):
-        return hash((self.rep, self.basepoint))
-
-    def __repr__(self):
-        return f"PointedRep(rep={self.rep!r}, basepoint={self.basepoint!r})"
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return (PointedRep, (self.rep, self.basepoint))
+        super().__init__(rep, basepoint)
 
 
 def validate(rep: Rep) -> list[str]:
@@ -269,6 +229,7 @@ def socle_filtration(rep: Rep) -> list[Subspace]:
     return list(_socle_stages(rep))
 
 
+# Kept only for the benchmark's span reps.socle_quot (perfbench/spans.py).
 socle_filtration_by_quotients = socle_filtration
 
 
@@ -480,7 +441,7 @@ def pullback(rep: Rep, exponent_matrix) -> Rep:
 # -- classification ----------------------------------------------------------
 
 
-class Reduction:
+class Reduction(Frozen):
     """Outcome of reducing a representation's classes to a basic model;
     frozen, like Rep.
 
@@ -489,7 +450,7 @@ class Reduction:
     (rows of integer residues), and, when available, the rank-m basic
     representation the classes pull back from."""
 
-    __slots__ = ("verdict", "quotient_rank", "projection", "basic_model")
+    __slots__ = _names = ("verdict", "quotient_rank", "projection", "basic_model")
 
     def __init__(
         self,
@@ -498,36 +459,7 @@ class Reduction:
         projection: tuple | None = None,
         basic_model: PointedRep | None = None,
     ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "quotient_rank", quotient_rank)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "basic_model", basic_model)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen Reduction")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen Reduction")
-
-    def _fields(self) -> tuple:
-        return (self.verdict, self.quotient_rank, self.projection, self.basic_model)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return (Reduction, self._fields())
-
-    def __repr__(self):
-        return (
-            f"Reduction(verdict={self.verdict!r}, quotient_rank={self.quotient_rank!r}, "
-            f"projection={self.projection!r}, basic_model={self.basic_model!r})"
-        )
+        super().__init__(verdict, quotient_rank, projection, basic_model)
 
 
 def _pairing(rep: Rep, j0: Subspace, j1: Subspace) -> list[list]:

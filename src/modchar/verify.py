@@ -13,7 +13,7 @@ import threading
 import time
 
 from . import chi as chi_mod
-from . import coalg, dickson, reps
+from . import Record, coalg, dickson, reps
 from .chi import (
     KIND_MIXED,
     KIND_Y_POWER,
@@ -44,29 +44,11 @@ Q_GRID = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))  # q in {2,3,4,5,8,9}
 DICKSON_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))  # quick profile
 
 
-class SuiteResult:
+class SuiteResult(Record):
     """One suite's outcome: its name, whether it passed, its detail and
     its running time.  Equality compares every field; it has no hash."""
 
-    __slots__ = ("name", "ok", "detail", "seconds")
-    __hash__ = None
-
-    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
-        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
-
-    def _fields(self) -> tuple:
-        return (self.name, self.ok, self.detail, self.seconds)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (
-            f"SuiteResult(name={self.name!r}, ok={self.ok!r}, "
-            f"detail={self.detail!r}, seconds={self.seconds!r})"
-        )
+    __slots__ = _names = ("name", "ok", "detail", "seconds")
 
 
 class SuiteFailure(Exception):
@@ -357,7 +339,7 @@ def suite_filtration(profile="quick") -> str:
         bad = reps.validate(rep)  # every construction above yields a valid rep
         if bad:
             raise SuiteFailure(f"random rep {i} invalid: {bad}")
-        quot = reps.socle_filtration_by_quotients(rep)
+        quot = reps.socle_filtration(rep)
         ann = reps.socle_filtration_by_annihilators(rep)
         if quot != ann:
             raise SuiteFailure(f"filtration routes disagree on random rep {i}")

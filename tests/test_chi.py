@@ -7,6 +7,7 @@ module (an entirely different computation path)."""
 
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -161,36 +162,48 @@ def naive_chi_by_word_expansion(p, r, alpha, n):
     generator symbol of the word into one of n buckets; appending an
     odd-degree symbol to bucket i flips the sign once per odd symbol
     already sitting in a later bucket.  Keep distributions whose buckets
-    are all nonzero and invariant, with the global (-1)^(n-1)."""
-    symbols = []
-    for k, a in enumerate(alpha.ext):
-        if a:
-            symbols.append(("x", k))
+    are all nonzero and invariant, with the global (-1)^(n-1).
+
+    The word lists the x symbols, then the y symbols, so a word's sign
+    is set by the buckets of its x symbols.  A bucket holds an int tuple
+    of exponents (its x exponents, then its y exponents), and a word's n
+    buckets are packed into one int, each exponent in `width` bits, as
+    the sum of one increment per symbol.  Signs are summed per packed
+    int, and each distinct bucket is tested once."""
+    slots = [k for k, a in enumerate(alpha.ext) if a]
+    n_x = len(slots)
     for k, b in enumerate(alpha.pows):
-        symbols.extend([("y", k)] * b)
-    terms = {}
-    for choice in itertools.product(range(n), repeat=len(symbols)):
+        slots.extend([r + k] * b)
+    width = len(slots).bit_length()
+    incs = [[1 << width * (2 * r * i + slot) for i in range(n)] for slot in slots]
+    x_incs, y_incs = incs[:n_x], incs[n_x:]
+    sums = {}
+    for xs in itertools.product(range(n), repeat=n_x):
         sign = 1
         odd_in_bucket = [0] * n
-        exts = [[0] * r for _ in range(n)]
-        pows = [[0] * r for _ in range(n)]
-        for (kind, k), bucket in zip(symbols, choice):
-            odd = kind == "x" and p != 2
-            if odd:
+        for bucket in xs:
+            if p != 2:  # an x symbol is odd unless p = 2
                 if sum(odd_in_bucket[bucket + 1 :]) % 2:
                     sign = -sign
                 odd_in_bucket[bucket] += 1
-                exts[bucket][k] += 1
-            else:
-                pows[bucket][k] += 1
-        factors = tuple(
-            Monomial(tuple(e), tuple(b)) for e, b in zip(exts, pows)
-        )
-        if any(degree(m, p) == 0 or not is_invariant(m, p) for m in factors):
-            continue
-        val = terms.get(factors, 0) + sign * (-1) ** (n - 1)
-        terms[factors] = val % p
-    return {k: v for k, v in terms.items() if v}
+        base = sum(map(operator.getitem, x_incs, xs))
+        for ys in itertools.product(range(n), repeat=len(y_incs)):
+            key = base + sum(map(operator.getitem, y_incs, ys))
+            sums[key] = sums.get(key, 0) + sign
+    mask = (1 << width) - 1
+    kept = {}  # bucket -> its Monomial when of nonzero degree and invariant, else None
+    terms = {}
+    for key, total in sums.items():
+        factors = []
+        for i in range(n):
+            bucket = tuple(key >> width * (2 * r * i + j) & mask for j in range(2 * r))
+            if bucket not in kept:
+                m = Monomial(bucket[:r], bucket[r:])
+                kept[bucket] = m if degree(m, p) and is_invariant(m, p) else None
+            factors.append(kept[bucket])
+        if None not in factors and (val := total * (-1) ** (n - 1) % p):
+            terms[tuple(factors)] = val
+    return terms
 
 
 def test_chi_matches_word_expansion_with_split_exterior():

@@ -289,7 +289,7 @@ def test_socle_filtration_both_routes_agree_on_stock_reps():
         regular_rep(3, 1),
         dual_rep(basic_rep(3, 1, 2).rep),
     ]:
-        quot = reps.socle_filtration_by_quotients(rep)
+        quot = reps.socle_filtration(rep)
         ann = reps.socle_filtration_by_annihilators(rep)
         assert quot == ann
 
@@ -610,7 +610,7 @@ def test_random_reps_filtration_agreement():
         rep = random_valid_rep(rng, ctx)
         assert validate(rep) == []
         assert rep.dim <= 8 and 1 <= rep.rank <= 3
-        quot = reps.socle_filtration_by_quotients(rep)
+        quot = reps.socle_filtration(rep)
         ann = reps.socle_filtration_by_annihilators(rep)
         assert quot == ann
         dims = [s.dim for s in quot]

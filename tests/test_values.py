@@ -1,13 +1,16 @@
-"""Value semantics of the package's plain classes: equality means same
-type and same fields, frozen classes hash by their fields and refuse
-assignment, mutable combinations have no hash, and repr is
-`Name(field=value, ...)`."""
+"""Value semantics of the package's value classes, all derived from
+modchar.Record or modchar.Frozen: equality means same type and same
+fields, frozen classes hash by their fields and refuse assignment,
+mutable combinations have no hash, and repr is `Name(field=value, ...)`."""
 
+import ast
 import copy
+import pathlib
 import pickle
 
 import pytest
 
+import modchar
 from modchar import chi, verify
 from modchar.dickson import MultiPoly
 from modchar.ff import FieldCtx, MatrixFF, Subspace
@@ -111,6 +114,22 @@ def test_sparse_combinations(make, context, name):
         type(a)(3)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [TensorClass(3, 1, 1, {(Monomial((0,), (2,)),): 1}), MultiPoly(3, 1, {(2,): 1})],
+    ids=["TensorClass", "MultiPoly"],
+)
+def test_arithmetic_results_skip_the_key_checks(a, monkeypatch):
+    """add/sub/neg/scale reduce mod p and drop zeros, but never re-check
+    keys their operands already passed."""
+    key = next(iter(a.terms))
+    doubled = a.add(a)
+    monkeypatch.setattr(type(a), "_check_keys", lambda self: pytest.fail("keys re-checked"))
+    assert a.add(a) == doubled and doubled.terms == {key: 2}
+    assert a.scale(3).terms == {} and a.sub(a).is_zero()
+    assert a.neg().terms == {key: 2} and type(a.neg()) is type(a)
+
+
 def test_sparse_combination_types_never_compare_equal():
     assert TensorClass(2, 1, 1) != MultiPoly(2, 1)
     assert MultiPoly(2, 1) != (2, 1, {})
@@ -125,3 +144,36 @@ def test_suite_result():
     a.ok = False
     assert not a.ok
     assert repr(a) == "SuiteResult(name='arithmetic', ok=False, detail='1 case', seconds=0.5)"
+
+
+FROZEN = [
+    (Subspace, 3),
+    (Rep, 3),
+    (PointedRep, 2),
+    (Reduction, 4),
+    (chi.DegreeTableRow, 4),
+]
+
+
+def test_frozen_records_are_these():
+    assert {cls for cls, _ in FROZEN} == set(modchar.Frozen.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, count", FROZEN, ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_record_rejects_a_wrong_field_count(cls, count):
+    assert cls._names == tuple(cls.__slots__[:count])
+    for wrong in (0, count + 1):
+        with pytest.raises(TypeError):
+            cls(*[None] * wrong)
+
+
+def test_only_the_bases_define_setattr_or_delattr():
+    src = pathlib.Path(modchar.__file__).parent
+    found = [
+        (path.name, node.name)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__")
+    ]
+    assert found == []
