@@ -31,10 +31,11 @@ Each side is computed one way here and checked against another:
 Polynomials and total classes are one type, `MultiPoly`: a total class
 simply holds all its degrees, and `components` splits it by degree.  One
 packed product kernel serves both the plain product and the product
-truncated above a total degree, which Newton's identity and the series
-inverse use.  The inverse of D is the truncated geometric series in
-1 - D.  `report` runs the identity checks once, for `modchar dickson`
-and for `verify`'s Dickson suite alike.
+truncated above a total degree, which Newton's identity uses.  The
+inverse route never builds D^{-1}: `series_quotient` divides -D_{p^n - 1}
+by D as power series, one degree at a time, up to the report's degree.
+`report` runs the identity checks once, for `modchar dickson` and for
+`verify`'s Dickson suite alike.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ class MultiPoly(SparseCombination):
     def components(self) -> dict:
         """Degree -> homogeneous part, for every degree with a term."""
         return {
-            d: MultiPoly(self.p, self.nvars, terms)
+            d: MultiPoly._of(self.p, self.nvars, terms)
             for d, terms in sorted(_by_degree(self.terms).items())
         }
 
     def component(self, d) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._of(
             self.p, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
         )
 
@@ -322,7 +323,7 @@ def dickson_total(p: int, n: int) -> MultiPoly:
     Dickson suite compares every component with the expanded product.
     The recursion runs once per (p, n) in a process (_dickson_terms); each
     call returns a fresh MultiPoly holding a copy of its terms."""
-    return MultiPoly(p, n, _dickson_terms(p, n))  # the constructor copies
+    return MultiPoly._of(p, n, dict(_dickson_terms(p, n)))
 
 
 # shared by the n + 4 reads of one report and by later reports; bounded
@@ -336,12 +337,12 @@ def _dickson_terms(p: int, n: int) -> dict:
         at_z = MultiPoly.zero(p, n)  # F_j(z_{j+1})
         for i, c in enumerate(coeffs):
             z_pow = tuple(p**i if v == j else 0 for v in range(n))
-            at_z = at_z.add(c.mul(MultiPoly(p, n, {z_pow: 1})))
+            at_z = at_z.add(c.mul(MultiPoly._of(p, n, {z_pow: 1})))
         shift = at_z.pow(p - 1)
         # F_j(X)^p: each coefficient to its p-th power, which over F_p
         # multiplies every exponent by p
         frobenius = [
-            MultiPoly(p, n, {tuple(x * p for x in e): c for e, c in poly.terms.items()})
+            MultiPoly._of(p, n, {tuple(x * p for x in e): c for e, c in poly.terms.items()})
             for poly in coeffs
         ]
         coeffs = (
@@ -361,14 +362,23 @@ def _dickson_terms(p: int, n: int) -> dict:
 
 def alternating_chi_total(p: int, n: int, dmax: int) -> MultiPoly:
     """Total class with degree-k component (-1)^k times the y^k class of
-    the basic representation, k = 1..dmax."""
+    the basic representation, k = 1..dmax.  Built once per (p, n, dmax)
+    in a process (_alternating_terms); each call returns a fresh
+    MultiPoly holding a copy of its terms."""
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
+    return MultiPoly._of(p, n, dict(_alternating_terms(p, n, dmax)))
+
+
+# shared by Newton's identity and the inverse route of one report
+@lru_cache(maxsize=64)
+def _alternating_terms(p: int, n: int, dmax: int) -> dict:
+    """The terms of alternating_chi_total(p, n, dmax)."""
     terms: dict = {}
     for k in range(1, dmax + 1):
         poly = chi_y_power(p, n, k)
         terms.update((poly.neg() if k % 2 else poly).terms)
-    return MultiPoly(p, n, terms)
+    return terms
 
 
 def newton_check(p: int, n: int, dmax: int) -> bool:
@@ -382,35 +392,62 @@ def newton_check(p: int, n: int, dmax: int) -> bool:
     return prod == d_total.component(p**n - 1).neg()
 
 
-def series_inverse(d_total: MultiPoly, dmax: int) -> MultiPoly:
-    """Formal inverse of a total class with constant term 1, up to
-    degree dmax: the geometric series sum of (1 - d_total)^j.  The
-    series ends, because 1 - d_total has no constant term, so each
-    factor raises the lowest degree of the power until truncation at
-    dmax leaves nothing."""
+def series_quotient(num: MultiPoly, den: MultiPoly, dmax: int) -> MultiPoly:
+    """The power series X with den * X = num up to degree dmax, for a den
+    with constant term 1: exact power-series division, one degree at a
+    time, X_d = num_d - sum over e > 0 of den_e X_(d - e).  No power of
+    den and no term above dmax is ever formed.  Exponent tuples are
+    packed into ints in base dmax + 1 (above every exponent kept), as in
+    mul_truncated, and unpacked once at the end."""
+    den._check(num)
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
-    one = MultiPoly.const(d_total.p, d_total.nvars, 1)
-    if d_total.component(0) != one:
-        raise ValueError("series inverse needs constant term 1")
-    step = one.sub(d_total)
-    inv = power = one
-    while not power.is_zero():
-        power = power.mul_truncated(step, dmax)
-        inv = inv.add(power)
-    return inv
+    p, nvars = den.p, den.nvars
+    if den.component(0) != MultiPoly.const(p, nvars, 1):
+        raise ValueError("series quotient needs a denominator with constant term 1")
+    place = [(dmax + 1) ** i for i in range(nvars)]
+
+    def packed(terms):
+        return {
+            d: [(sum(map(operator.mul, e, place)), c) for e, c in part.items()]
+            for d, part in _by_degree(terms).items()
+            if d <= dmax
+        }
+
+    numer = packed(num.terms)
+    # den_e negated, so each degree of X is one sum
+    steps = [(e, [(k, -c) for k, c in pairs]) for e, pairs in sorted(packed(den.terms).items()) if e]
+    quotient: dict = {}  # degree -> packed terms of X in that degree
+    for d in range(dmax + 1):
+        out = dict(numer.get(d, ()))
+        for e, pairs in steps:
+            if e > d:
+                break
+            lower = quotient.get(d - e)
+            if not lower:
+                continue
+            for k1, c1 in pairs:
+                for k2, c2 in lower:
+                    key = k1 + k2
+                    out[key] = out.get(key, 0) + c1 * c2
+        part = [(k, v) for k, c in out.items() if (v := c % p)]
+        if part:
+            quotient[d] = part
+    return MultiPoly._of(
+        p, nvars, _unpack({k: c for part in quotient.values() for k, c in part}, dmax + 1, nvars)
+    )
 
 
 def chi_total_from_inverse(p: int, n: int, dmax: int) -> MultiPoly:
-    """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}; the
-    lead has degree p^n - 1, so the inverse is needed only to
-    dmax - (p^n - 1)."""
+    """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}, by
+    dividing -D_{p^n - 1} by D as power series (series_quotient); D^{-1}
+    itself is never built.  It reads only D, from the Dickson recursion,
+    so it shares no code with the splitting formula."""
     top = p**n - 1
     if dmax < top:
         raise ValueError("dmax must reach degree p^n - 1")
     d_total = dickson_total(p, n)
-    inv = series_inverse(d_total, dmax - top)
-    return d_total.component(top).neg().mul(inv)
+    return series_quotient(d_total.component(top).neg(), d_total, dmax)
 
 
 def product_identity_check(p: int, n: int, i: int) -> int:

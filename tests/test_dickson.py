@@ -24,7 +24,7 @@ from modchar.dickson import (
     nonzero_chi_degrees,
     power_sum,
     product_identity_check,
-    series_inverse,
+    series_quotient,
     tensor_to_poly,
 )
 from modchar.mono import ContextMismatch, Monomial, TensorClass
@@ -185,9 +185,23 @@ def test_newton_frozen_cases():
         newton_check(3, 2, 3)
 
 
-def test_series_inverse_geometric():
+def geometric_series_inverse(d_total, dmax):
+    """Reference inverse of a total class with constant term 1, up to
+    degree dmax: the geometric series sum of (1 - d_total)^j, one
+    truncated product per power.  It ends, because 1 - d_total has no
+    constant term."""
+    one = MultiPoly.const(d_total.p, d_total.nvars, 1)
+    step = one.sub(d_total)
+    inv = power = one
+    while not power.is_zero():
+        power = power.mul_truncated(step, dmax)
+        inv = inv.add(power)
+    return inv
+
+
+def test_series_quotient_of_one_geometric():
     d = dickson_total(2, 1)  # 1 + z
-    inv = series_inverse(d, 5)
+    inv = series_quotient(MultiPoly.const(2, 1, 1), d, 5)
     for k in range(6):
         assert inv.component(k) == poly(2, 1, {(k,): 1})
     assert d.mul_truncated(inv, 5).component(0) == poly(2, 1, {(0,): 1})
@@ -195,11 +209,11 @@ def test_series_inverse_geometric():
         assert d.mul_truncated(inv, 5).component(k).is_zero()
 
 
-def test_series_inverse_times_d_is_one_on_the_quick_grid():
+def test_series_quotient_of_one_times_d_is_one_on_the_quick_grid():
     for p, n in DICKSON_GRID:
         d = dickson_total(p, n)
         m = 3 * (p**n - 1)
-        inv = series_inverse(d, m)
+        inv = series_quotient(MultiPoly.const(p, n, 1), d, m)
         assert max(inv.components) <= m
         assert d.mul_truncated(inv, m) == MultiPoly.const(p, n, 1), (p, n)
 
@@ -225,12 +239,33 @@ def test_truncated_product_drops_exactly_the_terms_above_dmax():
                     assert a.mul_truncated(b, dmax) == MultiPoly(p, nvars, kept)
 
 
-def test_series_inverse_requires_unit():
+def test_series_quotient_requires_unit():
+    one = MultiPoly.const(2, 1, 1)
     bad = poly(2, 1, {(1,): 1})
     with pytest.raises(ValueError):
-        series_inverse(bad, 3)
+        series_quotient(one, bad, 3)
     with pytest.raises(ValueError):
-        series_inverse(dickson_total(2, 1), -1)
+        series_quotient(one, dickson_total(2, 1), -1)
+    with pytest.raises(ContextMismatch):
+        series_quotient(MultiPoly.const(2, 2, 1), dickson_total(2, 1), 3)
+
+
+def test_series_quotient_matches_the_geometric_series():
+    for p, n in DICKSON_GRID + ((2, 4), (3, 3)):
+        d = dickson_total(p, n)
+        top = p**n - 1
+        m = 3 * top
+        lead = d.component(top).neg()
+        assert series_quotient(MultiPoly.const(p, n, 1), d, m) == geometric_series_inverse(d, m), (p, n)
+        assert series_quotient(lead, d, m) == lead.mul(geometric_series_inverse(d, m - top)), (p, n)
+
+
+def test_series_quotient_of_zero_or_below_the_lowest_degree_is_zero():
+    d = dickson_total(3, 2)
+    lead = d.component(8).neg()
+    assert series_quotient(MultiPoly.zero(3, 2), d, 20).is_zero()
+    assert series_quotient(lead, d, 7).is_zero()
+    assert series_quotient(lead, d, 8) == lead
 
 
 def test_inverse_route_matches_direct():
@@ -241,19 +276,19 @@ def test_inverse_route_matches_direct():
         chi_total_from_inverse(2, 2, 2)
 
 
-def test_inverse_route_truncates_the_series(monkeypatch):
-    # the lead has degree 2^4 - 1 = 15, so degree 45 needs D^-1 to degree 30
-    asked = []
-    real = dickson.series_inverse
+def test_inverse_route_builds_no_inverse(monkeypatch):
+    # the quotient -D_15 / D is formed degree by degree: no series inverse
+    # and no product with one; D and A are built before the patch
+    expected = alternating_chi_total(2, 4, 45)
+    dickson_total(2, 4)
 
-    def spy(d_total, dmax):
-        asked.append(dmax)
-        return real(d_total, dmax)
+    def refuse(*args):
+        raise AssertionError("the inverse route formed D^-1 or a product")
 
-    monkeypatch.setattr(dickson, "series_inverse", spy)
-    got = chi_total_from_inverse(2, 4, 45)
-    assert asked == [30]
-    assert got == alternating_chi_total(2, 4, 45)
+    monkeypatch.setattr(dickson, "series_inverse", refuse, raising=False)
+    for name in ("mul", "mul_truncated", "pow"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    assert chi_total_from_inverse(2, 4, 45) == expected
 
 
 def test_product_identity_frozen():
