@@ -21,6 +21,7 @@ from .mono import (
     TensorClass,
     check_valid,
     degree,
+    format_monomial,
     is_invariant,
     sort_key,
 )
@@ -41,7 +42,7 @@ def _check_query(p: int, r: int, alpha: Monomial, n: int) -> None:
         raise NotInvariant(f"alpha has r = {alpha.r}, expected {r}")
     check_valid(alpha, p, r)
     if not is_invariant(alpha, p):
-        raise NotInvariant(f"{alpha} is not invariant for q = {p ** r}")
+        raise NotInvariant(f"{format_monomial(alpha)} is not invariant for q = {p ** r}")
 
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:

@@ -400,7 +400,22 @@ def cmd_tuples(args) -> int:
     return _emit(args, payload, ("parts", "degree"), rows, lines)
 
 
+def _chi_exponents(text: str) -> list[int]:
+    """The exponents of a --chi list: runs of the digits 0-9 joined by
+    single commas, each at least 1; anything else is an input error
+    naming the first bad part."""
+    parts = text.split(",")
+    for part in parts:
+        if not (part.isascii() and part.isdecimal()):
+            raise InputError(f"bad --chi list {text!r}: part {part!r} is not a decimal exponent")
+    wanted = [int(part) for part in parts]
+    if any(k < 1 for k in wanted):
+        raise InputError("--chi exponents must be >= 1")
+    return wanted
+
+
 def cmd_rep_analyze(args) -> int:
+    wanted = [] if args.chi is None else _chi_exponents(args.chi)
     import json
 
     from . import reps
@@ -412,19 +427,11 @@ def cmd_rep_analyze(args) -> int:
         raise InputError(f"cannot read {args.path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.path} is not valid JSON: {exc}") from exc
-    wanted = []
-    if args.chi:
-        try:
-            wanted = [int(part) for part in args.chi.split(",") if part.strip()]
-        except ValueError as exc:
-            raise InputError(f"bad --chi list: {exc}") from exc
-        if any(k < 1 for k in wanted):
-            raise InputError("--chi exponents must be >= 1")
     try:
         rep, basepoint = reps.rep_from_dict(obj)
     except ValueError as exc:  # FieldError and RepValidationError too
         raise InputError(f"{args.path}: {exc}") from exc
-    if args.chi and rep.ctx.r != 1:
+    if wanted and rep.ctx.r != 1:
         raise InputError(
             "polynomial classes are only available over the prime field "
             "(r = 1); this file has r = " + str(rep.ctx.r)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .mono import Monomial, NotInvariant, is_invariant
+from .mono import Monomial, NotInvariant, format_monomial, is_invariant
 
 
 def base_p_digits(p: int, m: int) -> list[int]:
@@ -142,7 +142,7 @@ def coproduct(p: int, r: int, m: Monomial) -> dict:
     if m.r != r:
         raise NotInvariant(f"monomial has r = {m.r}, expected {r}")
     if not is_invariant(m, p):
-        raise NotInvariant(f"{m} is not in the invariant basis")
+        raise NotInvariant(f"{format_monomial(m)} is not in the invariant basis")
     left_pows_for = _left_pows(p, r, m.pows)
     support = tuple(k for k, a in enumerate(m.ext) if a)
     out = {}

@@ -30,10 +30,12 @@ Each side is computed one way here and checked against another:
 
 Polynomials and total classes are one type, `MultiPoly`: a total class
 simply holds all its degrees, and `components` splits it by degree.  One
-packed product kernel serves both the plain product and the product
-truncated above a total degree, which Newton's identity uses.  The
-inverse route never builds D^{-1}: `series_quotient` divides -D_{p^n - 1}
-by D as power series, one degree at a time, up to the report's degree.
+packed product kernel (`_packed` and `_add_products`) serves its three
+users: `MultiPoly.mul_truncated` (the plain product, and the product
+truncated above a total degree that Newton's identity uses),
+`series_quotient` and `MultiPoly.substitute`.  The inverse route never
+builds D^{-1}: `series_quotient` divides -D_{p^n - 1} by D as power
+series, one degree at a time, up to the report's degree.
 `report` runs the identity checks once, for `modchar dickson` and for
 `verify`'s Dickson suite alike.
 """
@@ -106,32 +108,28 @@ class MultiPoly(SparseCombination):
     def mul_truncated(self, other, dmax):
         """The product with every term of total degree above dmax dropped.
 
-        The product is built one degree d at a time, summed in one dict
-        with exponent tuples packed into ints in base d + 1 (above every
-        exponent there), so multiplying two monomials is one int
-        addition, and each degree is unpacked once, after its sum."""
+        Both factors are packed once (`_packed`) in a base above the
+        highest degree kept, so multiplying two monomials is one int
+        addition; the product is summed one degree at a time, each degree
+        in its own dict, and unpacked once at the end."""
         self._check(other)
         p, nvars = self.p, self.nvars
-        left, right = _by_degree(self.terms), _by_degree(other.terms)
+        top = min(dmax, sum(max(map(sum, f.terms), default=-1) for f in (self, other)))
+        left, right = _packed(self.terms, nvars, top), _packed(other.terms, nvars, top)
         terms: dict = {}
         for d in sorted({d1 + d2 for d1 in left for d2 in right}):
-            if d > dmax:
+            if d > top:
                 break
-            place = [(d + 1) ** i for i in range(nvars)]
             out: dict = {}
-            for d1, terms1 in left.items():
-                if d - d1 not in right:
-                    continue
-                pairs = [(sum(map(operator.mul, e, place)), c) for e, c in right[d - d1].items()]
-                for e1, c1 in terms1.items():
-                    k1 = sum(map(operator.mul, e1, place))
-                    for k2, c2 in pairs:
-                        key = k1 + k2
-                        out[key] = out.get(key, 0) + c1 * c2
-            terms.update(_unpack({k: v for k, c in out.items() if (v := c % p)}, d + 1, nvars))
-        return MultiPoly._of(p, nvars, terms)
+            for d1, pairs in left.items():
+                if d - d1 in right:
+                    _add_products(out, pairs, right[d - d1])
+            terms.update((k, v) for k, c in out.items() if (v := c % p))
+        return MultiPoly._of(p, nvars, _unpack(terms, top + 1, nvars))
 
     def pow(self, k):
+        if k < 0:
+            raise ValueError("power k must be >= 0")
         result = MultiPoly.const(self.p, self.nvars, 1)
         base = self
         while k:
@@ -146,36 +144,40 @@ class MultiPoly(SparseCombination):
         coefficient row rows[i] over nvars_new new variables.
 
         Each form's powers are built one product at a time, up to the
-        highest power of its variable, as plain dicts, and every term's
-        product of powers is summed into one dict.  Exponent tuples are
-        packed into ints as in mul_truncated, in a base above every total
-        degree, which a substitution keeps."""
+        highest power of its variable, and every term's product of powers
+        is summed into one dict, all by `_add_products` on exponent tuples
+        packed as in `_packed`, in a base above the highest total degree,
+        which a substitution keeps."""
         if len(rows) != self.nvars:
             raise ValueError("need one substitution row per variable")
         if any(len(row) != nvars_new for row in rows):
             raise ValueError("substitution row length mismatch")
         p = self.p
         base = max(map(sum, self.terms), default=0) + 1
+
+        def times(left, right):
+            return [(k, v) for k, c in _add_products({}, left, right).items() if (v := c % p)]
+
         tables = []
         for i, row in enumerate(rows):
-            form = {base**j: c % p for j, c in enumerate(row) if c % p}
-            powers = [{0: 1}]
+            form = [(base**j, c % p) for j, c in enumerate(row) if c % p]
+            powers = [[(0, 1)]]
             for _ in range(max((e[i] for e in self.terms), default=0)):
-                powers.append(_packed_mul(powers[-1], form, p))
+                powers.append(times(powers[-1], form))
             tables.append(powers)
         out: dict = {}
         for exps, c in self.terms.items():
             # a one-term power (a power of one variable, or e = 0) only
             # shifts and scales the term
-            shift, scale, term = 0, c, {0: 1}
+            shift, scale, term = 0, c, [(0, 1)]
             for powers, e in zip(tables, exps):
                 factor = powers[e]
                 if len(factor) == 1:
-                    [(k, a)] = factor.items()
+                    [(k, a)] = factor
                     shift, scale = shift + k, scale * a
                 else:
-                    term = _packed_mul(term, factor, p)
-            for key, v in term.items():
+                    term = times(term, factor)
+            for key, v in term:
                 out[key + shift] = out.get(key + shift, 0) + v * scale
         return MultiPoly(p, nvars_new, _unpack(out, base, nvars_new))
 
@@ -189,30 +191,34 @@ class MultiPoly(SparseCombination):
         return " + ".join(parts) or "0"
 
 
-def _packed_mul(left: dict, right: dict, p: int) -> dict:
-    """Product of two polynomials held as dicts from packed exponents to
-    coefficients, reduced mod p."""
-    out: dict = {}
-    for k1, c1 in left.items():
-        for k2, c2 in right.items():
-            key = k1 + k2
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, c in out.items() if (v := c % p)}
-
-
 def _by_degree(terms: dict) -> dict:
     """Total degree -> the terms of that degree."""
     out: dict = {}
     for e, c in terms.items():
-        d = sum(e)
-        if d in out:
-            out[d][e] = c
-        else:
-            out[d] = {e: c}
+        out.setdefault(sum(e), {})[e] = c
     return out
 
 
-# -- power sums --------------------------------------------------------------
+def _packed(terms: dict, nvars: int, top: int) -> dict:
+    """Total degree -> [(packed exponent, coefficient)] for the terms of
+    degree at most top, each exponent tuple packed into an int in base
+    top + 1, so multiplying two monomials kept is one int addition."""
+    place = [(top + 1) ** i for i in range(nvars)]
+    return {
+        d: [(sum(map(operator.mul, e, place)), c) for e, c in part.items()]
+        for d, part in _by_degree(terms).items()
+        if d <= top
+    }
+
+
+def _add_products(out: dict, left, right) -> dict:
+    """Add the products of two lists of (packed exponent, coefficient)
+    into out, unreduced, and return out: every MultiPoly product's loop."""
+    for k1, c1 in left:
+        for k2, c2 in right:
+            key = k1 + k2
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def _unpack(packed: dict, base: int, nvars: int) -> dict:
@@ -225,6 +231,9 @@ def _unpack(packed: dict, base: int, nvars: int) -> dict:
             e.append(digit)
         terms[tuple(e)] = c
     return terms
+
+
+# -- power sums --------------------------------------------------------------
 
 
 def _line_representatives(p: int, n: int):
@@ -396,46 +405,30 @@ def series_quotient(num: MultiPoly, den: MultiPoly, dmax: int) -> MultiPoly:
     """The power series X with den * X = num up to degree dmax, for a den
     with constant term 1: exact power-series division, one degree at a
     time, X_d = num_d - sum over e > 0 of den_e X_(d - e).  No power of
-    den and no term above dmax is ever formed.  Exponent tuples are
-    packed into ints in base dmax + 1 (above every exponent kept), as in
-    mul_truncated, and unpacked once at the end."""
+    den and no term above dmax is ever formed.  Terms are packed by
+    `_packed` in base dmax + 1 and unpacked once at the end."""
     den._check(num)
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     p, nvars = den.p, den.nvars
     if den.component(0) != MultiPoly.const(p, nvars, 1):
         raise ValueError("series quotient needs a denominator with constant term 1")
-    place = [(dmax + 1) ** i for i in range(nvars)]
-
-    def packed(terms):
-        return {
-            d: [(sum(map(operator.mul, e, place)), c) for e, c in part.items()]
-            for d, part in _by_degree(terms).items()
-            if d <= dmax
-        }
-
-    numer = packed(num.terms)
+    numer, denom = _packed(num.terms, nvars, dmax), _packed(den.terms, nvars, dmax)
     # den_e negated, so each degree of X is one sum
-    steps = [(e, [(k, -c) for k, c in pairs]) for e, pairs in sorted(packed(den.terms).items()) if e]
+    steps = [(e, [(k, -c) for k, c in pairs]) for e, pairs in sorted(denom.items()) if e]
     quotient: dict = {}  # degree -> packed terms of X in that degree
     for d in range(dmax + 1):
         out = dict(numer.get(d, ()))
         for e, pairs in steps:
             if e > d:
                 break
-            lower = quotient.get(d - e)
-            if not lower:
-                continue
-            for k1, c1 in pairs:
-                for k2, c2 in lower:
-                    key = k1 + k2
-                    out[key] = out.get(key, 0) + c1 * c2
+            if d - e in quotient:
+                _add_products(out, pairs, quotient[d - e])
         part = [(k, v) for k, c in out.items() if (v := c % p)]
         if part:
             quotient[d] = part
-    return MultiPoly._of(
-        p, nvars, _unpack({k: c for part in quotient.values() for k, c in part}, dmax + 1, nvars)
-    )
+    packed = {k: c for part in quotient.values() for k, c in part}
+    return MultiPoly._of(p, nvars, _unpack(packed, dmax + 1, nvars))
 
 
 def chi_total_from_inverse(p: int, n: int, dmax: int) -> MultiPoly:

@@ -156,6 +156,22 @@ def test_chi_non_invariant_is_input_error(capsys):
     assert "invariant" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "3", "--n", "2", "--alpha", "y^3"], "y^3 is not invariant for q = 3"),
+        (
+            ["--p", "2", "--r", "30", "--n", "2", "--alpha", "y0 y29^2"],
+            "y0 y29^2 is not invariant for q = 1073741824",
+        ),
+    ],
+)
+def test_chi_non_invariant_names_the_monomial_as_written(capsys, argv, message):
+    code, out, err = run(capsys, "chi", *argv)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: {message}\n"
+
+
 def test_chi_parse_error(capsys):
     code, _, err = run(capsys, "chi", "--p", "3", "--n", "1", "--alpha", "q^2")
     assert code == cli.EXIT_INPUT
@@ -370,11 +386,26 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
             "the nonvanish bound is 250,000 rows",
         ),
         (["nonvanish", "--p", "3", "--n", "0"], "--n must be >= 1"),
+        # --chi is checked before the file is read, so a missing file is never named
+        (["rep-analyze", "no-such-rep.json", "--chi", "1_0, +3"],
+         "bad --chi list '1_0, +3': part '1_0' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", "1, +3"],
+         "bad --chi list '1, +3': part ' +3' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", "3,,5"],
+         "bad --chi list '3,,5': part '' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", ","],
+         "bad --chi list ',': part '' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", ""],
+         "bad --chi list '': part '' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", "\u0663"],
+         "bad --chi list '\u0663': part '\u0663' is not a decimal exponent"),
+        (["rep-analyze", "no-such-rep.json", "--chi", "3,0"], "--chi exponents must be >= 1"),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
          "basis-p4", "nonvanish-p4", "tuples-p4", "tuples-max-5", "basis-walk", "nonvanish-rows",
          "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-rows-p2",
-         "nonvanish-n0"],
+         "nonvanish-n0", "chi-list-underscore", "chi-list-space-sign", "chi-list-empty-part",
+         "chi-list-comma", "chi-list-empty", "chi-list-non-ascii-digit", "chi-list-zero"],
 )
 def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
     def forbidden(*args):
@@ -412,8 +443,12 @@ sys.exit(code)
         (["tuples", "--p", "2", "--n", "3", "--max", "-5"], "--max must be >= 0"),
         (["chi", "--p", "2", "--n", "0", "--alpha", "y^3"], "--n must be >= 1"),
         (["tuples", "--p", "2", "--n", "0", "--max", "7"], "--n must be >= 1"),
+        (
+            ["rep-analyze", "no-such-rep.json", "--chi", "3,,5"],
+            "bad --chi list '3,,5': part '' is not a decimal exponent",
+        ),
     ],
-    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max", "chi-n0", "tuples-n0"],
+    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max", "chi-n0", "tuples-n0", "rep-chi"],
 )
 def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
     src = str(Path(cli.__file__).resolve().parent.parent)

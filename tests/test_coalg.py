@@ -355,6 +355,9 @@ def test_coproduct_koszul_sign_frozen_q9_example():
 def test_coproduct_rejects_non_invariant():
     with pytest.raises(NotInvariant):
         coproduct(3, 1, Monomial((0,), (1,)))
+    # the message names the monomial as the CLI writes it
+    with pytest.raises(NotInvariant, match=r"^x0 y1\^2 is not in the invariant basis$"):
+        coproduct(3, 2, Monomial((1, 0), (0, 2)))
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])

@@ -239,6 +239,52 @@ def test_truncated_product_drops_exactly_the_terms_above_dmax():
                     assert a.mul_truncated(b, dmax) == MultiPoly(p, nvars, kept)
 
 
+def naive_product(a, b):
+    """The product term by term on exponent tuples, nothing packed."""
+    p = a.p
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return MultiPoly(p, a.nvars, out)
+
+
+def test_products_match_a_naive_product_on_exponent_tuples():
+    rng = random.Random(20261020)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for nvars in (0, 1, 2, 3):
+            zero = MultiPoly.zero(p, nvars)
+            for _ in range(15):
+                a = random_poly(rng, p, nvars, 5, rng.randrange(8))
+                b = random_poly(rng, p, nvars, 5, rng.randrange(8))
+                for x, y in ((a, b), (a, zero), (zero, b)):
+                    naive = naive_product(x, y)
+                    assert x.mul(y) == naive
+                    # from -1 (nothing kept) to one above the highest degree, 10 * nvars
+                    for dmax in range(-1, 10 * nvars + 2):
+                        kept = {e: c for e, c in naive.terms.items() if sum(e) <= dmax}
+                        assert x.mul_truncated(y, dmax) == MultiPoly(p, nvars, kept)
+                    cases += 1
+    assert cases == 4 * 4 * 15 * 3
+    # sparse factors far apart in degree
+    a = poly(5, 2, {(3000, 1): 2, (0, 2): 3, (1, 0): 1})
+    b = poly(5, 2, {(7, 4000): 4, (0, 0): 1})
+    assert a.mul(b) == naive_product(a, b)
+    assert a.mul_truncated(b, 3001) == poly(5, 2, {(3000, 1): 2, (0, 2): 3, (1, 0): 1})
+
+
+def test_pow_rejects_negative_exponents():
+    a = poly(3, 2, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        a.pow(-1)
+    power = MultiPoly.const(3, 2, 1)
+    for k in range(8):
+        assert a.pow(k) == power
+        power = naive_product(power, a)
+
+
 def test_series_quotient_requires_unit():
     one = MultiPoly.const(2, 1, 1)
     bad = poly(2, 1, {(1,): 1})
