@@ -17,9 +17,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
+    """Deterministic Miller-Rabin, exact for all 64-bit integers.  Those
+    bases pass some larger composites, so n >= 2^64 raises ValueError."""
     if n < 2:
         return False
+    if n >> 64:
+        raise ValueError(f"p = {n} is outside the bound p < 2^64 of the primality test")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

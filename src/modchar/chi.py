@@ -42,7 +42,8 @@ def _check_query(p: int, r: int, alpha: Monomial, n: int) -> None:
         raise NotInvariant(f"alpha has r = {alpha.r}, expected {r}")
     check_valid(alpha, p, r)
     if not is_invariant(alpha, p):
-        raise NotInvariant(f"{format_monomial(alpha)} is not invariant for q = {p ** r}")
+        q = f"{p}^{r}" if r > 1 else p  # p ** r in decimal can pass int's str limit
+        raise NotInvariant(f"{format_monomial(alpha)} is not invariant for q = {q}")
 
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:

@@ -437,7 +437,7 @@ def cmd_rep_analyze(args) -> int:
             "(r = 1); this file has r = " + str(rep.ctx.r)
         )
     stages = reps.socle_filtration(rep)
-    red = reps.classify(rep)  # reads J_0 and J_1 from the rep's memo
+    red = reps.classify(rep)  # reads J_0 and J_1 from the walk just made
     dims = [s.dim for s in stages]
     payload = {
         "schema": SCHEMA,

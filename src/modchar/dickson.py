@@ -10,7 +10,7 @@ y-power classes, D * A collapses to the single term -D_{p^n - 1}.
 Each side is computed one way here and checked against another:
 
 - `chi_y_power`, the production route for every y^k class (the report
-  here and `reps.chi_from_reduction`), reads the class off the splitting
+  here and `reps.chi_of_rep`), reads the class off the splitting
   formula of `chi.chi_basic` (`chi._split_ids`), with the tuple of
   y-powers (b_1, ..., b_n) as the monomial z_1^b_1 ... z_n^b_n.
 - `power_sum` is the oracle: it enumerates one linear form per line and
@@ -128,16 +128,18 @@ class MultiPoly(SparseCombination):
         return MultiPoly._of(p, nvars, _unpack(terms, top + 1, nvars))
 
     def pow(self, k):
+        """self^k by squaring from the top bit down, starting at self:
+        k = 6 takes three products."""
         if k < 0:
             raise ValueError("power k must be >= 0")
-        result = MultiPoly.const(self.p, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
+        if not k:
+            return MultiPoly.const(self.p, self.nvars, 1)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out.mul(out)
+            if bit == "1":
+                out = out.mul(self)
+        return out
 
     def substitute(self, rows, nvars_new):
         """Replace the i-th variable by the linear form with integer

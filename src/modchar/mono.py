@@ -80,7 +80,7 @@ def degree(m: Monomial, p: int) -> int:
 
 
 def weight(m: Monomial, p: int) -> int:
-    return sum(p**k * (a + b) for k, (a, b) in enumerate(zip(m.ext, m.pows)))
+    return sum(p**k * (a + b) for k, (a, b) in enumerate(zip(m.ext, m.pows)) if a or b)
 
 
 def is_invariant(m: Monomial, p: int, r: int | None = None) -> bool:

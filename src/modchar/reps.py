@@ -9,23 +9,24 @@ previous stage (the identity before J_0).  socle_filtration_by_annihilators
 is an independent second route kept as a reference: verify's filtration
 suite and the tests compare it with the first, production calls do not.
 
-Each rep computes its socle stages and its Reduction at most once: a
-memo on the rep holds the stages as far as any caller has read them, and
-classify's result.  socle_filtration, classify, chi_of_rep, iso_to_basic
-and socle_tensor_check all read it, so classify alone builds only J_0 and
-J_1, and a later socle_filtration continues from there.  The memo is not
-a field: equality, hashing and repr ignore it.  validate is not memoised;
-it runs the rank of a generator only when its order check fails.
+One walker, _stages(rep, count), computes every socle stage, and keeps
+the stages in the rep's memo, next to classify's Reduction, so each is
+computed at most once per rep.  socle_filtration reads all the stages,
+classify only J_0 and J_1, and a later call continues from where an
+earlier one stopped.  A stall raises before anything is kept, so every
+walk of a stalling rep raises.  The memo is not a field: equality,
+hashing and repr ignore it.  validate is not memoised; it runs the rank
+of a generator only when its order check fails.
 
-The reduction reads only J_0 and J_1 (reduce_from_stages).  Classes
-vanish unless J_0 is a line, with canonical vector w0 and pivot c0.  Then
-each D_l is w0 (x) phi_l on J_1, where phi_l(b) = (row c0 of D_l) . b is
-the pairing of the group against J_1 / J_0.  The subgroup acting
-trivially on J_1 is the F_p-kernel of that pairing, the quotient group
-acts faithfully there, and the pairing rows at its generators decide the
-basic model (_basic_rule).  No restricted rep and no conjugation is built;
-iso_to_basic constructs and checks the explicit conjugation, and runs in
-verify's filtration suite and the tests.
+classify reads only J_0 and J_1.  Classes vanish unless J_0 is a line,
+with canonical vector w0 and pivot c0.  Then each D_l is w0 (x) phi_l on
+J_1, where phi_l(b) = (row c0 of D_l) . b is the pairing of the group
+against J_1 / J_0.  The subgroup acting trivially on J_1 is the F_p-kernel
+of that pairing, the quotient group acts faithfully there, and the
+pairing rows at its generators decide the basic model (_basic_rule).  No
+restricted rep and no conjugation is built; iso_to_basic constructs and
+checks the explicit conjugation, and runs in verify's filtration suite
+and the tests.
 
 The abstract group is always F_p^s on the listed generators, even over
 an extension field; redundant generators are allowed and absorbed by the
@@ -99,15 +100,6 @@ class Rep(Frozen):
     def __reduce__(self):  # copy and pickle the fields, not the memo
         return (Rep._of, self._fields(self))
 
-    def _socle_memo(self) -> "_SocleMemo":
-        """The memo of this rep's socle stages and Reduction, made on
-        first use.  It lives in the _memo slot, outside the fields."""
-        memo = self._memo
-        if memo is None:
-            memo = _SocleMemo(self)
-            object.__setattr__(self, "_memo", memo)
-        return memo
-
     @property
     def rank(self) -> int:
         """Rank s of the acting elementary abelian group."""
@@ -161,24 +153,24 @@ def validate(rep: Rep) -> list[str]:
     return out
 
 
-class _SocleMemo:
-    """One rep's socle stages as far as any caller has read them, and its
-    Reduction once classify has run.  It keeps the generator differences
-    D_g = g - 1 until the last stage is reached, and no reference to the
-    rep, so it dies with the rep."""
+def _stages(rep: Rep, count: int | None = None) -> list[Subspace]:
+    """The first count stages of J_0 < J_1 < ... up to the full space (all
+    of them when count is None), by quotient iteration: J_i is the kernel
+    of the stacked matrix [R D_1; ...; R D_s], where D_g = g - 1 and R is
+    the membership matrix of J_{i-1} (the identity for J_0), i.e. the
+    vectors every generator difference sends into the previous stage.
 
-    __slots__ = ("ctx", "dim", "diffs", "stages", "reduction")
-
-    def __init__(self, rep: Rep):
-        self.ctx, self.dim = rep.ctx, rep.dim
-        ident = MatrixFF.identity(rep.ctx, rep.dim)
-        self.diffs = [g.sub(ident) for g in rep.generators]
-        self.stages = []
-        self.reduction = None
-
-    def extend(self) -> None:
-        """Append the next stage (see _socle_stages)."""
-        ctx, n, diffs, stages = self.ctx, self.dim, self.diffs, self.stages
+    The stages live in the rep's memo, so each is computed once per rep
+    and a later call continues where an earlier one stopped.  A stall
+    raises AssertionError before the stage is kept."""
+    if rep._memo is None:
+        object.__setattr__(rep, "_memo", {"stages": []})
+    stages = rep._memo["stages"]
+    ctx, n, diffs = rep.ctx, rep.dim, None
+    while (count is None or len(stages) < count) and not (stages and stages[-1].dim == n):
+        if diffs is None:
+            ident = MatrixFF.identity(ctx, n)
+            diffs = [g.sub(ident) for g in rep.generators]
         if stages:
             member = stages[-1].membership_matrix()
             stacked = [member.mul(d) for d in diffs]
@@ -187,46 +179,19 @@ class _SocleMemo:
         rows = [row for mat in stacked for row in mat.rows]
         stage = ff.kernel(MatrixFF(ctx, rows)) if rows else Subspace.full(ctx, n)
         if stages and stage.dim <= stages[-1].dim:
-            raise AssertionError(
-                "socle filtration stalled (is the action unipotent?)"
-            )
+            raise AssertionError("socle filtration stalled (is the action unipotent?)")
         stages.append(stage)
-        if stage.dim == n:
-            self.diffs = None
-
-
-def _socle_stages(rep: Rep):
-    """Yield J_0 < J_1 < ... up to the full space by quotient iteration:
-    J_i is the kernel of the stacked matrix [R D_1; ...; R D_s], where
-    D_g = g - 1 and R is the membership matrix of J_{i-1} (the identity
-    for J_0), i.e. the vectors every generator difference sends into the
-    previous stage.  Stages already in the rep's memo are read from it,
-    and each new one is added to it.  A stall drops the memo, so the next
-    walk stalls again rather than reading a partial one."""
-    memo = rep._socle_memo()
-    stages = memo.stages
-    i = 0
-    while True:
-        if i == len(stages):
-            try:
-                memo.extend()
-            except AssertionError:
-                object.__setattr__(rep, "_memo", None)
-                raise
-        yield stages[i]
-        if stages[i].dim == rep.dim:
-            return
-        i += 1
+    return stages[:count]
 
 
 def socle_filtration(rep: Rep) -> list[Subspace]:
     """Ascending chain J_0 < J_1 < ... ending at the full space, J_i
     the vectors killed by the (i+1)-st power of the augmentation ideal,
-    each stage the kernel of one stacked matrix (see _socle_stages),
-    computed once per rep; every call returns a new list.
+    each stage the kernel of one stacked matrix (see _stages), computed
+    once per rep; every call returns a new list.
     socle_filtration_by_annihilators is the independent second route;
     verify's filtration suite and the tests compare the two."""
-    return list(_socle_stages(rep))
+    return _stages(rep)
 
 
 # Kept only for the benchmark's span reps.socle_quot (perfbench/spans.py).
@@ -317,7 +282,7 @@ def basic_rep(p: int, r: int, n: int, modulus=None) -> PointedRep:
 
 def _basic_on(ctx: FieldCtx, n: int) -> PointedRep:
     """basic_rep over a field already built, so its modulus is not checked
-    again (the basic models of reduce_from_stages and iso_to_basic)."""
+    again (the basic models of classify and iso_to_basic)."""
     r = ctx.r
     gens = []
     for i in range(1, n + 1):
@@ -506,9 +471,10 @@ def _basic_rule(ctx: FieldCtx, rows, n: int) -> MatrixFF:
     return MatrixFF(ctx, base)
 
 
-def reduce_from_stages(rep: Rep, stages) -> Reduction:
-    """Reduction of a valid rep read off the first two items of its socle
-    stages (a list or the lazy _socle_stages; nothing later is taken).
+def classify(rep: Rep) -> Reduction:
+    """Reduction of a valid rep read off its first two socle stages;
+    nothing later is computed.  Computed once per rep and kept in its
+    memo.
 
     Zero verdict when dim < 2 or J_0 is not a line.  Otherwise the pairing
     phi_l(b) = (row c0 of D_l) . b of the generators against J_1 / J_0
@@ -519,39 +485,29 @@ def reduce_from_stages(rep: Rep, stages) -> Reduction:
     basis of quotient_vector; the quotient group acts faithfully on J_1,
     and the basic model is the rank-n basic rep (n = dim J_1 - 1) when its
     generators' pairing rows pass _basic_rule, else None."""
-    if rep.dim < 2:
-        return Reduction("zero")
-    stages = iter(stages)
-    j0 = next(stages)
-    if j0.dim != 1:
-        return Reduction("zero")
-    j1 = next(stages)
-    ctx, s, n = rep.ctx, rep.rank, j1.dim - 1
-    pairing = _pairing(rep, j0, j1)
-    # one F_p row per complement vector and coefficient of t^k
-    coeff_rows = [row for col in zip(*pairing) for row in zip(*map(ctx.to_coeffs, col))]
-    kernel_group = ff.kernel(MatrixFF(FieldCtx(ctx.p, 1), coeff_rows))
-    coset = _coset(kernel_group)
-    units = ([int(t == j) for t in range(s)] for j in range(s))
-    projection = tuple(zip(*(quotient_vector(kernel_group, e) for e in units)))
-    try:
-        _basic_rule(ctx, [pairing[c] for c in coset], n)
-        model = _basic_on(ctx, n)
-    except ReductionError:
-        model = None
-    return Reduction("reduced", len(coset), projection, model)
-
-
-def classify(rep: Rep) -> Reduction:
-    """Reduce from the first two socle stages (see reduce_from_stages):
-    zero verdict unless J_0 is a line, else the projection onto the group
-    acting faithfully on J_1, which pairs against J_1 / J_0, and the basic
-    model that pairing matches.  Computed once per rep, from the stages in
-    its memo, and kept there."""
-    memo = rep._socle_memo()
-    if memo.reduction is None:
-        memo.reduction = reduce_from_stages(rep, _socle_stages(rep))
-    return memo.reduction
+    memo = rep._memo
+    if memo is not None and "reduction" in memo:
+        return memo["reduction"]
+    if _stages(rep, 1)[0].dim != 1 or rep.dim < 2:
+        red = Reduction("zero")
+    else:
+        j0, j1 = _stages(rep, 2)
+        ctx, s, n = rep.ctx, rep.rank, j1.dim - 1
+        pairing = _pairing(rep, j0, j1)
+        # one F_p row per complement vector and coefficient of t^k
+        coeff_rows = [row for col in zip(*pairing) for row in zip(*map(ctx.to_coeffs, col))]
+        kernel_group = ff.kernel(MatrixFF(FieldCtx(ctx.p, 1), coeff_rows))
+        coset = _coset(kernel_group)
+        units = ([int(t == j) for t in range(s)] for j in range(s))
+        projection = tuple(zip(*(quotient_vector(kernel_group, e) for e in units)))
+        try:
+            _basic_rule(ctx, [pairing[c] for c in coset], n)
+            model = _basic_on(ctx, n)
+        except ReductionError:
+            model = None
+        red = Reduction("reduced", len(coset), projection, model)
+    rep._memo["reduction"] = red  # _stages made the memo
+    return red
 
 
 def iso_to_basic(rep: Rep) -> MatrixFF:
@@ -600,13 +556,7 @@ def iso_to_basic(rep: Rep) -> MatrixFF:
 
 def chi_of_rep(rep: Rep, k: int) -> "MultiPoly":
     """The y^k class of an arbitrary prime-field rep, as a polynomial in
-    one variable per generator (see chi_from_reduction), from the rep's
-    memoised classify result."""
-    return chi_from_reduction(rep, classify(rep), k)
-
-
-def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> "MultiPoly":
-    """The y^k class of a prime-field rep from its classify() result:
+    one variable per generator, from the rep's memoised classify result:
     zero verdict gives 0, otherwise the basic answer for the quotient
     rank (dickson.chi_y_power, the splitting formula) pulled back along
     the projection."""
@@ -616,6 +566,7 @@ def chi_from_reduction(rep: Rep, red: Reduction, k: int) -> "MultiPoly":
         raise ValueError("polynomial classes of arbitrary reps need r = 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+    red = classify(rep)
     p = rep.ctx.p
     if red.verdict == "zero":
         return MultiPoly.zero(p, rep.rank)

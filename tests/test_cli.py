@@ -162,7 +162,12 @@ def test_chi_non_invariant_is_input_error(capsys):
         (["--p", "3", "--n", "2", "--alpha", "y^3"], "y^3 is not invariant for q = 3"),
         (
             ["--p", "2", "--r", "30", "--n", "2", "--alpha", "y0 y29^2"],
-            "y0 y29^2 is not invariant for q = 1073741824",
+            "y0 y29^2 is not invariant for q = 2^30",
+        ),
+        # 2^20000 in decimal passes int's string conversion limit
+        (
+            ["--p", "2", "--r", "20000", "--n", "1", "--alpha", "y19999"],
+            "y19999 is not invariant for q = 2^20000",
         ),
     ],
 )
@@ -170,6 +175,13 @@ def test_chi_non_invariant_names_the_monomial_as_written(capsys, argv, message):
     code, out, err = run(capsys, "chi", *argv)
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == f"error: {message}\n"
+
+
+def test_chi_at_a_large_extension_degree_skips_the_zero_slots(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "chi", "--p", "2", "--r", "100000", "--n", "1", "--alpha", "1")
+    assert (code, out) == (0, "0\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_chi_parse_error(capsys):
@@ -348,6 +360,10 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
     assert bound in err
 
 
+_BIG_COMPOSITE = "318665857834031151167461"  # 399165290221 * 798330580441
+_PRIMALITY_BOUND = f"p = {_BIG_COMPOSITE} is outside the bound p < 2^64 of the primality test"
+
+
 @pytest.mark.parametrize(
     "argv, bound",
     [
@@ -400,12 +416,25 @@ def test_dickson_rejects_inputs_over_the_bound(capsys, argv, bound):
         (["rep-analyze", "no-such-rep.json", "--chi", "\u0663"],
          "bad --chi list '\u0663': part '\u0663' is not a decimal exponent"),
         (["rep-analyze", "no-such-rep.json", "--chi", "3,0"], "--chi exponents must be >= 1"),
+        # a composite that passes all twelve Miller-Rabin bases
+        *(
+            ([command, "--p", _BIG_COMPOSITE, *rest], _PRIMALITY_BOUND)
+            for command, *rest in [
+                ["basis", "--max-degree", "1"],
+                ["chi", "--n", "1", "--alpha", f"y^{int(_BIG_COMPOSITE) - 1}"],
+                ["nonvanish", "--n", "1"],
+                ["dickson", "--n", "1"],
+                ["tuples", "--n", "1", "--max", "3"],
+            ]
+        ),
     ],
     ids=["basis-r0", "basis-r-1", "chi-r0", "nonvanish-r0", "nonvanish-max-degree-5",
          "basis-p4", "nonvanish-p4", "tuples-p4", "tuples-max-5", "basis-walk", "nonvanish-rows",
          "nonvanish-rows-max-degree", "nonvanish-rows-huge-n", "nonvanish-rows-p2",
          "nonvanish-n0", "chi-list-underscore", "chi-list-space-sign", "chi-list-empty-part",
-         "chi-list-comma", "chi-list-empty", "chi-list-non-ascii-digit", "chi-list-zero"],
+         "chi-list-comma", "chi-list-empty", "chi-list-non-ascii-digit", "chi-list-zero",
+         "basis-p-over-2^64", "chi-p-over-2^64", "nonvanish-p-over-2^64", "dickson-p-over-2^64",
+         "tuples-p-over-2^64"],
 )
 def test_input_bounds_fail_before_compute_or_cache(capsys, tmp_path, monkeypatch, argv, bound):
     def forbidden(*args):
@@ -828,13 +857,13 @@ def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path,
         assert reps.chi_of_rep(rep, 7).render() == chi7
 
     calls = []
-    reduce_from_stages = reps.reduce_from_stages
+    pairing = reps._pairing
 
-    def counted(rep, stages):
+    def counted(rep, j0, j1):
         calls.append(rep)
-        return reduce_from_stages(rep, stages)
+        return pairing(rep, j0, j1)
 
-    monkeypatch.setattr(reps, "reduce_from_stages", counted)
+    monkeypatch.setattr(reps, "_pairing", counted)
     path = _write_rep(tmp_path, regular)
     code, out, _ = run(capsys, "rep-analyze", path, "--chi", "1,3,7", "--format", "json")
     assert code == 0
@@ -924,6 +953,14 @@ def test_rep_analyze_rejects_extension_field_over_the_bound(capsys, tmp_path, mo
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_INPUT and out == ""
     assert "MAX_EXTENSION_ORDER" in err
+
+
+def test_rep_analyze_rejects_p_over_the_primality_bound(capsys, tmp_path):
+    path = tmp_path / "big-p.json"
+    path.write_text(f'{{"p": {_BIG_COMPOSITE}, "dim": 1, "generators": [[[1]]]}}')
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: {path}: {_PRIMALITY_BOUND}\n"
 
 
 def test_rep_analyze_rejects_dim_over_the_bound(capsys, tmp_path, monkeypatch):

@@ -275,13 +275,24 @@ def test_products_match_a_naive_product_on_exponent_tuples():
     assert a.mul_truncated(b, 3001) == poly(5, 2, {(3000, 1): 2, (0, 2): 3, (1, 0): 1})
 
 
-def test_pow_rejects_negative_exponents():
+def test_pow_rejects_negative_exponents(monkeypatch):
     a = poly(3, 2, {(1, 0): 1, (0, 1): 2})
     with pytest.raises(ValueError, match="k must be >= 0"):
         a.pow(-1)
+    products = []
+    mul_truncated = MultiPoly.mul_truncated
+
+    def counted(self, other, dmax):
+        products.append(other)
+        return mul_truncated(self, other, dmax)
+
+    monkeypatch.setattr(MultiPoly, "mul_truncated", counted)
     power = MultiPoly.const(3, 2, 1)
     for k in range(8):
+        products.clear()
         assert a.pow(k) == power
+        # one squaring per bit below the top, one product per further set bit
+        assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
         power = naive_product(power, a)
 
 

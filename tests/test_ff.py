@@ -331,8 +331,12 @@ def test_extension_fields_are_bounded():
 
 
 def test_is_prime():
-    primes = {2, 3, 5, 7, 11, 13, 97, 101, 2**61 - 1}
+    primes = {2, 3, 5, 7, 11, 13, 97, 101, 2**61 - 1, 2**64 - 59}  # the largest 64-bit prime
     for n in primes:
         assert ff.is_prime(n)
-    for n in (0, 1, 4, 9, 91, 561, 2**61 - 2):
+    for n in (0, 1, 4, 9, 91, 561, 2**61 - 2, 2**64 - 1):
         assert not ff.is_prime(n)
+    # 399165290221 * 798330580441 passes all twelve Miller-Rabin bases
+    for n in (2**64, 318665857834031151167461):
+        with pytest.raises(ValueError, match=r"p < 2\^64"):
+            ff.is_prime(n)

@@ -226,7 +226,7 @@ def test_socle_stall_is_raised_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="stalled"):
             socle_filtration(rep)
-    assert calls == [2, 2, 2, 2]  # the second walk recomputes J_0 and J_1
+    assert calls == [2, 2, 2]  # the second walk keeps J_0 and recomputes J_1
     with pytest.raises(AssertionError, match="stalled"):
         classify(rep)
 
@@ -651,7 +651,7 @@ def test_annihilator_route_reads_no_memo_and_no_membership_matrix(monkeypatch):
 
     rep = regular_rep(3, 2)
     want = _annihilator_stages_by_intersection(rep)
-    monkeypatch.setattr(reps._SocleMemo, "extend", forbidden)
+    monkeypatch.setattr(reps, "_stages", forbidden)
     monkeypatch.setattr(Subspace, "membership_matrix", forbidden)
     for r in (rep, big_rep(2, 2, 2), basic_rep(3, 1, 2).rep):
         stages = reps.socle_filtration_by_annihilators(r)
