@@ -3,22 +3,20 @@ tables, Dickson identity reports, tuple certificates, representation
 file analysis, and the verification driver.
 
 Every command takes the same path.  It validates its input (input errors
-exit 3 before any compute or cache lookup), gets its payload, and hands
-it to _emit with its CSV rows and text lines as lazy iterables (generator
-expressions over the payload), so only the format printed is ever built.
-The five computing commands get their payload from _cached, which builds
-{"schema", **params, **compute()} once and, with --cache-dir or
-MODCHAR_CACHE, reads it from and writes it to the result cache (a hit
-must match the command's params and result shape); the rows and lines
-read only the payload, so cached and fresh runs print the same bytes.
-_emit alone reads --format, prints, and sets the exit code.
+exit 3 before any compute or cache lookup), builds its payload, and hands
+it to _emit with its CSV rows and text lines as lazy iterables, so only
+the format asked for is ever built.  _emit alone reads --format and
+returns the text and exit code; _print writes them.  The five computing
+commands build and emit inside an output() closure passed to _cached,
+which, with --cache-dir or MODCHAR_CACHE, prints the sealed entry stored
+for (command, params, --format) instead, or runs output() and stores it.
 
-Each command imports the modules it runs inside its cmd_* function,
-after the input checks that need none of them, and the result cache is
-imported only when a cache root is set, so a command compiles and loads
-only its own part of the package, and an input error those checks catch
-exits before the compute layers load.  json, too, is imported only by
-JSON output and by rep-analyze, which reads a JSON file.
+Each command imports the modules it runs after the input checks that
+need none of them (the computing ones inside output(), so a cache hit
+loads no compute layer), and the result cache only when a cache root is
+set, so an input error those checks catch exits before the compute
+layers load.  json, too, is imported only by JSON output and by
+rep-analyze, which reads a JSON file.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 4 internal error (a broken internal invariant, never a check result),
@@ -111,64 +109,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fits(value, shape) -> bool:
-    """True when value has the JSON shape: a type (int is not bool), a
-    tuple of alternatives, [item shape], {int: value shape} for an object
-    keyed by decimal strings, or an object with exactly the given keys."""
-    if isinstance(shape, tuple):
-        return any(_fits(value, s) for s in shape)
-    if isinstance(shape, list):
-        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
-    if not isinstance(shape, dict):
-        return type(value) is shape
-    if not isinstance(value, dict):
-        return False
-    if int in shape:
-        return all(k.isdecimal() and _fits(v, shape[int]) for k, v in value.items())
-    return value.keys() == shape.keys() and all(_fits(value[k], s) for k, s in shape.items())
-
-
-def _cached(args, command: str, params: dict, compute, shape: dict) -> dict:
-    """The payload {"schema", **params, **compute()}, read from the result
-    cache when --cache-dir or MODCHAR_CACHE names one, else computed (and
-    then stored there).  params are the command's canonical inputs and
-    key the cache; shape gives the JSON shape (see _fits) of each result
-    field compute() returns.  An entry counts as a hit only when it is
-    an object whose schema and every param equal the request and whose
-    other fields are exactly those of shape, each of its shape; anything
-    else is a miss, recomputed and overwritten."""
+def _cached(args, command: str, params: dict, output) -> int:
+    """Print output(), the command's (stdout, exit code), and return the
+    code.  With --cache-dir or MODCHAR_CACHE, the result cache holds one
+    entry per command, params (its canonical inputs) and --format: a
+    sealed entry found there is printed instead, and anything else is a
+    miss, run and stored."""
     root = args.cache_dir or os.environ.get("MODCHAR_CACHE")
-    if root:
-        from .cache import ResultCache
+    if not root:
+        return _print(output())
+    from .cache import ResultCache
 
-        cache, key = ResultCache(root), ResultCache.key(command, params)
-        payload = cache.get(key)
-        expected = {"schema": SCHEMA, **params}
-        if _fits(payload, {**{k: type(v) for k, v in expected.items()}, **shape}) and all(
-            payload[k] == v for k, v in expected.items()
-        ):
-            return payload
-    payload = {"schema": SCHEMA, **params, **compute()}
-    if root:
-        cache.put(key, payload)
-    return payload
+    cache, key = ResultCache(root), ResultCache.key(command, params, args.format)
+    result = cache.get(key)
+    if result is None:
+        result = output()
+        cache.put(key, *result)
+    return _print(result)
 
 
-def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> int:
-    """Print the payload as --format asks (JSON, the CSV rows under header,
-    or the text lines); exit 0, or 1 when a check failed.  rows and lines
-    are lazy, so the format not asked for is never built."""
+def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> tuple[str, int]:
+    """The payload as --format asks (JSON, the CSV rows under header, or
+    the text lines), with exit code 0, or 1 when a check failed.  rows
+    and lines are lazy, so the format not asked for is never built."""
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
     else:
-        for line in lines:
-            print(line)
+        text = "".join(f"{line}\n" for line in lines)
+    return text, EXIT_OK if ok else EXIT_CHECK_FAILURE
+
+
+def _print(result: tuple[str, int]) -> int:
+    """Write the text of _emit's result to stdout and return its code.
+    The text goes in 8 KiB pieces: one write of a long text can end
+    without an error when the reader closes the pipe early, while a
+    piece written after the close raises BrokenPipeError (exit 141)."""
+    text, code = result
+    for start in range(0, len(text), 1 << 13):
+        sys.stdout.write(text[start : start + (1 << 13)])
     sys.stdout.flush()  # a closed pipe raises here, inside main's handler
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    return code
 
 
 def _require_field(p: int, r: int = 1) -> None:
@@ -207,20 +191,20 @@ def cmd_basis(args) -> int:
             f"the basis bound is {BASIS_MAX_WALK:,}"
         )
 
-    def compute():
-        by_degree = {}
+    params = {"p": args.p, "r": args.r, "max_degree": args.max_degree}
+
+    def output():
+        basis = {}
         for d in range(args.max_degree + 1):
             monomials = mono.enumerate_invariant_basis(args.p, args.r, d)
             if monomials:
-                by_degree[str(d)] = [mono.format_monomial(m) for m in monomials]
-        return {"basis": by_degree}
+                basis[d] = [mono.format_monomial(m) for m in monomials]
+        payload = {"schema": SCHEMA, **params, "basis": {str(d): ms for d, ms in basis.items()}}
+        rows = ((d, m) for d, monomials in basis.items() for m in monomials)
+        lines = (f"{d}: " + ", ".join(monomials) for d, monomials in basis.items())
+        return _emit(args, payload, ("degree", "monomial"), rows, lines)
 
-    params = {"p": args.p, "r": args.r, "max_degree": args.max_degree}
-    payload = _cached(args, "basis", params, compute, {"basis": {int: [str]}})
-    basis = [(d, payload["basis"][d]) for d in sorted(payload["basis"], key=int)]
-    rows = ((d, m) for d, monomials in basis for m in monomials)
-    lines = (f"{d}: " + ", ".join(monomials) for d, monomials in basis)
-    return _emit(args, payload, ("degree", "monomial"), rows, lines)
+    return _cached(args, "basis", params, output)
 
 
 def _chi_terms(terms):
@@ -251,7 +235,7 @@ def _chi_result(tc) -> dict:
 def cmd_chi(args) -> int:
     _require_field(args.p, args.r)
     _require_rank(args.n)
-    from . import chi, mono
+    from . import mono
 
     try:
         alpha = mono.parse_monomial(args.alpha, args.r)
@@ -259,15 +243,15 @@ def cmd_chi(args) -> int:
         raise InputError(f"cannot parse alpha: {exc}") from exc
 
     params = {"p": args.p, "r": args.r, "n": args.n, "alpha": mono.format_monomial(alpha)}
-    factor = {"A": [int], "B": [int]}
-    shape = {"rendered": str, "terms": [{"factors": [factor], "coeff": int}]}
 
-    def compute():
-        return _chi_result(chi.chi_basic(args.p, args.r, alpha, args.n))
+    def output():
+        from . import chi
 
-    payload = _cached(args, "chi", params, compute, shape)
-    rows = _chi_terms(payload["terms"])
-    return _emit(args, payload, ("term", "coeff"), rows, (payload["rendered"],))
+        payload = {"schema": SCHEMA, **params, **_chi_result(chi.chi_basic(args.p, args.r, alpha, args.n))}
+        rows = _chi_terms(payload["terms"])
+        return _emit(args, payload, ("term", "coeff"), rows, (payload["rendered"],))
+
+    return _cached(args, "chi", params, output)
 
 
 # Bound on a nonvanish table: the rows it can list, (p^n - 1) times the
@@ -297,11 +281,15 @@ def cmd_nonvanish(args) -> int:
     _require_max_degree(args.max_degree)
     _require_field(args.p, args.r)
     _require_nonvanish_rows(args.p, args.r, args.n, args.max_degree)
-    from . import chi, mono
+    params = {"p": args.p, "r": args.r, "n": args.n, "max_degree": args.max_degree}
 
-    def compute():
+    def output():
+        from . import chi, mono
+
         table = chi.universal_table(args.p, args.r, args.n, args.max_degree)
-        return {
+        payload = {
+            "schema": SCHEMA,
+            **params,
             "rows": [
                 {
                     "N": row.N,
@@ -310,15 +298,13 @@ def cmd_nonvanish(args) -> int:
                     "status": row.status,
                 }
                 for row in table
-            ]
+            ],
         }
+        rows = ((r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"])
+        lines = ("N={N}  alpha={alpha}  degree={degree}  {status}".format(**r) for r in payload["rows"])
+        return _emit(args, payload, ("N", "alpha", "degree", "status"), rows, lines)
 
-    params = {"p": args.p, "r": args.r, "n": args.n, "max_degree": args.max_degree}
-    shape = {"rows": [{"N": int, "alpha": str, "degree": int, "status": str}]}
-    payload = _cached(args, "nonvanish", params, compute, shape)
-    rows = ((r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"])
-    lines = ("N={N}  alpha={alpha}  degree={degree}  {status}".format(**r) for r in payload["rows"])
-    return _emit(args, payload, ("N", "alpha", "degree", "status"), rows, lines)
+    return _cached(args, "nonvanish", params, output)
 
 
 # Bound on a dickson report: p^n <= 49 and dmax <= 3(p^n - 1), the
@@ -354,29 +340,30 @@ def dickson_dmax(p: int, n: int, dmax: int | None) -> int:
 
 def cmd_dickson(args) -> int:
     dmax = dickson_dmax(args.p, args.n, args.dmax)
-    from . import dickson
-
     params = {"p": args.p, "n": args.n, "dmax": dmax}
-    shape = {check: bool for check in ("sparsity", "newton", "inverse", "ok")}
-    shape.update(product_signs={int: (int, str)}, components={int: str})
-    payload = _cached(args, "dickson", params, lambda: dickson.report(args.p, args.n, dmax), shape)
-    signs = sorted(payload["product_signs"].items(), key=lambda kv: int(kv[0]))
-    checks = [(check, payload[check]) for check in ("sparsity", "newton", "inverse")]
 
-    def rows():
-        yield from checks
-        yield from ((f"product_sign_i={i}", s) for i, s in signs)
+    def output():
+        from . import dickson
 
-    def lines():
-        rendered = ", ".join(
-            f"i={i}: {'+1' if s == 1 else s if isinstance(s, str) else '-1'}" for i, s in signs
-        )
-        verdicts = ", ".join(f"{check}: {'ok' if passed else 'FAIL'}" for check, passed in checks)
-        yield f"{verdicts}, products: {rendered}"
-        for d in sorted(payload["components"], key=int):
-            yield f"D_{d} = {payload['components'][d]}"
+        payload = {"schema": SCHEMA, **params, **dickson.report(args.p, args.n, dmax)}
+        signs = payload["product_signs"].items()  # by i, as components are by degree
+        checks = [(check, payload[check]) for check in ("sparsity", "newton", "inverse")]
 
-    return _emit(args, payload, ("check", "result"), rows(), lines(), payload["ok"])
+        def rows():
+            yield from checks
+            yield from ((f"product_sign_i={i}", s) for i, s in signs)
+
+        def lines():
+            rendered = ", ".join(
+                f"i={i}: {'+1' if s == 1 else s if isinstance(s, str) else '-1'}" for i, s in signs
+            )
+            verdicts = ", ".join(f"{check}: {'ok' if passed else 'FAIL'}" for check, passed in checks)
+            yield f"{verdicts}, products: {rendered}"
+            yield from (f"D_{d} = {text}" for d, text in payload["components"].items())
+
+        return _emit(args, payload, ("check", "result"), rows(), lines(), payload["ok"])
+
+    return _cached(args, "dickson", params, output)
 
 
 def cmd_tuples(args) -> int:
@@ -384,20 +371,18 @@ def cmd_tuples(args) -> int:
         raise InputError("--max must be >= 0")
     _require_field(args.p)
     _require_rank(args.n)
-    from . import chi
-
-    def compute():
-        tuples = chi.indecomposable_tuples(args.p, args.n, args.max)
-        return {"tuples": [{"parts": list(t), "degree": d} for t, d in tuples]}
-
     params = {"p": args.p, "n": args.n, "max": args.max}
-    shape = {"tuples": [{"parts": [int], "degree": int}]}
-    payload = _cached(args, "tuples", params, compute, shape)
-    rows = ((" ".join(map(str, t["parts"])), t["degree"]) for t in payload["tuples"])
-    lines = (
-        f"({', '.join(map(str, t['parts']))})  degree {t['degree']}" for t in payload["tuples"]
-    )
-    return _emit(args, payload, ("parts", "degree"), rows, lines)
+
+    def output():
+        from . import chi
+
+        tuples = chi.indecomposable_tuples(args.p, args.n, args.max)
+        payload = {"schema": SCHEMA, **params, "tuples": [{"parts": list(t), "degree": d} for t, d in tuples]}
+        rows = ((" ".join(map(str, t)), d) for t, d in tuples)
+        lines = (f"({', '.join(map(str, t))})  degree {d}" for t, d in tuples)
+        return _emit(args, payload, ("parts", "degree"), rows, lines)
+
+    return _cached(args, "tuples", params, output)
 
 
 def _chi_exponents(text: str) -> list[int]:
@@ -474,7 +459,7 @@ def cmd_rep_analyze(args) -> int:
             yield "verdict: zero (all classes vanish)"
         yield from (f"chi[{key}] = {val}" for key, val in chis.items())
 
-    return _emit(args, payload, ("field", "value"), rows(), lines())
+    return _print(_emit(args, payload, ("field", "value"), rows(), lines()))
 
 
 def cmd_verify(args) -> int:
@@ -500,7 +485,7 @@ def cmd_verify(args) -> int:
         for r, mark in zip(results, marks)
     )
     ok = all(r.ok for r in results)
-    return _emit(args, payload, ("suite", "result", "seconds"), rows, lines, ok)
+    return _print(_emit(args, payload, ("suite", "result", "seconds"), rows, lines, ok))
 
 
 _COMMANDS = {

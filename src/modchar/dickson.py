@@ -467,9 +467,9 @@ def product_identity_check(p: int, n: int, i: int) -> int:
 def report(p: int, n: int, dmax: int) -> dict:
     """The Dickson identity report: sparsity of the total class D,
     Newton's identity, the series-inverse route, and the sign of each
-    product identity (its failure message where neither sign holds),
-    with every component of D rendered.  `modchar dickson` prints it and
-    `verify`'s Dickson suite checks it."""
+    product identity by i (its failure message where neither sign
+    holds), with every component of D rendered, by degree.  `modchar
+    dickson` prints it and `verify`'s Dickson suite checks it."""
     q = p**n
     components = dickson_total(p, n).components
     sparsity = set(components) <= {q - p**i for i in range(n + 1)} | {0}

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -682,7 +683,7 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     ]
     code, fresh, _ = run(capsys, *args)
     assert code == 0
-    assert list(tmp_path.glob("*.json"))
+    assert list(tmp_path.glob("*.out"))
     code, cached, _ = run(capsys, *args)
     assert code == 0
     assert cached == fresh
@@ -707,15 +708,15 @@ def test_cached_fresh_and_bare_runs_are_byte_identical(capsys, tmp_path, monkeyp
     writes = []
     put = cache.ResultCache.put
 
-    def counted(self, key, payload):
+    def counted(self, key, text, code):
         writes.append(key)
-        put(self, key, payload)
+        put(self, key, text, code)
 
     monkeypatch.setattr(cache.ResultCache, "put", counted)
     argv = [*CACHE_CASES[command], "--format", fmt]
     bare = run(capsys, *argv)
     fresh = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert len(writes) == 1 and len(list(tmp_path.glob("*.json"))) == 1
+    assert len(writes) == 1 and len(list(tmp_path.glob("*.out"))) == 1
     cached = run(capsys, *argv, "--cache-dir", str(tmp_path))
     assert len(writes) == 1  # a hit: read back, not recomputed
     assert bare[0] == 0 and bare[1]
@@ -736,34 +737,126 @@ def test_cached_fresh_and_bare_runs_are_byte_identical(capsys, tmp_path, monkeyp
     ],
 )
 def test_bad_cache_entry_is_a_miss(capsys, tmp_path, entry):
-    # hand-written entries under the request's key: wrong shape, missing or
-    # different params, bytes that are not UTF-8, result fields missing,
-    # ill-shaped or extra
+    # hand-written entries under the request's key: JSON of any shape, or
+    # bytes that are not UTF-8; none carries a seal
     argv = ["tuples", "--p", "2", "--n", "2", "--max", "7", "--format", "json"]
     fresh = run(capsys, *argv)
     run(capsys, *argv, "--cache-dir", str(tmp_path))
-    (path,) = tmp_path.glob("*.json")
+    (path,) = tmp_path.glob("*.out")
+    good = path.read_bytes()
     path.write_bytes(entry)
     assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
     assert fresh[0] == 0
-    assert json.loads(path.read_text(encoding="utf-8")) == json.loads(fresh[1])
+    assert path.read_bytes() == good
+
+
+def _edit_last_digit(data: bytes) -> bytes:
+    i = max(data.rfind(b"%d" % d) for d in range(10))
+    return data[:i] + b"%d" % ((data[i] - ord("0") + 2) % 10) + data[i + 1 :]
+
+
+def test_cache_entry_with_an_edited_digit_is_a_miss(capsys, tmp_path):
+    # the last digit of a good entry changed, as a hand edit of a printed
+    # degree would: the edited answer is never printed
+    argv = ["tuples", "--p", "2", "--n", "2", "--max", "7", "--cache-dir", str(tmp_path)]
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0 and "degree 6" in fresh[1]
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(_edit_last_digit(good))
+    assert run(capsys, *argv) == fresh
+    assert path.read_bytes() == good
+
+
+TAMPERS = {
+    "seal-dropped": lambda data: data.split(b"\n", 1)[1],
+    "digit-edited": _edit_last_digit,
+    "code-changed": lambda data: re.sub(rb"\n\d+\n", b"\n7\n", data, count=1),
+    "body-truncated": lambda data: data[: len(data) - 3],
+}
 
 
 @pytest.mark.parametrize("command", sorted(CACHE_CASES))
 def test_cache_entry_missing_or_ill_shaped_field_is_a_miss(capsys, tmp_path, command):
-    # every field of a good entry, dropped or given a wrong shape in turn
-    argv = [*CACHE_CASES[command], "--format", "json"]
+    # a good entry in each format with its seal line dropped, a digit of
+    # its body changed, its exit code changed or its body cut short is
+    # recomputed, and the good entry is written back
+    for fmt in ("text", "json", "csv"):
+        argv = [*CACHE_CASES[command], "--format", fmt, "--cache-dir", str(tmp_path / fmt)]
+        fresh = run(capsys, *argv)
+        assert fresh[0] == 0
+        (path,) = (tmp_path / fmt).glob("*.out")
+        good = path.read_bytes()
+        for tamper in TAMPERS.values():
+            path.write_bytes(tamper(good))
+            assert path.read_bytes() != good
+            assert run(capsys, *argv) == fresh
+            assert path.read_bytes() == good
+
+
+def test_cache_entry_under_another_key_is_a_miss(capsys, tmp_path):
+    # a good entry of one request copied over another request's entry
+    root = ["--cache-dir", str(tmp_path)]
+    small = run(capsys, "tuples", "--p", "2", "--n", "2", "--max", "7", *root)
+    (small_path,) = tmp_path.glob("*.out")
+    argv = ["tuples", "--p", "2", "--n", "2", "--max", "9", *root]
     fresh = run(capsys, *argv)
-    assert fresh[0] == 0
-    run(capsys, *argv, "--cache-dir", str(tmp_path))
-    (path,) = tmp_path.glob("*.json")
-    good = json.loads(path.read_text(encoding="utf-8"))
-    for key in good:
-        dropped = {k: v for k, v in good.items() if k != key}
-        for entry in (dropped, {**good, key: [{"parts": 5}]}):
-            path.write_text(json.dumps(entry), encoding="utf-8")
-            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == fresh
-            assert json.loads(path.read_text(encoding="utf-8")) == good
+    assert fresh != small and fresh[0] == 0
+    (path,) = set(tmp_path.glob("*.out")) - {small_path}
+    good = path.read_bytes()
+    path.write_bytes(small_path.read_bytes())
+    assert run(capsys, *argv) == fresh
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+def test_unwritable_cache_root_is_skipped(capsys, tmp_path, beneath):
+    # a --cache-dir that is a regular file, or a path beneath one, can be
+    # neither created nor written: the answer prints as a bare run's does
+    argv = ["tuples", "--p", "2", "--n", "2", "--max", "7"]
+    bare = run(capsys, *argv)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    root = blocker / "cache" if beneath else blocker
+    for _ in range(2):
+        assert run(capsys, *argv, "--cache-dir", str(root)) == bare == (0, bare[1], "")
+    assert blocker.read_text() == "not a directory\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+_CACHE_HIT_LOADS = """\
+import sys
+from modchar.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+layers = ("modchar.chi", "modchar.coalg", "modchar.dickson")
+sys.stderr.write(f"loaded: {[name for name in layers if name in sys.modules]}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["chi", "dickson", "nonvanish", "tuples"])
+def test_cache_hit_loads_no_compute_layer(tmp_path, command):
+    # a miss runs the command's compute layers; a hit prints the stored
+    # entry in a fresh interpreter without loading any of them (basis
+    # runs only mono, which its walk bound needs before the lookup)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    argv = [*CACHE_CASES[command], "--cache-dir", str(tmp_path)]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _CACHE_HIT_LOADS, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        for _ in range(2)
+    ]
+    miss, hit = runs
+    assert miss.returncode == hit.returncode == 0
+    assert hit.stdout == miss.stdout
+    assert miss.stderr != "loaded: []\n"
+    assert hit.stderr == "loaded: []\n"
 
 
 def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):
@@ -784,7 +877,7 @@ def test_cache_key_tracks_package_source(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "source_digest", lambda: "0" * 64)
     code, recomputed, _ = run(capsys, *args)
     assert recomputed == fresh and len(calls) == 6
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert len(list(tmp_path.glob("*.out"))) == 2
 
 
 def _write_rep(tmp_path, rep, basepoint=None, name="rep.json"):
@@ -1100,7 +1193,7 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODCHAR_CACHE", str(tmp_path))
     code, out1, _ = run(capsys, "tuples", "--p", "2", "--n", "2", "--max", "5")
     assert code == 0
-    assert list(tmp_path.glob("*.json"))
+    assert list(tmp_path.glob("*.out"))
     code, out2, _ = run(capsys, "tuples", "--p", "2", "--n", "2", "--max", "5")
     assert out1 == out2
 
