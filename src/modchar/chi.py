@@ -7,6 +7,16 @@ representation is (-1)^(n-1) times the n-fold splitting of alpha with
 all terms containing a degree-zero factor removed.  It is nonzero
 exactly when one splitting exists whose factors are nonzero, invariant,
 and whose polynomial exponents add without base-p carries.
+
+The splitting walk is pruned by token weight.  A monomial's tokens are
+one of weight p^k per exterior generator x_k and, per base-p digit d of
+b_k at place t, d of weight p^((k+t) mod r); its token weight W is their
+sum.  W is congruent to the weight mod q - 1, so an invariant monomial
+of nonzero degree has W >= q - 1.  By Lucas, a nonzero coproduct term
+splits every digit without a carry, so W adds exactly over it.  Hence a
+monomial with W < (q - 1) s cannot split into s invariant factors of
+nonzero degree, and a branch the walk cuts on that bound has no term in
+the class: the pruned walk returns the unpruned class term for term.
 """
 
 from __future__ import annotations
@@ -67,22 +77,42 @@ def _split_ids(p: int, r: int, alpha: Monomial, n: int) -> tuple[list, dict]:
     times (-1)^(n-1).  A split with a degree-0 side is dropped as soon as
     it appears: the unit splits only as unit (x) unit and right factors
     are never split again, so every term it leads to has a degree-0
-    factor.  A monomial's proper splits are computed once per process
-    (_proper_splits), then given ids once per call; tuples of ints hash
-    fast."""
+    factor.  The walk also keeps only what can survive, by the token
+    weight W of the module docstring: the class is zero at once when
+    W(alpha) < (q - 1) n, and at split j (from 0) a split is kept only
+    when W(left) >= (q - 1)(n - 1 - j), as the left side must still
+    become n - 1 - j invariant factors of nonzero degree.  The bound is
+    a necessary condition only, so every branch it cuts has no
+    descendant and the class is the unpruned one term for term.
+
+    A monomial's proper splits are computed once per process
+    (_proper_splits); in a call, each left factor's W is computed once,
+    and the kept splits are given ids once per (first factor, j); tuples
+    of ints hash fast."""
+    q1 = p**r - 1
+    if _token_weight(p, r, alpha) < q1 * n:
+        return [alpha], {}
     index = {alpha: 0}
-    splits = {}  # first factor -> [(left, right, coefficient)], as ids
+    tokens = {}  # left factor -> W
+    splits = {}  # (first factor, j) -> [(left, right, coefficient)] kept, as ids
     current = {(0,): (-1) ** (n - 1) % p}  # the sign, carried by every term
-    for _ in range(n - 1):
+    for j in range(n - 1):
+        floor = q1 * (n - 1 - j)
         monomials = list(index)
         nxt = {}
         for tup, c in current.items():
             first, rest = tup[0], tup[1:]
-            pairs = splits.get(first)
+            pairs = splits.get((first, j))
             if pairs is None:
-                pairs = splits[first] = [
+                kept = _proper_splits(p, r, monomials[first])
+                if j < n - 2:  # at the last split every left meets the floor, q - 1
+                    for left, _, _ in kept:
+                        if left not in tokens:
+                            tokens[left] = _token_weight(p, r, left)
+                    kept = [split for split in kept if tokens[split[0]] >= floor]
+                pairs = splits[first, j] = [
                     (index.setdefault(left, len(index)), index.setdefault(right, len(index)), c2)
-                    for left, right, c2 in _proper_splits(p, r, monomials[first])
+                    for left, right, c2 in kept
                 ]
             for left, right, c2 in pairs:
                 key = (left, right) + rest
@@ -102,6 +132,29 @@ def _proper_splits(p: int, r: int, m: Monomial) -> tuple:
         for (left, right), c in coalg.coproduct(p, r, m).items()
         if degree(left, p) and degree(right, p)
     )
+
+
+def _token_weight(p: int, r: int, m: Monomial) -> int:
+    """W(m) = sum_k a_k p^k + sum_k sum_t d_{k,t} p^((k+t) mod r), where
+    d_{k,t} is the base-p digit of b_k at place t: the splitting walk's
+    bound (module docstring).  The splitting search does not read it.
+
+    The places of b_k are taken r at a time: a chunk c of r digits adds
+    its digits rotated k places, that is hi + lo for
+    (hi, lo) = divmod(c p^k, q), as shifting a base-p number makes no
+    carry."""
+    q = p**r
+    w = 0
+    for k, (a, b) in enumerate(zip(m.ext, m.pows)):
+        if a:
+            w += p**k
+        if b:
+            shift = p**k
+            while b:
+                b, chunk = divmod(b, q)
+                hi, lo = divmod(chunk * shift, q)
+                w += hi + lo
+    return w
 
 
 def digit_sum(p: int, m: int) -> int:

@@ -118,29 +118,35 @@ def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
     w_last = w[last]
     found = []
 
-    def walk(ext, k, rem, res, prefix):
-        if k == last:  # r = 1
-            if (res + w_last * rem) % q1 == 0:
-                found.append(Monomial(ext, prefix + (rem,)))
-            return
-        wk = w[k]
-        if k + 1 == last:  # b here, the remaining rem - b in the last slot
-            res += w_last * rem
-            step = wk - w_last
+    def walk(ext, rem, res):
+        # an explicit stack of (slot, y-degree left, residue, exponents so
+        # far), not one call per slot: r can pass the recursion limit
+        stack = [(0, rem, res, ())]
+        while stack:
+            k, rem, res, prefix = stack.pop()
+            if k == last:  # r = 1
+                if (res + w_last * rem) % q1 == 0:
+                    found.append(Monomial(ext, prefix + (rem,)))
+                continue
+            wk = w[k]
+            if k + 1 == last:  # b here, the remaining rem - b in the last slot
+                res += w_last * rem
+                step = wk - w_last
+                for b in range(rem + 1):
+                    if (res + step * b) % q1 == 0:
+                        found.append(Monomial(ext, prefix + (b, rem - b)))
+                continue
+            k += 1
             for b in range(rem + 1):
-                if (res + step * b) % q1 == 0:
-                    found.append(Monomial(ext, prefix + (b, rem - b)))
-            return
-        for b in range(rem + 1):
-            walk(ext, k + 1, rem - b, res + wk * b, prefix + (b,))
+                stack.append((k, rem - b, res + wk * b, prefix + (b,)))
 
     if p == 2:
-        walk((0,) * r, 0, d, 0, ())
+        walk((0,) * r, d, 0)
     else:
         for size in range(d % 2, min(d, r) + 1, 2):
             for subset in itertools.combinations(range(r), size):
                 ext = tuple(int(k in subset) for k in range(r))
-                walk(ext, 0, (d - size) // 2, sum(w[k] for k in subset), ())
+                walk(ext, (d - size) // 2, sum(w[k] for k in subset))
     found.sort(key=lambda m: sort_key(m, p))
     return found
 

@@ -8,6 +8,7 @@ module (an entirely different computation path)."""
 import itertools
 import math
 import operator
+import random
 
 import pytest
 
@@ -39,6 +40,7 @@ from modchar.mono import (
     degree,
     enumerate_invariant_basis,
     is_invariant,
+    weight,
 )
 
 
@@ -154,7 +156,7 @@ def test_pruned_expansion_full_grid():
     # the quick profile keeps the basis monomials at n = 2 only
     result = verify.suite_pruned_expansion("full")
     assert result.ok, result.detail
-    assert result.detail.startswith("148 classes")
+    assert result.detail.startswith("565 classes")
 
 
 def naive_chi_by_word_expansion(p, r, alpha, n):
@@ -510,8 +512,10 @@ def test_band_splits_each_first_factor_once(monkeypatch):
     for m in MEMO_BAND:
         chi_basic(2, 2, m, 3)
     # without the memo each chi_basic call splits its own first factors,
-    # 1,165 coproducts over this band
-    assert len(calls) == len(set(calls)) == 209
+    # 1,165 coproducts over this band; without the token-weight bound the
+    # memo splits 209 first factors
+    assert len(calls) == len(set(calls)) == 159
+    assert len(calls) < 209
 
 
 def test_memo_results_match_cold_warm_and_unpruned(monkeypatch):
@@ -534,3 +538,89 @@ def test_memo_results_match_cold_warm_and_unpruned(monkeypatch):
 def test_memo_is_bounded():
     maxsize = chi._proper_splits.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+
+
+# -- the token-weight bound -------------------------------------------------------
+
+# degrees drawn per (p, r): high enough that some classes survive at n <= 6,
+# low enough that the unpruned route stays fast
+BOUND_DEGREES = {
+    (2, 1): 40, (2, 2): 24, (2, 3): 30,
+    (3, 1): 40, (3, 2): 40, (3, 3): 60,
+    (5, 1): 60, (5, 2): 60, (5, 3): 60,
+}
+
+
+def _bound_grid(draws=300, seed=1):
+    """Seeded random (p, r, alpha, n) with p in {2, 3, 5}, r <= 3, n <= 6:
+    alpha a basis monomial of a random degree, with an exterior part
+    whenever that degree has one."""
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < draws:
+        p, r, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 6)
+        basis = enumerate_invariant_basis(p, r, rng.randint(1, BOUND_DEGREES[p, r]))
+        if p != 2:
+            basis = [m for m in basis if any(m.ext)] or basis
+        if basis:
+            grid.append((p, r, rng.choice(basis), n))
+    return grid
+
+
+BOUND_GRID = _bound_grid()
+
+
+def _unpruned(p, r, alpha, n):
+    return TensorClass(p, r, n, {
+        tup: (-1) ** (n - 1) * c
+        for tup, c in coalg.iterated_coproduct(p, r, alpha, n).items()
+        if all(degree(f, p) for f in tup)
+    })
+
+
+def test_token_weight_bound_keeps_every_term():
+    assert any(any(alpha.ext) for _, _, alpha, _ in BOUND_GRID)
+    surviving = 0
+    for p, r, alpha, n in BOUND_GRID:
+        tc = chi_basic(p, r, alpha, n)
+        assert tc == _unpruned(p, r, alpha, n), (p, r, alpha, n)
+        surviving += not tc.is_zero()
+    assert surviving >= 50
+
+
+def test_one_step_stricter_bound_drops_terms(monkeypatch):
+    # an invariant monomial's W is a multiple of q - 1, so W - 1 >= floor
+    # asks for one more factor than the left side must still become
+    real = chi._token_weight
+    monkeypatch.setattr(chi, "_token_weight", lambda p, r, m: real(p, r, m) - 1)
+    wrong = [
+        (p, tc)
+        for p, r, alpha, n in BOUND_GRID
+        if (tc := chi_basic(p, r, alpha, n)) != _unpruned(p, r, alpha, n)
+    ]
+    assert {p for p, _ in wrong} == {2, 3, 5}
+    # some class keeps terms yet loses others: the split floor is tight too,
+    # not only the check on alpha
+    assert any(not tc.is_zero() for _, tc in wrong)
+
+
+def test_token_weight_matches_weight_mod_q_minus_1_and_adds_over_splits():
+    for p, r, alpha, _ in BOUND_GRID[:60]:
+        q1 = p**r - 1
+        w = chi._token_weight(p, r, alpha)
+        assert w >= q1 and (w - weight(alpha, p)) % q1 == 0
+        for (left, right), _c in coalg.coproduct(p, r, alpha).items():
+            assert chi._token_weight(p, r, left) + chi._token_weight(p, r, right) == w
+
+
+def test_splitting_search_never_reads_the_bound(monkeypatch):
+    def unread(*args):
+        raise AssertionError("the token-weight bound was read")
+
+    monkeypatch.setattr(chi, "_token_weight", unread)
+    with pytest.raises(AssertionError):
+        chi_basic(2, 1, y(3), 2)
+    chi._splittable.cache_clear()
+    # is_chi_nonzero against r1_predicate, kinds y and xy, m <= 300
+    result = verify.suite_digit_criterion("full")
+    assert result.ok, result.detail

@@ -595,6 +595,14 @@ def test_basis_under_the_walk_bound_answers(capsys):
     assert (code, out) == (0, "0: 1\n")
 
 
+def test_basis_at_a_rank_past_the_recursion_limit_answers(capsys):
+    # the residue walk keeps an explicit stack, not one call per slot
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "basis", "--p", "2", "--r", "990", "--max-degree", "0")
+    assert (code, out) == (0, "0: 1\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_chi_rejects_exterior_generators_at_p2(capsys):
     for alpha in ("x", "x y^3"):
         code, out, err = run(capsys, "chi", "--p", "2", "--n", "2", "--alpha", alpha)

@@ -1,6 +1,7 @@
 """Monomial model, weights, the invariant basis, and sparse classes."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -126,6 +127,12 @@ def _basis_by_filtering(p, r, d):
 def test_invariant_basis_walk_equals_filtering(p, r, max_degree):
     for d in range(max_degree + 1):
         assert enumerate_invariant_basis(p, r, d) == _basis_by_filtering(p, r, d), d
+
+
+def test_invariant_basis_at_a_rank_past_the_recursion_limit():
+    r = sys.getrecursionlimit() + 10
+    for p in (2, 3):
+        assert enumerate_invariant_basis(p, r, 0) == [Monomial.unit(r)]
 
 
 def test_basis_walk_size_counts_the_tested_vectors():
