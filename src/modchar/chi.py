@@ -21,6 +21,8 @@ the class: the pruned walk returns the unpruned class term for term.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import Frozen, coalg
@@ -63,7 +65,7 @@ def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     if degree(alpha, p) == 0:
         return TensorClass.zero(p, r, n)
     monomials, ids = _split_ids(p, r, alpha, n)
-    terms = {tuple(monomials[i] for i in tup): c for tup, c in ids.items()}
+    terms = {tuple(map(monomials.__getitem__, tup)): c for tup, c in ids.items()}
     return TensorClass._of(p, r, n, terms)
 
 
@@ -126,11 +128,12 @@ def _split_ids(p: int, r: int, alpha: Monomial, n: int) -> tuple[list, dict]:
 @lru_cache(maxsize=4096)
 def _proper_splits(p: int, r: int, m: Monomial) -> tuple:
     """The coproduct terms (left, right, coefficient) of m whose two
-    sides both have nonzero degree."""
+    sides both have nonzero degree, that is neither side the unit."""
+    unit = Monomial.unit(r)
     return tuple(
         (left, right, c)
         for (left, right), c in coalg.coproduct(p, r, m).items()
-        if degree(left, p) and degree(right, p)
+        if left != unit and right != unit
     )
 
 
@@ -180,24 +183,27 @@ def is_chi_nonzero(p: int, r: int, alpha: Monomial, n: int) -> bool:
     class is nonzero iff the tokens can be split into n nonempty groups
     whose weights each vanish mod q - 1 (carry-freeness and the
     invariance of every factor are exactly this condition, and distinct
-    splittings can never cancel)."""
+    splittings can never cancel).
+
+    The tokens are counted in one pass, into one counter per weight
+    p^j, j < r: slot k's digits, least significant first, go to
+    j = k, k + 1, ... mod r.  At q = 2 every token weighs 1 = 0 mod 1,
+    and there is one per binary 1 of the exponents."""
     _check_query(p, r, alpha, n)
     if degree(alpha, p) == 0:
         return False
     q1 = p**r - 1
-    counts: dict[int, int] = {}
-    for k, a in enumerate(alpha.ext):
-        if a:
-            w = p**k % q1 if q1 > 1 else 0
-            counts[w] = counts.get(w, 0) + 1
+    if q1 == 1:
+        return _splittable((0,), (sum(b.bit_count() for b in alpha.pows),), 1, n)
+    counts = list(alpha.ext)
     for k, b in enumerate(alpha.pows):
-        for t, dig in enumerate(base_p_digits(p, b)):
-            if dig:
-                w = p ** ((k + t) % r) % q1 if q1 > 1 else 0
-                counts[w] = counts.get(w, 0) + dig
-    weights = tuple(sorted(counts))
-    start = tuple(counts[w] for w in weights)
-    return _splittable(weights, start, q1 if q1 > 1 else 1, n)
+        j = k
+        while b:
+            b, d = divmod(b, p)
+            counts[j] += d
+            j = j + 1 if j + 1 < r else 0
+    held = [j for j in range(r) if counts[j]]
+    return _splittable(tuple(p**j for j in held), tuple(counts[j] for j in held), q1, n)
 
 
 # shared by every query, whose searches revisit the same sub-splits; bounded
@@ -385,32 +391,62 @@ def universal_table(
 
 
 def indecomposable_tuples(p: int, n: int, max_total: int):
-    """Sorted n-tuples of positive multiples of p - 1 whose base-p
-    addition is carry-free, with total <= max_total; each annotated with
-    the homology degree 2B (B itself for p = 2) where B is the total.
-    These certify indecomposable homology classes.
+    """Non-decreasing n-tuples of positive multiples of p - 1 whose
+    base-p addition is carry-free, with total <= max_total, in (total,
+    tuple) order; each annotated with the homology degree 2B (B itself
+    for p = 2) where B is the total.  These certify indecomposable
+    homology classes.
 
-    A multiset adds carry-free exactly when each part adds to the sum of
-    the parts before it without a carry, so a prefix is extended only by
-    parts that keep it carry-free."""
+    By Kummer, parts add carry-free exactly when their base-p digits add
+    up, place by place, to the total's digits.  So each total t is dealt
+    out digit by digit: a part is a positive sub-digit-vector of what is
+    left of t (each digit at most the one left) that is a multiple of
+    p - 1, at least the part before it and at most an even share of
+    what is left.  A multiple of p - 1 has digit sum a positive multiple
+    of p - 1, so a total whose digit sum is below n(p - 1) has no
+    tuple and is skipped.  The totals ascend, and each part's options
+    ascend, so the tuples come out in (total, tuple) order and need no
+    sort.  A remainder's options are listed once per call."""
     if n < 1:
         raise ValueError("n must be >= 1")
     step = p - 1
+    floor = n * step
     results = []
+    options = {}  # remainder -> its parts, ascending
 
-    def extend(prefix, minimum, total):
-        if len(prefix) == n:
-            results.append((tuple(prefix), total if p == 2 else 2 * total))
+    def parts_of(rem):
+        found = options.get(rem)
+        if found is None:
+            values, place = [0], 1
+            for d in base_p_digits(p, rem):
+                values = [v + e * place for e in range(d + 1) for v in values]
+                place *= p
+            found = options[rem] = values[1:] if p == 2 else [v for v in values[1:] if not v % step]
+        return found
+
+    def deal(prefix, low, rem, slots):
+        # slots >= 2 parts, each >= low, still to deal from rem
+        parts = parts_of(rem)
+        start = bisect_left(parts, low)
+        if slots == 2:  # the last part is what is left
+            for v in itertools.islice(parts, start, None):
+                if 2 * v > rem:
+                    break
+                results.append(((*prefix, v, rem - v), deg))
             return
-        slots_left = n - len(prefix)
-        b = minimum
-        while total + b * slots_left <= max_total:
-            if no_carry(p, (total, b)):
-                extend(prefix + [b], b, total + b)
-            b += step
+        for v in itertools.islice(parts, start, None):
+            if slots * v > rem:
+                break
+            deal((*prefix, v), v, rem - v, slots - 1)
 
-    extend([], step, 0)
-    results.sort(key=lambda item: (sum(item[0]), item[0]))
+    for total in range(floor, max_total + 1, step):
+        if (total.bit_count() if p == 2 else digit_sum(p, total)) < floor:
+            continue
+        deg = total if p == 2 else 2 * total
+        if n == 1:
+            results.append(((total,), deg))
+        else:
+            deal((), step, total, n)
     return results
 
 

@@ -13,6 +13,7 @@ solves the last digit from it.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .mono import Monomial, NotInvariant, format_monomial, is_invariant
@@ -158,7 +159,7 @@ def coproduct(p: int, r: int, m: Monomial) -> dict:
         for left_pows, coeff in left_pows_for(sum(p**k for k in left_supp)):
             # valid by construction: sub-supports of m.ext, exponents at most m.pows
             left = Monomial._of(left_ext, left_pows)
-            right = Monomial._of(right_ext, tuple(b - lb for b, lb in zip(m.pows, left_pows)))
+            right = Monomial._of(right_ext, tuple(map(operator.sub, m.pows, left_pows)))
             out[(left, right)] = sign * coeff % p
     return out
 
@@ -177,7 +178,13 @@ def _left_pows(p: int, r: int, pows):
     significant first, carrying the coefficient and the weight; the last
     digit is then solved from e = -acc / p^((k+t) mod r) mod q - 1,
     stepping by q - 1 up to d.  So only invariant left factors are ever
-    built, in ascending order of b' slot by slot."""
+    built, in ascending order of b' slot by slot.
+
+    A slot's options are read from `_slot_options`, which lists them
+    once per process and not once per monomial: the last slot's are
+    those of its exponent with the last digit taken out.  That memo is
+    an lru_cache bounded to 4,096 (p, r, k, b) entries, so a long-lived
+    process cannot grow it without limit."""
     q1 = p**r - 1
     nonzero = [k for k, b in enumerate(pows) if b]
     if not nonzero:
@@ -185,25 +192,19 @@ def _left_pows(p: int, r: int, pows):
     last_k = nonzero[-1]
     tail = (0,) * (r - 1 - last_k)
     heads = [((), 1, 0)]  # (b' on the slots before last_k, coefficient, weight)
-    for k in range(last_k + 1):
-        places = [(t, d) for t, d in enumerate(base_p_digits(p, pows[k])) if d]
-        if k == last_k:
-            last_t, last_d = places.pop(0)
-        options = [(0, 1, 0)]  # (b'_k, coefficient, weight) over the places so far
-        for t, d in reversed(places):
-            place, wt, row = p**t, p ** ((k + t) % r), _digit_binomials(p, d)
-            options = [
-                (v + e * place, c * row[e] % p, w + e * wt)
-                for v, c, w in options
-                for e in range(d + 1)
-            ]
-        if k < last_k:  # the last slot's options stay apart for solve
-            heads = [
-                (head + (v,), c * c2 % p, w + w2)
-                for head, c, w in heads
-                for v, c2, w2 in options
-            ]
-    place, inverse = p**last_t, pow(p, -(last_k + last_t), q1)
+    for k in range(last_k):
+        heads = [
+            (head + (v,), c * c2 % p, w + w2)
+            for head, c, w in heads
+            for v, c2, w2 in _slot_options(p, r, k, pows[k])
+        ]
+    b, last_t = pows[last_k], 0
+    while not b % p:
+        b //= p
+        last_t += 1
+    last_d, place = b % p, p**last_t
+    options = _slot_options(p, r, last_k, pows[last_k] - last_d * place)
+    inverse = pow(p, -(last_k + last_t), q1)
 
     def solve(w0):
         out = []
@@ -216,6 +217,25 @@ def _left_pows(p: int, r: int, pows):
         return out
 
     return solve
+
+
+# shared by every coproduct, whose monomials repeat slot exponents again
+# and again; bounded like _digit_binomial, an entry per (p, r, k, b)
+@lru_cache(maxsize=4096)
+def _slot_options(p: int, r: int, k: int, b: int) -> tuple:
+    """Every (b'_k, prod C(d, e) mod p, e p^((k+t) mod r) summed) over
+    the b'_k whose base-p digits e are each at most b_k's digit d at the
+    same place t, b'_k ascending."""
+    options = [(0, 1, 0)]
+    for t, d in reversed(list(enumerate(base_p_digits(p, b)))):
+        if d:
+            place, wt, row = p**t, p ** ((k + t) % r), _digit_binomials(p, d)
+            options = [
+                (v + e * place, c * row[e] % p, w + e * wt)
+                for v, c, w in options
+                for e in range(d + 1)
+            ]
+    return tuple(options)
 
 
 def iterated_coproduct(p: int, r: int, m: Monomial, n: int) -> dict:

@@ -126,7 +126,7 @@ def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
             k, rem, res, prefix = stack.pop()
             if k == last:  # r = 1
                 if (res + w_last * rem) % q1 == 0:
-                    found.append(Monomial(ext, prefix + (rem,)))
+                    found.append(Monomial._of(ext, prefix + (rem,)))
                 continue
             wk = w[k]
             if k + 1 == last:  # b here, the remaining rem - b in the last slot
@@ -134,7 +134,7 @@ def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
                 step = wk - w_last
                 for b in range(rem + 1):
                     if (res + step * b) % q1 == 0:
-                        found.append(Monomial(ext, prefix + (b, rem - b)))
+                        found.append(Monomial._of(ext, prefix + (b, rem - b)))
                 continue
             k += 1
             for b in range(rem + 1):
@@ -147,7 +147,7 @@ def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
             for subset in itertools.combinations(range(r), size):
                 ext = tuple(int(k in subset) for k in range(r))
                 walk(ext, (d - size) // 2, sum(w[k] for k in subset))
-    found.sort(key=lambda m: sort_key(m, p))
+    found.sort()  # every hit has degree d, so canonical order is (ext, pows) order
     return found
 
 

@@ -331,6 +331,75 @@ def test_r1_predicate_matches_search():
                 assert nonzero == (status in (STATUS_NONNILPOTENT, STATUS_NONZERO))
 
 
+def per_digit_tokens(p, r, alpha):
+    """The splitting search's tokens counted digit by digit, one weight
+    p^((k+t) mod r) mod q - 1 at a time: its (weights, counts, modulus)."""
+    q1 = p**r - 1
+    counts = {}
+    for k, a in enumerate(alpha.ext):
+        if a:
+            w = p**k % q1 if q1 > 1 else 0
+            counts[w] = counts.get(w, 0) + 1
+    for k, b in enumerate(alpha.pows):
+        for t, dig in enumerate(coalg.base_p_digits(p, b)):
+            if dig:
+                w = p ** ((k + t) % r) % q1 if q1 > 1 else 0
+                counts[w] = counts.get(w, 0) + dig
+    weights = tuple(sorted(counts))
+    return weights, tuple(counts[w] for w in weights), q1 if q1 > 1 else 1
+
+
+def random_invariant(rng, p, r, digits):
+    """A random invariant monomial over GF(p^r), each exponent below
+    10^digits (then raised by less than q - 1 to close the weight)."""
+    ext = tuple(0 if p == 2 else rng.randrange(2) for _ in range(r))
+    pows = [rng.randrange(10 ** rng.randint(0, digits)) for _ in range(r)]
+    q1 = p**r - 1
+    if q1 > 1:
+        pows[0] += -weight(Monomial(ext, tuple(pows)), p) % q1
+    return Monomial(ext, tuple(pows))
+
+
+def test_search_counts_tokens_as_digit_by_digit(monkeypatch):
+    # what is_chi_nonzero feeds the search, exponents up to 10^30; the
+    # search itself is not run, as it grows with the tokens per weight
+    fed = []
+    monkeypatch.setattr(chi, "_splittable", lambda *args: fed.append(args) or True)
+    rng = random.Random(27)
+    for _ in range(2000):
+        p, r, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 4), rng.randint(1, 6)
+        alpha = random_invariant(rng, p, r, 30)
+        fed.clear()
+        is_chi_nonzero(p, r, alpha, n)
+        if degree(alpha, p):
+            assert fed == [(*per_digit_tokens(p, r, alpha), n)], (p, r, alpha)
+        else:
+            assert not fed
+
+
+def test_search_matches_per_digit_tokens_and_r1_predicate():
+    rng = random.Random(28)
+    found = set()
+    for _ in range(400):
+        p, r, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 4), rng.randint(1, 4)
+        alpha = random_invariant(rng, p, r, 6)
+        got = is_chi_nonzero(p, r, alpha, n)
+        if degree(alpha, p):
+            assert got == chi._splittable(*per_digit_tokens(p, r, alpha), n), (p, r, alpha, n)
+        found.add(got)
+    assert found == {False, True}
+    found = set()
+    for _ in range(400):  # r = 1 up to 10^30, against the digit-sum rule
+        p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 40)
+        alpha = random_invariant(rng, p, 1, 30)
+        kind = "xy" if alpha.ext[0] else "y"
+        status = r1_predicate(p, kind, alpha.pows[0], n)
+        got = is_chi_nonzero(p, 1, alpha, n)
+        assert got == (status in (STATUS_NONNILPOTENT, STATUS_NONZERO)), (p, alpha, n)
+        found.add(got)
+    assert found == {False, True}
+
+
 # -- witnesses ----------------------------------------------------------------
 
 
@@ -430,12 +499,22 @@ def tuples_by_brute_force(p, n, max_total):
             total += d
         return total
 
-    parts = range(p - 1, max_total + 1, p - 1)
-    found = [
-        (t, sum(t) if p == 2 else 2 * sum(t))
-        for t in itertools.combinations_with_replacement(parts, n)
-        if sum(t) <= max_total and s(sum(t)) == sum(s(x) for x in t)
-    ]
+    sums = [s(m) for m in range(max_total + 1)]
+    step = p - 1
+    found = []
+
+    def grow(prefix, low, room):
+        # parts after prefix are >= low and add to at most room
+        if len(prefix) == n - 1:
+            for last in range(low, room + 1, step):
+                t = prefix + (last,)
+                if sums[sum(t)] == sum(sums[x] for x in t):
+                    found.append((t, sum(t) if p == 2 else 2 * sum(t)))
+            return
+        for x in range(low, room // (n - len(prefix)) + 1, step):
+            grow(prefix + (x,), x, room - x)
+
+    grow((), step, max_total)
     return sorted(found, key=lambda item: (sum(item[0]), item[0]))
 
 
@@ -443,7 +522,10 @@ def tuples_by_brute_force(p, n, max_total):
     "p,n,max_total",
     [(2, 1, 10), (2, 2, 7), (2, 3, 40), (2, 4, 30), (3, 2, 60), (3, 3, 80),
      (3, 4, 60), (5, 2, 100), (5, 4, 200), (7, 2, 150), (3, 2, 1), (2, 5, 30),
-     (2, 3, 200), (5, 3, 600)],
+     (2, 3, 200), (5, 3, 600), (2, 3, 300),
+     # every total in range has digit sum below n(p - 1) = 6 (the least
+     # that reaches it is 26), so all are skipped
+     (3, 3, 25)],
 )
 def test_indecomposable_tuples_match_brute_force(p, n, max_total):
     assert indecomposable_tuples(p, n, max_total) == tuples_by_brute_force(p, n, max_total)

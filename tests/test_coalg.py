@@ -405,6 +405,32 @@ def test_coproduct_matches_brute_force_for_large_primes(p):
         assert coproduct(p, 1, m) == brute_coproduct(p, 1, m)
 
 
+# (p, r, highest degree): the GF(4), GF(8) and GF(9) bands of the classes benchmark
+BENCH_BANDS = ((2, 2, 36), (2, 3, 24), (3, 2, 56))
+
+
+def test_coproduct_matches_brute_force_on_the_bands_cold_and_warm():
+    # cold, every slot's options are listed afresh; warm, all are read from
+    # the memo, so an entry changed after it was stored shows here
+    band = [
+        (p, r, m)
+        for p, r, top in BENCH_BANDS
+        for d in range(1, top + 1)
+        for m in enumerate_invariant_basis(p, r, d)
+    ]
+    want = [brute_coproduct(p, r, m) for p, r, m in band]
+    coalg._slot_options.cache_clear()
+    assert [coproduct(p, r, m) for p, r, m in band] == want
+    assert coalg._slot_options.cache_info().currsize > 0
+    assert [coproduct(p, r, m) for p, r, m in band] == want
+    assert coalg._slot_options.cache_info().hits > coalg._slot_options.cache_info().misses
+
+
+def test_slot_options_memo_is_bounded():
+    maxsize = coalg._slot_options.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
 def test_coproduct_term_order():
     # exterior subsets in turn; within each, left exponents ascend slot by slot
     m = Monomial((1, 1), (13, 13))
