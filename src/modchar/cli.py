@@ -4,8 +4,9 @@ file analysis, and the verification driver.
 
 Every command takes the same path.  It validates its input (input errors
 exit 3 before any compute or cache lookup), builds its payload, and hands
-it to _emit with its CSV rows and text lines as lazy iterables, so only
-the format asked for is ever built.  _emit alone reads --format and
+it to _emit with its CSV rows and text lines as lazy iterables (and, for
+the long listings, its JSON payload as a function), so only the format
+asked for is ever built.  _emit alone reads --format and
 returns the text and exit code; _print writes them.  The five computing
 commands build and emit inside an output() closure passed to _cached,
 which, with --cache-dir or MODCHAR_CACHE, prints the sealed entry stored
@@ -128,14 +129,16 @@ def _cached(args, command: str, params: dict, output) -> int:
     return _print(result)
 
 
-def _emit(args, payload: dict, header, rows, lines, ok: bool = True) -> tuple[str, int]:
+def _emit(args, payload, header, rows, lines, ok: bool = True) -> tuple[str, int]:
     """The payload as --format asks (JSON, the CSV rows under header, or
     the text lines), with exit code 0, or 1 when a check failed.  rows
-    and lines are lazy, so the format not asked for is never built."""
+    and lines are lazy, and payload is the JSON object or a function
+    building it, so the format not asked for is never built."""
     if args.format == "json":
         import json
 
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        obj = payload() if callable(payload) else payload
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
     else:
@@ -287,31 +290,27 @@ def cmd_nonvanish(args) -> int:
         from . import chi, mono
 
         table = chi.universal_table(args.p, args.r, args.n, args.max_degree)
-        payload = {
-            "schema": SCHEMA,
-            **params,
-            "rows": [
-                {
-                    "N": row.N,
-                    "alpha": mono.format_monomial(row.alpha),
-                    "degree": row.degree,
-                    "status": row.status,
-                }
-                for row in table
-            ],
-        }
-        rows = ((r["N"], r["alpha"], r["degree"], r["status"]) for r in payload["rows"])
-        lines = ("N={N}  alpha={alpha}  degree={degree}  {status}".format(**r) for r in payload["rows"])
-        return _emit(args, payload, ("N", "alpha", "degree", "status"), rows, lines)
+        header = ("N", "alpha", "degree", "status")
+
+        def fields():
+            return ((row.N, mono.format_monomial(row.alpha), row.degree, row.status) for row in table)
+
+        def payload():
+            return {"schema": SCHEMA, **params, "rows": [dict(zip(header, f)) for f in fields()]}
+
+        lines = (f"N={N}  alpha={alpha}  degree={degree}  {status}" for N, alpha, degree, status in fields())
+        return _emit(args, payload, header, fields(), lines)
 
     return _cached(args, "nonvanish", params, output)
 
 
 # Bound on a dickson report: p^n <= 49 and dmax <= 3(p^n - 1), the
-# default.  The slowest report inside it, (p, n) = (2, 5), took 1.7-2.0 s
-# in five runs (2-vCPU host, Python 3.11.7), about half of it Newton's
-# truncated product and half the series quotient of the inverse route.
-# Outside it, (2, 5) at dmax 120 took 27.8 s in-process.
+# default.  The slowest report inside it, (p, n) = (2, 5), took 0.52-0.58 s
+# in five runs (2-core host, Python 3.11.7, no bytecode cache), most of it
+# the one series quotient that Newton's identity and the inverse route
+# share: the two fields are one predicate, and the product form D * A
+# runs in verify and the tests.  Outside the bound, (2, 5) at dmax 120
+# took 27.8 s in-process.
 DICKSON_MAX_ORDER = 49
 
 
@@ -377,7 +376,10 @@ def cmd_tuples(args) -> int:
         from . import chi
 
         tuples = chi.indecomposable_tuples(args.p, args.n, args.max)
-        payload = {"schema": SCHEMA, **params, "tuples": [{"parts": list(t), "degree": d} for t, d in tuples]}
+
+        def payload():
+            return {"schema": SCHEMA, **params, "tuples": [{"parts": list(t), "degree": d} for t, d in tuples]}
+
         rows = ((" ".join(map(str, t)), d) for t, d in tuples)
         lines = (f"({', '.join(map(str, t))})  degree {d}" for t, d in tuples)
         return _emit(args, payload, ("parts", "degree"), rows, lines)

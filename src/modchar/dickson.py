@@ -28,11 +28,20 @@ Each side is computed one way here and checked against another:
   splitting formula with the Dickson recursion, which shares no code
   with it.
 
+D has constant term 1, so it is a unit among power series: D * A =
+-D_{p^n - 1} up to dmax holds exactly when A equals the quotient
+-D_{p^n - 1} / D up to dmax.  The report's `newton` and `inverse` fields
+are therefore one predicate, and both read one memoised quotient
+(`chi_total_from_inverse`), so a report divides once.  The product form,
+D * A truncated at dmax against -D_{p^n - 1}, is run by `verify`'s
+Dickson suite at every grid point and by the tests, which never read the
+quotient: Newton's identity keeps a route that multiplies.
+
 Polynomials and total classes are one type, `MultiPoly`: a total class
 simply holds all its degrees, and `components` splits it by degree.  One
 packed product kernel (`_packed` and `_add_products`) serves its three
 users: `MultiPoly.mul_truncated` (the plain product, and the product
-truncated above a total degree that Newton's identity uses),
+truncated above a total degree that Newton's product form uses),
 `series_quotient` and `MultiPoly.substitute`.  The inverse route never
 builds D^{-1}: `series_quotient` divides -D_{p^n - 1} by D as power
 series, one degree at a time, up to the report's degree.
@@ -394,13 +403,17 @@ def _alternating_terms(p: int, n: int, dmax: int) -> dict:
 
 def newton_check(p: int, n: int, dmax: int) -> bool:
     """Newton's identity: D * A, truncated at dmax, is the single
-    homogeneous term -D_{p^n - 1}.  One truncated product, so no degree
-    above dmax is ever formed."""
+    homogeneous term -D_{p^n - 1}.  D has constant term 1, so it is a
+    unit among power series, and D * A = -D_{p^n - 1} up to dmax holds
+    exactly when A equals the quotient -D_{p^n - 1} / D up to dmax.  So
+    this is that comparison, with the memoised quotient of
+    `chi_total_from_inverse`, and the report's `inverse` field then reads
+    the same quotient again.  The product form, D.mul_truncated(A, dmax)
+    == -D_{p^n - 1}, is run by `verify`'s Dickson suite and the tests,
+    which never read the quotient."""
     if dmax < p**n - 1:
         raise ValueError("dmax must reach degree p^n - 1")
-    d_total = dickson_total(p, n)
-    prod = d_total.mul_truncated(alternating_chi_total(p, n, dmax), dmax)
-    return prod == d_total.component(p**n - 1).neg()
+    return chi_total_from_inverse(p, n, dmax) == alternating_chi_total(p, n, dmax)
 
 
 def series_quotient(num: MultiPoly, den: MultiPoly, dmax: int) -> MultiPoly:
@@ -437,12 +450,23 @@ def chi_total_from_inverse(p: int, n: int, dmax: int) -> MultiPoly:
     """The alternating chi total recovered as -D_{p^n - 1} * D^{-1}, by
     dividing -D_{p^n - 1} by D as power series (series_quotient); D^{-1}
     itself is never built.  It reads only D, from the Dickson recursion,
-    so it shares no code with the splitting formula."""
-    top = p**n - 1
-    if dmax < top:
+    so it shares no code with the splitting formula.  The division runs
+    once per (p, n, dmax) in a process (_quotient_terms): `newton_check`
+    compares this same quotient with A, so the report's `newton` and
+    `inverse` fields are one predicate decided by one division, and the
+    product form D * A lives in `verify` and the tests.  Each call
+    returns a fresh MultiPoly holding a copy of its terms."""
+    if dmax < p**n - 1:
         raise ValueError("dmax must reach degree p^n - 1")
+    return MultiPoly._of(p, n, dict(_quotient_terms(p, n, dmax)))
+
+
+# shared by Newton's identity and the inverse route of one report
+@lru_cache(maxsize=64)
+def _quotient_terms(p: int, n: int, dmax: int) -> dict:
+    """The terms of chi_total_from_inverse(p, n, dmax)."""
     d_total = dickson_total(p, n)
-    return series_quotient(d_total.component(top).neg(), d_total, dmax)
+    return series_quotient(d_total.component(p**n - 1).neg(), d_total, dmax).terms
 
 
 def product_identity_check(p: int, n: int, i: int) -> int:
@@ -468,8 +492,11 @@ def report(p: int, n: int, dmax: int) -> dict:
     """The Dickson identity report: sparsity of the total class D,
     Newton's identity, the series-inverse route, and the sign of each
     product identity by i (its failure message where neither sign
-    holds), with every component of D rendered, by degree.  `modchar
-    dickson` prints it and `verify`'s Dickson suite checks it."""
+    holds), with every component of D rendered, by degree.  `newton` and
+    `inverse` are one predicate, as D is a unit (see `newton_check`);
+    both fields stay, and the quotient they compare with A is computed
+    once.  `modchar dickson` prints the report and `verify`'s Dickson
+    suite checks it, together with Newton's identity in product form."""
     q = p**n
     components = dickson_total(p, n).components
     sparsity = set(components) <= {q - p**i for i in range(n + 1)} | {0}

@@ -284,13 +284,24 @@ def algebraic_independence_check(p: int, n: int, max_total_degree: int = 3) -> b
     return MatrixFF(FieldCtx(p, 1), rows).rank() == len(expanded)
 
 
+def newton_product_check(p: int, n: int, dmax: int) -> bool:
+    """Newton's identity in product form: D * A, truncated at dmax, is the
+    single homogeneous term -D_{p^n - 1}.  `dickson.newton_check` decides
+    the same predicate by comparing A with the memoised quotient
+    -D_{p^n - 1} / D; this route multiplies instead, one truncated
+    product, and never reads that quotient."""
+    d_total = dickson.dickson_total(p, n)
+    product = d_total.mul_truncated(dickson.alternating_chi_total(p, n, dmax), dmax)
+    return product == d_total.component(p**n - 1).neg()
+
+
 @_suite("dickson-identities")
 def suite_dickson(profile="quick") -> str:
     """Criterion 6: every component of the total symmetric class (from
     the Dickson recursion) against the expanded product over (1 + v), its
-    sparsity, Newton's identity, the series-inverse route, the product
-    identities with the exhaustive companion scan, and algebraic
-    independence at n = 2."""
+    sparsity, Newton's identity as the report decides it and in product
+    form, the series-inverse route, the product identities with the
+    exhaustive companion scan, and algebraic independence at n = 2."""
     grid = list(DICKSON_GRID)
     if profile == "full":
         grid.append((3, 3))
@@ -305,6 +316,8 @@ def suite_dickson(profile="quick") -> str:
             components += 1
         report = dickson.report(p, n, 3 * (q - 1))
         failed = [check for check in ("sparsity", "newton", "inverse") if not report[check]]
+        if not newton_product_check(p, n, 3 * (q - 1)):
+            failed.append("newton (product form)")
         failed += [
             f"product identity i={i}: {sign}"
             for i, sign in report["product_signs"].items()

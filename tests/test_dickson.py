@@ -28,7 +28,12 @@ from modchar.dickson import (
     tensor_to_poly,
 )
 from modchar.mono import ContextMismatch, Monomial, TensorClass
-from modchar.verify import DICKSON_GRID, algebraic_independence_check, dickson_total_by_product
+from modchar.verify import (
+    DICKSON_GRID,
+    algebraic_independence_check,
+    dickson_total_by_product,
+    newton_product_check,
+)
 
 
 def poly(p, n, terms):
@@ -335,9 +340,11 @@ def test_inverse_route_matches_direct():
 
 def test_inverse_route_builds_no_inverse(monkeypatch):
     # the quotient -D_15 / D is formed degree by degree: no series inverse
-    # and no product with one; D and A are built before the patch
+    # and no product with one; D and A are built before the patch, and the
+    # quotient's memo is cleared, so the division runs under it
     expected = alternating_chi_total(2, 4, 45)
     dickson_total(2, 4)
+    dickson._quotient_terms.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the inverse route formed D^-1 or a product")
@@ -346,6 +353,70 @@ def test_inverse_route_builds_no_inverse(monkeypatch):
     for name in ("mul", "mul_truncated", "pow"):
         monkeypatch.setattr(MultiPoly, name, refuse)
     assert chi_total_from_inverse(2, 4, 45) == expected
+
+
+@pytest.mark.parametrize(
+    "p, n, dmax",
+    [(2, 3, d) for d in range(7, 22)] + [(3, 2, d) for d in range(8, 25)] + [(2, 4, 15), (2, 4, 45)],
+)
+def test_newton_product_form_agrees_with_the_quotient_route(p, n, dmax):
+    # D is a unit, so D * A = -D_top up to dmax exactly when A is the
+    # quotient -D_top / D up to dmax: both routes hold at every dmax
+    assert newton_product_check(p, n, dmax) and newton_check(p, n, dmax)
+
+
+def test_newton_product_form_reads_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the product form read the series quotient")
+
+    for name in ("series_quotient", "_quotient_terms", "chi_total_from_inverse"):
+        monkeypatch.setattr(dickson, name, refuse)
+    assert newton_product_check(2, 4, 45)
+
+
+@pytest.fixture
+def cleared_memos():
+    """The report's memos emptied before and after the test, so a planted
+    fault neither meets a cached answer nor leaves one behind."""
+    memos = (dickson._alternating_terms, dickson._quotient_terms)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_a_flipped_chi_coefficient_fails_every_newton_route(monkeypatch, capsys, cleared_memos):
+    true_chi_y_power = dickson.chi_y_power
+
+    def flipped(p, n, k):
+        poly = true_chi_y_power(p, n, k)
+        if k != p**n - 1:
+            return poly
+        terms = dict(poly.terms)
+        first = min(terms)
+        terms[first] = (terms[first] + 1) % p
+        return MultiPoly(p, n, terms)
+
+    monkeypatch.setattr(dickson, "chi_y_power", flipped)
+    assert not newton_check(2, 3, 21)
+    assert chi_total_from_inverse(2, 3, 21) != alternating_chi_total(2, 3, 21)
+    assert not newton_product_check(2, 3, 21)
+
+    from modchar.cli import EXIT_CHECK_FAILURE, main
+
+    assert main(["verify", "--suite", "dickson"]) == EXIT_CHECK_FAILURE
+    assert capsys.readouterr().out.startswith("FAIL  dickson-identities")
+
+
+def test_quotient_memo_returns_fresh_copies():
+    first = chi_total_from_inverse(3, 2, 24)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(1, 1)] = 2
+    assert chi_total_from_inverse(3, 2, 24).terms == want
+    assert chi_total_from_inverse(3, 2, 24) is not chi_total_from_inverse(3, 2, 24)
+    assert dickson._quotient_terms.cache_info().maxsize == 64
 
 
 def test_product_identity_frozen():
