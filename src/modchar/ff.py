@@ -11,9 +11,21 @@ appear only at the file boundary: from_coeffs, to_coeffs and
 MatrixFF.from_ints.  Contexts, matrices and subspaces are immutable and
 hash and compare by value.
 
-Matrix work runs as whole-row operations on plain int lists through one
-row kernel (_sparse, _axpy, _product, _rref): int sums reduced mod p
-once per entry at r = 1, loops over the exp/log/Zech tables at r > 1.
+Matrix work runs as whole-row operations, on one of two row kernels
+chosen by the field alone:
+- over GF(2) (q = 2) each row is one int, bit j for column j, so adding
+  a row is one XOR (the M4RI layout: Albrecht, Bard, Hart, ACM TOMS
+  37(1), 2010).  Matrices and subspaces keep these ints and build their
+  tuple rows only when a caller reads them.
+- over every other field rows are int lists (_sparse, _axpy, _product):
+  int sums reduced mod p once per entry at r = 1, loops over the
+  exp/log/Zech tables at r > 1.  A matrix builds the sparse form it is
+  read in as a right factor once and keeps it.
+Both eliminate by insertion: rows enter an echelon keyed by pivot
+column one at a time, a row that reduces to zero is dropped, and
+back-substitution then runs among the pivot rows only.  RREF is
+canonical, so both kernels give the same subspace bases; the tests
+check the packed one against the list one on tuple rows.
 """
 
 from __future__ import annotations
@@ -303,26 +315,59 @@ class FieldCtx:
 
 
 class MatrixFF:
-    """Immutable dense matrix over a FieldCtx (rows of field elements)."""
+    """Immutable dense matrix over a FieldCtx (rows of field elements).
 
-    __slots__ = ("ctx", "rows")
+    Over GF(2) a matrix keeps its rows packed, one int per row with bit
+    j for column j; its tuple rows are built on first read.  Over any
+    other field it keeps its tuple rows and, on first use as a right
+    factor, their sparse form."""
+
+    __slots__ = ("ctx", "nrows", "ncols", "rows", "_bits", "_right")
 
     def __init__(self, ctx: FieldCtx, rows):
-        self.ctx = ctx
-        self.rows = tuple(tuple(row) for row in rows)
-        ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(row) != ncols for row in self.rows):
+        rows = tuple(tuple(row) for row in rows)
+        if any(len(row) != len(rows[0]) for row in rows):
             raise DimensionError("ragged rows")
+        self._fill(ctx, rows)
+
+    def _fill(self, ctx, rows):
+        self.ctx, self.rows, self.nrows = ctx, rows, len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        self._bits = tuple(map(_pack, rows)) if ctx.q == 2 else None
 
     @classmethod
     def _of(cls, ctx, rows):
         """Unchecked: rows is already a tuple of equal-length tuples."""
         out = object.__new__(cls)
-        out.ctx, out.rows = ctx, rows
+        out._fill(ctx, rows)
         return out
 
     @classmethod
+    def _packed(cls, ctx, bits, ncols):
+        """A GF(2) matrix from its packed rows; like the tuple form, a
+        matrix without rows has no columns."""
+        out = object.__new__(cls)
+        out.ctx, out._bits, out.nrows, out.ncols = ctx, bits, len(bits), ncols if bits else 0
+        return out
+
+    def __getattr__(self, name):
+        # only unset slots get here: build the derived form once
+        if name == "rows":
+            value = tuple(_unpack(x, self.ncols) for x in self._bits)
+        elif name == "_right":
+            value = [_sparse(self.ctx, y) for y in self.rows]
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def __reduce__(self):
+        return (MatrixFF._of, (self.ctx, self.rows))
+
+    @classmethod
     def identity(cls, ctx, n):
+        if ctx.q == 2:
+            return cls._packed(ctx, tuple(1 << i for i in range(n)), n)
         return cls._of(ctx, tuple(tuple([int(i == j) for j in range(n)]) for i in range(n)))
 
     @classmethod
@@ -337,14 +382,6 @@ class MatrixFF:
             out.append([ctx.scalar(e) if is_int(e) else ctx.from_coeffs(e) for e in row])
         return cls(ctx, out)
 
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
     def _check(self, other):
         if self.ctx != other.ctx:
             raise DimensionError("field context mismatch")
@@ -353,22 +390,30 @@ class MatrixFF:
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in sub")
-        ctx, minus, out = self.ctx, self.ctx.neg(1), []
-        for r1, r2 in zip(self.rows, other.rows):
+        ctx = self.ctx
+        if self._bits is not None:
+            return MatrixFF._packed(ctx, tuple(map(int.__xor__, self._bits, other._bits)), self.ncols)
+        minus, out = ctx.neg(1), []
+        for r1, ys in zip(self.rows, other._right):
             out.append(list(r1))
-            _axpy(ctx, out[-1], minus, _sparse(ctx, r2))
+            _axpy(ctx, out[-1], minus, ys)
         return MatrixFF._of(ctx, tuple(map(tuple, out)))
 
     def mul(self, other):
         self._check(other)
         if self.ncols != other.nrows:
             raise DimensionError("shape mismatch in mul")
-        return MatrixFF._of(self.ctx, _product(self.ctx, self.rows, other.rows, other.ncols))
+        if self._bits is not None:
+            return MatrixFF._packed(self.ctx, _xor_product(self._bits, other._bits), other.ncols)
+        return MatrixFF._of(self.ctx, _product(self.ctx, self.rows, other._right, other.ncols))
 
     def matvec(self, v):
         if len(v) != self.ncols:
             raise DimensionError("vector length mismatch")
-        return _product(self.ctx, (v,), tuple(zip(*self.rows)), self.nrows)[0]
+        if self._bits is not None:
+            x = _pack(v)
+            return tuple((row & x).bit_count() & 1 for row in self._bits)
+        return _product(self.ctx, (v,), [_sparse(self.ctx, y) for y in zip(*self.rows)], self.nrows)[0]
 
     def transpose(self):
         return MatrixFF._of(self.ctx, tuple(zip(*self.rows)))
@@ -408,29 +453,49 @@ class MatrixFF:
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionError("inverse of non-square matrix")
-        n = self.nrows
+        n, ctx = self.nrows, self.ctx
+        if self._bits is not None:
+            red = _xor_rref([x | 1 << n + i for i, x in enumerate(self._bits)])
+            if red and (red[-1] & -red[-1]) >> n:
+                raise FieldError("matrix is singular")
+            return MatrixFF._packed(ctx, tuple(x >> n for x in red), n)
         aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        red, pivots = _rref(self.ctx, aug)
+        pivots, red = _rref(ctx, aug, 2 * n)
         if pivots != list(range(n)):
             raise FieldError("matrix is singular")
-        return MatrixFF._of(self.ctx, tuple(tuple(row[n:]) for row in red))
+        return MatrixFF._of(ctx, tuple(tuple(row[n:]) for row in red))
 
     def rank(self):
-        _, pivots = _rref(self.ctx, [list(r) for r in self.rows])
-        return len(pivots)
+        if self._bits is not None:
+            return len(_xor_echelon(self._bits))
+        return len(_echelon(self.ctx, [list(r) for r in self.rows], self.ncols))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFF)
-            and self.ctx == other.ctx
-            and self.rows == other.rows
-        )
+        if not isinstance(other, MatrixFF) or self.ctx != other.ctx:
+            return False
+        if self._bits is not None:
+            return self.ncols == other.ncols and self._bits == other._bits
+        return self.rows == other.rows
 
     def __hash__(self):
+        if self._bits is not None:
+            return hash((self.ctx, self.ncols, self._bits))
         return hash((self.ctx, self.rows))
 
     def __repr__(self):
         return f"MatrixFF({self.nrows}x{self.ncols} over {self.ctx!r})"
+
+
+def stack(mats) -> MatrixFF:
+    """The rows of each matrix of a nonempty list in turn, over one field
+    and of one width; packed rows stay packed."""
+    ctx = mats[0].ctx
+    if ctx.q == 2:
+        return MatrixFF._packed(ctx, tuple(x for m in mats for x in m._bits), mats[0].ncols)
+    return MatrixFF._of(ctx, tuple(row for m in mats for row in m.rows))
+
+
+# -- the int-list row kernel, for every field --------------------------------
 
 
 def _sparse(ctx, row, start=0):
@@ -460,10 +525,10 @@ def _axpy(ctx, xs, f, ys):
 
 
 def _product(ctx, left, right, n):
-    """Rows of left times the n-column matrix with rows right (Gustavson):
-    a times row k of right is added for each nonzero a at column k.  At
-    r = 1 the sums stay ints, reduced mod p once per entry at the end."""
-    right = [_sparse(ctx, y) for y in right]
+    """Rows of left times the n-column matrix whose rows, in _sparse form,
+    are right (Gustavson): a times row k of right is added for each
+    nonzero a at column k.  At r = 1 the sums stay ints, reduced mod p
+    once per entry at the end."""
     out = []
     for row in left:
         acc = [0] * n
@@ -481,30 +546,139 @@ def _product(ctx, left, right, n):
     return tuple(out)
 
 
-def _rref(ctx, rows):
-    """In-place reduced row echelon form of lists; returns (rows, pivot
-    columns).  Pivot rows are read only from the pivot column on."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    pivots = []
-    i = 0
-    for j in range(ncols):
-        for k in range(i, m):
-            if rows[k][j]:
+def _echelon(ctx, rows, n):
+    """Insertion echelon of n-column lists, consumed: each row is reduced
+    by the pivot rows it meets from the left, then kept with its leading
+    entry scaled to 1, or dropped when it reaches zero.  Returns pivot
+    column -> (row, its _sparse form from the pivot on)."""
+    echelon = {}
+    for x in rows:
+        for j in range(n):  # x changes only at columns j and later
+            a = x[j]
+            if not a:
+                continue
+            pivot = echelon.get(j)
+            if pivot is None:
+                row = [0] * n
+                _axpy(ctx, row, ctx.inv(a), _sparse(ctx, x, j))
+                echelon[j] = row, _sparse(ctx, row, j)
                 break
-        else:
-            continue
-        row, rows[k], rows[i] = rows[k], rows[i], [0] * ncols
-        _axpy(ctx, rows[i], ctx.inv(row[j]), _sparse(ctx, row, j))
-        ys = _sparse(ctx, rows[i], j)
-        for k2, x in enumerate(rows):
-            if x[j] and k2 != i:
-                _axpy(ctx, x, ctx.neg(x[j]), ys)
-        pivots.append(j)
-        i += 1
-        if i == m:
-            break
-    return rows, pivots
+            _axpy(ctx, x, ctx.neg(a), pivot[1])
+    return echelon
+
+
+def _rref(ctx, rows, n):
+    """Reduced row echelon form of n-column lists, consumed: (pivot
+    columns ascending, their rows).  Back-substitution runs among the
+    pivot rows only, from the last pivot up."""
+    echelon = _echelon(ctx, rows, n)
+    pivots = sorted(echelon)
+    done = []  # (pivot, sparse row) of the reduced rows below
+    for c in reversed(pivots):
+        row = echelon[c][0]
+        for c2, ys in done:
+            if row[c2]:
+                _axpy(ctx, row, ctx.neg(row[c2]), ys)
+        done.append((c, _sparse(ctx, row, c)))
+    return pivots, [echelon[c][0] for c in pivots]
+
+
+def _null_basis(ctx, rows, n):
+    """Canonical basis of {v : Mv = 0} for M with the n-column rows given,
+    from -e_f plus column f of the pivot rows at the pivot columns, for
+    each free column f."""
+    pivots, red = _rref(ctx, [list(r) for r in rows], n)
+    pivot_set, minus, vecs = set(pivots), ctx.neg(1), []
+    for f in (j for j in range(n) if j not in pivot_set):
+        v = [0] * n
+        v[f] = minus
+        for c, row in zip(pivots, red):
+            v[c] = row[f]
+        vecs.append(v)
+    return tuple(map(tuple, _rref(ctx, vecs, n)[1]))
+
+
+# -- GF(2) rows packed into ints, bit j for column j ---------------------------
+
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(row) -> int:
+    return int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2)
+
+
+def _unpack(x: int, n: int) -> tuple:
+    return tuple(f"{x:0{n}b}".encode()[::-1][:n].translate(_FROM_DIGITS))
+
+
+def _bits_of(x: int):
+    """The set bits of x, lowest first, each as a power of two."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
+def _xor_product(left, right):
+    """Packed rows of left times the matrix with packed rows right: row k
+    of right is XORed in for each set bit k."""
+    out = []
+    for x in left:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= right[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def _xor_echelon(rows):
+    """Insertion echelon of packed rows: lowest set bit -> row, a row
+    being XORed with the kept row of its lowest bit until it is kept or
+    zero.  A repeated row would reach zero, so it is skipped."""
+    echelon = {}
+    for x in dict.fromkeys(rows):
+        while x:
+            low = x & -x
+            y = echelon.get(low)
+            if y is None:
+                echelon[low] = x
+                break
+            x ^= y
+    return echelon
+
+
+def _xor_rref(rows):
+    """Reduced row echelon form of packed rows, in pivot order.  A pivot
+    row reduced at every pivot above its own is zero at every other
+    pivot, so XORing it in clears one bit of the rows above."""
+    echelon = _xor_echelon(rows)
+    pivots = sorted(echelon)
+    above = 0  # the pivots already reduced
+    for low in reversed(pivots):
+        x = echelon[low]
+        for bit in _bits_of(x & above):
+            x ^= echelon[bit]
+        echelon[low] = x
+        above |= low
+    return [echelon[low] for low in pivots]
+
+
+def _xor_null_basis(rows, n):
+    """_null_basis on packed rows: the kernel vector of free column f is
+    e_f plus e_c for each pivot row c with bit f."""
+    red = _xor_rref(rows)
+    pivot_mask = 0
+    for x in red:
+        pivot_mask |= x & -x
+    vecs = {bit: bit for bit in _bits_of((1 << n) - 1 & ~pivot_mask)}
+    for x in red:
+        c = x & -x
+        for bit in _bits_of(x ^ c):
+            vecs[bit] |= c
+    return tuple(_xor_rref(vecs.values()))
 
 
 class Subspace(Frozen):
@@ -513,10 +687,27 @@ class Subspace(Frozen):
 
     Canonicality makes equality structural: two subspaces are equal as
     sets of vectors iff their basis tuples are equal.  A subspace is
-    frozen: assigning to a field raises AttributeError.
+    frozen: assigning to a field raises AttributeError.  Over GF(2) its
+    basis is also kept packed, in the _bits slot, which is not a field.
     """
 
-    __slots__ = _names = ("ctx", "ambient_dim", "basis")
+    _names = ("ctx", "ambient_dim", "basis")
+    __slots__ = _names + ("_bits",)
+
+    @classmethod
+    def _packed(cls, ctx, n, bits):
+        """A GF(2) subspace from its packed canonical basis."""
+        out = cls._of(ctx, n, tuple(_unpack(x, n) for x in bits))
+        object.__setattr__(out, "_bits", tuple(bits))
+        return out
+
+    def __getattr__(self, name):
+        # only the unset _bits slot gets here: pack the basis once
+        if name != "_bits":
+            raise AttributeError(name)
+        bits = tuple(map(_pack, self.basis))
+        object.__setattr__(self, "_bits", bits)
+        return bits
 
     @classmethod
     def from_vectors(cls, ctx, ambient_dim, vectors):
@@ -524,11 +715,9 @@ class Subspace(Frozen):
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionError("vector length != ambient dimension")
-        if not vecs:
-            return cls(ctx, ambient_dim, ())
-        red, pivots = _rref(ctx, vecs)
-        rows = tuple(tuple(red[i]) for i in range(len(pivots)))
-        return cls(ctx, ambient_dim, rows)
+        if ctx.q == 2:
+            return cls._packed(ctx, ambient_dim, _xor_rref(map(_pack, vecs)))
+        return cls(ctx, ambient_dim, tuple(map(tuple, _rref(ctx, vecs, ambient_dim)[1])))
 
     @classmethod
     def full(cls, ctx, n):
@@ -543,6 +732,8 @@ class Subspace(Frozen):
         return len(self.basis)
 
     def pivot_columns(self):
+        if self.ctx.q == 2:
+            return [(x & -x).bit_length() - 1 for x in self._bits]
         return [next(j for j, e in enumerate(row) if e) for row in self.basis]
 
     def reduce(self, v):
@@ -550,6 +741,12 @@ class Subspace(Frozen):
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length != ambient dimension")
         ctx = self.ctx
+        if ctx.q == 2:
+            x = _pack(v)
+            for row in self._bits:
+                if x & row & -row:
+                    x ^= row
+            return _unpack(x, self.ambient_dim)
         w = list(v)
         for row, c in zip(self.basis, self.pivot_columns()):
             if w[c]:
@@ -561,8 +758,18 @@ class Subspace(Frozen):
 
     def membership_matrix(self) -> MatrixFF:
         """Matrix R with Rv = 0 iff v lies in the subspace: the identity
-        with column c replaced by e_c - b for each basis row b of pivot c."""
+        with column c replaced by e_c - b for each basis row b of pivot c.
+        So row c of R is zero, and each other row u has -b[u] at every
+        pivot c."""
         ctx, n = self.ctx, self.ambient_dim
+        if ctx.q == 2:
+            rows = [1 << u for u in range(n)]
+            for x in self._bits:
+                c = x & -x
+                rows[c.bit_length() - 1] = 0
+                for bit in _bits_of(x ^ c):
+                    rows[bit.bit_length() - 1] |= c
+            return MatrixFF._packed(ctx, tuple(rows), n)
         minus = ctx.neg(1)
         cols = [[int(u == c) for u in range(n)] for c in range(n)]
         for row, c in zip(self.basis, self.pivot_columns()):
@@ -572,26 +779,18 @@ class Subspace(Frozen):
     def sum(self, other) -> "Subspace":
         if self.ctx != other.ctx or self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace mismatch in sum")
+        if self.ctx.q == 2:
+            return Subspace._packed(self.ctx, self.ambient_dim, _xor_rref(self._bits + other._bits))
         return Subspace.from_vectors(
             self.ctx, self.ambient_dim, list(self.basis) + list(other.basis)
         )
 
 
 def kernel(M: MatrixFF) -> Subspace:
-    """Null space {v : Mv = 0} in canonical form, spanned for each free
-    column f by -e_f plus column f of the pivot rows at the pivot columns."""
-    ctx = M.ctx
-    n = M.ncols
-    red, pivots = _rref(ctx, [list(r) for r in M.rows])
-    pivot_set = set(pivots)
-    vecs = []
-    for f in (j for j in range(n) if j not in pivot_set):
-        v = [0] * n
-        v[f] = ctx.neg(1)
-        for c, row in zip(pivots, red):
-            v[c] = row[f]
-        vecs.append(v)
-    return Subspace.from_vectors(ctx, n, vecs)
+    """Null space {v : Mv = 0} in canonical form."""
+    if M._bits is not None:
+        return Subspace._packed(M.ctx, M.ncols, _xor_null_basis(M._bits, M.ncols))
+    return Subspace(M.ctx, M.ncols, _null_basis(M.ctx, dict.fromkeys(M.rows), M.ncols))
 
 
 def preimage(M: MatrixFF, S: Subspace) -> Subspace:
@@ -608,4 +807,4 @@ def preimage(M: MatrixFF, S: Subspace) -> Subspace:
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ctx != s2.ctx or s1.ambient_dim != s2.ambient_dim:
         raise DimensionError("subspace mismatch in intersect")
-    return kernel(MatrixFF._of(s1.ctx, s1.membership_matrix().rows + s2.membership_matrix().rows))
+    return kernel(stack([s1.membership_matrix(), s2.membership_matrix()]))

@@ -5,9 +5,11 @@ computations to a basic representation.
 The filtration is computed by quotient iteration.  Every stage, J_0
 included, is the kernel of one stacked matrix [R D_1; ...; R D_s], with
 D_g = g - 1 the generator differences and R the membership matrix of the
-previous stage (the identity before J_0).  socle_filtration_by_annihilators
-is an independent second route kept as a reference: verify's filtration
-suite and the tests compare it with the first, production calls do not.
+previous stage (the identity before J_0); over GF(2) the stack stays in
+ff's packed rows.  socle_filtration_by_annihilators is an independent
+second route kept as a reference, on ff's int-list rows for every field:
+verify's filtration suite and the tests compare it with the first,
+production calls do not.
 
 One walker, _stages(rep, count), computes every socle stage, and keeps
 the stages in the rep's memo, next to classify's Reduction, so each is
@@ -44,11 +46,14 @@ from .ff import FieldCtx, MatrixFF, Subspace
 
 # Largest dim a representation file may declare, checked before any matrix
 # is built: without it a 60-byte file with a huge dim and no generators
-# builds a dim x dim identity.  rep-analyze of a regular_rep(2, 8) file
-# (dim 256) took 1.8-2.1 s in five runs; the same work on regular_rep(2, 9)
-# (dim 512: the checking constructor, socle_filtration and classify) took
-# 8.2-9.4 s in-process in two (2-vCPU host, Python 3.11.7, which at busier
-# hours ran both about 1.5x slower).
+# builds a dim x dim identity.  On packed GF(2) rows, rep-analyze of a
+# regular_rep(2, 8) file (dim 256) takes 0.27-0.28 s wall in three runs, and
+# of that file with its generators listed 4 times (32) 0.82-0.86 s.  The
+# same work in-process (parse, the checking constructor, socle_filtration
+# and classify) takes 0.95-0.98 s on regular_rep(2, 9) (dim 512) and
+# 4.6-4.8 s on regular_rep(2, 10) (dim 1024), half of it parsing (2-vCPU
+# host, Python 3.11.7).  The bound rises only with a measured end-to-end
+# rep-analyze of a regular_rep(2, 10) file in about 5 s.
 MAX_REP_DIM = 256
 
 
@@ -176,8 +181,7 @@ def _stages(rep: Rep, count: int | None = None) -> list[Subspace]:
             stacked = [member.mul(d) for d in diffs]
         else:
             stacked = diffs
-        rows = [row for mat in stacked for row in mat.rows]
-        stage = ff.kernel(MatrixFF(ctx, rows)) if rows else Subspace.full(ctx, n)
+        stage = ff.kernel(ff.stack(stacked)) if stacked else Subspace.full(ctx, n)
         if stages and stage.dim <= stages[-1].dim:
             raise AssertionError("socle filtration stalled (is the action unipotent?)")
         stages.append(stage)
@@ -200,25 +204,28 @@ socle_filtration_by_quotients = socle_filtration
 
 def socle_filtration_by_annihilators(rep: Rep) -> list[Subspace]:
     """J_0 < J_1 < ... by the direct definition: J_i is the kernel of
-    every (i+1)-fold product of generator differences D_g = g - 1, taken
-    as one kernel of all their rows stacked.  The differences commute,
-    so products over multisets of growing size exhaust the powers of the
-    augmentation ideal.  It shares nothing with socle_filtration but
-    ff.kernel: no memo, no membership matrix, no earlier stage."""
+    every (i+1)-fold product of generator differences D_g = g - 1.  The
+    differences commute, so the rows of those products span W_(i+1) =
+    sum over g of W_i D_g, with W_0 every row; each level keeps an
+    echelon basis of W_(i+1) and takes its kernel.  It shares nothing
+    with socle_filtration: no memo, no membership matrix, no subspace of
+    V carried between stages, and it multiplies and reduces on ff's
+    int-list rows for every field, so over GF(2) the two routes share no
+    row code either."""
     ctx, n = rep.ctx, rep.dim
-    ident = MatrixFF.identity(ctx, n)
-    diffs = [g.sub(ident) for g in rep.generators]
-    full = Subspace.full(ctx, n)
+    diffs = []  # D_g in _sparse form, as right factors
+    for g in rep.generators:
+        rows = [list(row) for row in g.rows]
+        for i, row in enumerate(rows):
+            row[i] = ctx.sub(row[i], 1)
+        diffs.append([ff._sparse(ctx, row) for row in rows])
+    span = [[int(i == j) for j in range(n)] for i in range(n)]
     stages = []
-    products = [(ident, 0)]  # (product, index of its last difference)
     while True:
-        products = [
-            (mat.mul(diffs[j]), j) for mat, start in products for j in range(start, len(diffs))
-        ]
-        rows = tuple(row for mat, _ in products for row in mat.rows if any(row))
-        stage = ff.kernel(MatrixFF._of(ctx, rows)) if rows else full
-        stages.append(stage)
-        if stage == full:
+        products = [list(row) for d in diffs for row in ff._product(ctx, span, d, n)]
+        span = [row for row, _ in ff._echelon(ctx, products, n).values()]
+        stages.append(Subspace(ctx, n, ff._null_basis(ctx, span, n)))
+        if not span:
             return stages
         if len(stages) > n:
             raise AssertionError("socle filtration stalled (is the action unipotent?)")

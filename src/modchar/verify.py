@@ -343,7 +343,9 @@ def suite_filtration(profile="quick") -> str:
     """Criterion 7: dual filtration routes on 200 random reps, the
     conjugation of the second socle stage of the big rep onto the basic
     rep (and classify's basic model, decided without it, agreeing),
-    socle balance of tensor squares, strictness and saturation."""
+    socle balance of tensor squares, strictness and saturation.  The
+    full profile adds the dim bound: regular_rep(2, 8) by both routes
+    against loewy_dims, and validate of its generators listed 4 times."""
     checked = 0
     rng = random.Random(20260809)
     contexts = [FieldCtx(2, 1), FieldCtx(3, 1), FieldCtx(2, 2)]
@@ -382,7 +384,28 @@ def suite_filtration(profile="quick") -> str:
             if not reps.socle_tensor_check(xi, xi, i):
                 raise SuiteFailure(f"tensor socle fails at q={p**r}, i={i}")
             checked += 1
-    return f"{checked} cases: random reps, big-rep conjugations, tensor socle stages"
+    if profile != "full":
+        return f"{checked} cases: random reps, big-rep conjugations, tensor socle stages"
+    regular = reps.regular_rep(2, 8)
+    for route in (reps.socle_filtration, reps.socle_filtration_by_annihilators):
+        if [s.dim for s in route(regular)] != loewy_dims(2, 8):
+            raise SuiteFailure(f"{route.__name__} of regular_rep(2, 8) misses the Loewy dims")
+    if reps.validate(reps.Rep._of(regular.ctx, regular.dim, regular.generators * 4)):
+        raise SuiteFailure("validate rejects regular_rep(2, 8)'s generators listed 4 times")
+    return (
+        f"{checked + 3} cases: random reps, big-rep conjugations, tensor socle stages, "
+        "regular_rep(2, 8) by both routes, a 32-generator validate"
+    )
+
+
+def loewy_dims(p: int, n: int) -> list[int]:
+    """dim J_i of regular_rep(p, n) in closed form: the cumulative Hilbert
+    function of F_p[x_1..x_n] / (x_i^p), whose degree-d part has the
+    coefficient of t^d in (1 + t + ... + t^(p-1))^n as its dimension."""
+    coeffs = [1]
+    for _ in range(n):
+        coeffs = [sum(coeffs[max(0, d - p + 1) : d + 1]) for d in range(len(coeffs) + p - 1)]
+    return list(itertools.accumulate(coeffs))
 
 
 @_suite("classification")

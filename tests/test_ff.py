@@ -265,6 +265,131 @@ def test_matrix_inverse_and_singular():
         singular.inverse()
 
 
+# -- the packed GF(2) rows against the int-list kernel on tuple rows ----------
+
+F2 = FieldCtx(2, 1)
+# square sides from 0 to 129, across the 64- and 128-bit word boundaries
+WORD_DIMS = (0, 1, 2, 3, 7, 63, 64, 65, 129)
+
+
+def _list_mul(a, b, n):
+    return ff._product(F2, a, [ff._sparse(F2, y) for y in b], n)
+
+
+def _list_rref(rows, n):
+    return tuple(map(tuple, ff._rref(F2, [list(r) for r in rows], n)[1]))
+
+
+def _list_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, red = ff._rref(F2, aug, 2 * n)
+    return tuple(tuple(row[n:]) for row in red) if pivots == list(range(n)) else None
+
+
+def _xor(u, v):
+    return tuple((x + y) % 2 for x, y in zip(u, v))
+
+
+def _list_reduce(basis, v):
+    for b in basis:
+        if v[b.index(1)]:
+            v = _xor(v, b)
+    return tuple(v)
+
+
+def _list_membership(basis, n):
+    cols = [tuple(int(u == c) for u in range(n)) for c in range(n)]
+    for b in basis:
+        cols[b.index(1)] = _xor(cols[b.index(1)], b)
+    return tuple(zip(*cols))
+
+
+def _gf2_inputs(rng, n):
+    """Zero, identity, permutation, dense, singular and rank-deficient
+    n x n rows, as tuples."""
+    perm = rng.sample(range(n), n)
+    dense = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)]
+    singular = dense[:-1] + [_xor(dense[0], dense[1]) if n > 1 else (0,) * n] if n else []
+    thin = [tuple(rng.randrange(2) for _ in range(n // 3)) for _ in range(n)]
+    zero = ((0,) * n,) * n
+    return {
+        "zero": zero,
+        "identity": tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+        "permutation": tuple(tuple(int(j == perm[i]) for j in range(n)) for i in range(n)),
+        "dense": tuple(dense),
+        "singular": tuple(singular),
+        "low rank": _list_mul(thin, tuple(zip(*thin)), n) if n > 2 else zero,
+    }
+
+
+def _check_packed_against_lists(rng, n):
+    inputs = _gf2_inputs(rng, n)
+    other = inputs["dense"]
+    b = MatrixFF(F2, other)
+    v = tuple(rng.randrange(2) for _ in range(n))
+    for rows in inputs.values():
+        a = MatrixFF(F2, rows)
+        tall = rows + other  # stacked: 2n rows of rank at most n
+        assert a.rows == rows and a.transpose().rows == tuple(zip(*rows))
+        assert a.mul(b).rows == _list_mul(rows, other, n)
+        assert b.mul(a).rows == _list_mul(other, rows, n)
+        assert a.matvec(v) == _list_mul((v,), tuple(zip(*rows)), n)[0]
+        assert a.sub(b).rows == tuple(map(_xor, rows, other))
+        power = inputs["identity"]
+        assert a.pow_int(0).rows == power
+        for e in range(1, 4):
+            power = _list_mul(power, rows, n)
+            assert a.pow_int(e).rows == power
+        for m in (rows, tall):
+            assert MatrixFF(F2, m).rank() == len(ff._echelon(F2, [list(r) for r in m], n))
+            assert kernel(MatrixFF(F2, m)).basis == ff._null_basis(F2, m, n)
+        inverse = _list_inverse(rows)
+        if inverse is None:
+            with pytest.raises(FieldError, match="singular"):
+                a.inverse()
+        else:
+            assert a.inverse().rows == inverse
+        s = Subspace.from_vectors(F2, n, tall)
+        assert s.basis == _list_rref(tall, n)
+        assert s.reduce(v) == _list_reduce(s.basis, v) and s.contains(v) == (not any(_list_reduce(s.basis, v)))
+        assert s.membership_matrix().rows == _list_membership(s.basis, n)
+        t, u = Subspace.from_vectors(F2, n, rows), Subspace.from_vectors(F2, n, other)
+        assert t.sum(u).basis == _list_rref(t.basis + u.basis, n)
+        # a packed result equals, and hashes like, the matrix of its tuple rows
+        for result in (a.mul(b), a.sub(b), a.transpose(), a.pow_int(3)):
+            same = MatrixFF(F2, result.rows)
+            assert result == same and hash(result) == hash(same)
+        assert (a == b) == (rows == other) and (a.mul(b) == b.mul(a)) == (a.mul(b).rows == b.mul(a).rows)
+
+
+def test_packed_gf2_matches_the_list_kernel():
+    rng = random.Random(29)
+    for n in WORD_DIMS:
+        _check_packed_against_lists(rng, n)
+    for m, k, n in ((3, 64, 130), (130, 65, 1), (64, 129, 63), (1, 1, 128)):
+        a = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(m)]
+        b = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
+        assert MatrixFF(F2, a).mul(MatrixFF(F2, b)).rows == _list_mul(a, b, n)
+        assert MatrixFF(F2, a).transpose().rows == tuple(zip(*a))
+    assert MatrixFF(F2, [[0, 0, 0]]) != MatrixFF(F2, [[0, 0]])
+    assert MatrixFF.identity(F2, 0) == MatrixFF(F2, []) and MatrixFF(F2, [[]]).ncols == 0
+
+
+def test_a_flipped_product_bit_fails_the_differential_check(monkeypatch):
+    product = ff._xor_product
+
+    def flipped(left, right):
+        out = list(product(left, right))
+        if out and any(right):
+            out[0] ^= 1
+        return tuple(out)
+
+    monkeypatch.setattr(ff, "_xor_product", flipped)
+    with pytest.raises(AssertionError):
+        _check_packed_against_lists(random.Random(29), 5)
+
+
 def test_powers_square_from_the_first_factor(monkeypatch):
     # g^e squares from the top bit down without the identity: g^2 is one
     # product, g^3 two; Rep.element starts from its first factor

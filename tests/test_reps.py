@@ -659,3 +659,45 @@ def test_annihilator_route_reads_no_memo_and_no_membership_matrix(monkeypatch):
     assert reps.socle_filtration_by_annihilators(rep) == want
     with pytest.raises(RuntimeError, match="independent"):
         socle_filtration(regular_rep(2, 2))
+
+
+def test_annihilator_route_runs_off_the_packed_gf2_rows(monkeypatch):
+    def packed(*args):
+        raise RuntimeError("packed GF(2) row code")
+
+    monkeypatch.setattr(ff, "_xor_product", packed)
+    monkeypatch.setattr(ff, "_xor_echelon", packed)
+    stages = reps.socle_filtration_by_annihilators(regular_rep(2, 4))
+    # the cumulative Hilbert function of F_2[x_1..x_4]/(x_i^2): 1, 4, 6, 4, 1
+    assert [s.dim for s in stages] == [1, 5, 11, 15, 16]
+    with pytest.raises(RuntimeError, match="packed"):
+        socle_filtration(regular_rep(2, 4))
+
+
+def test_loewy_dims_match_the_annihilator_route():
+    from modchar.verify import loewy_dims
+
+    for p, n in ((2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2)):
+        stages = reps.socle_filtration_by_annihilators(regular_rep(p, n))
+        assert [s.dim for s in stages] == loewy_dims(p, n)
+
+
+def test_only_the_full_filtration_suite_walks_at_the_dim_bound(monkeypatch):
+    from modchar import verify
+
+    walk = reps.socle_filtration
+
+    def drops_a_stage_at_256(rep):
+        stages = walk(rep)
+        return stages[:1] + stages[2:] if rep.dim == 256 else stages
+
+    monkeypatch.setattr(reps, "socle_filtration", drops_a_stage_at_256)
+    assert verify.suite_filtration("quick").ok
+    result = verify.suite_filtration("full")
+    assert not result.ok and "regular_rep(2, 8)" in result.detail
+
+
+def test_annihilator_route_raises_on_a_stall():
+    ctx = FieldCtx(3, 1)  # order 2 over GF(3): not unipotent
+    with pytest.raises(AssertionError, match="stalled"):
+        reps.socle_filtration_by_annihilators(Rep._of(ctx, 2, (ints(ctx, [[0, 1], [1, 0]]),)))
