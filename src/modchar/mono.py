@@ -10,13 +10,13 @@ weight.
 The basis is enumerated by a residue walk rather than by filtering all
 monomials: over each exterior subset, the y-exponents are chosen slot by
 slot while the weight is carried mod q - 1, and the last slot, forced by
-the degree, keeps the vector only when the residue closes.  A Monomial
-is built only for a hit.
+the degree, keeps the vector only when the residue closes; once the
+degree is spent, the all-zero tail is tested at once.  A Monomial is
+built only for a hit, from the nonzero exponents carried so far.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -117,28 +117,50 @@ def enumerate_invariant_basis(p: int, r: int, d: int) -> list[Monomial]:
     last = r - 1
     w_last = w[last]
     found = []
+    append, of = found.append, Monomial._of
+
+    def spread(picks):
+        # the exponent list of a chain (slot, exponent, earlier picks)
+        pows = [0] * r
+        while picks:
+            k, b, picks = picks
+            pows[k] = b
+        return pows
 
     def walk(ext, rem, res):
-        # an explicit stack of (slot, y-degree left, residue, exponents so
-        # far), not one call per slot: r can pass the recursion limit
+        # an explicit stack of (slot, y-degree left, residue, the nonzero
+        # exponents so far as a chain), not one call per slot: r can pass
+        # the recursion limit.  A vector's exponent list is built only for
+        # a hit, so a test costs the same at any r
         stack = [(0, rem, res, ())]
         while stack:
-            k, rem, res, prefix = stack.pop()
-            if k == last:  # r = 1
+            k, rem, res, picks = stack.pop()
+            if rem == 0 or k == last:  # one vector: rem in the last slot
                 if (res + w_last * rem) % q1 == 0:
-                    found.append(Monomial._of(ext, prefix + (rem,)))
+                    pows = spread(picks)
+                    pows[last] = rem
+                    append(of(ext, tuple(pows)))
                 continue
             wk = w[k]
             if k + 1 == last:  # b here, the remaining rem - b in the last slot
                 res += w_last * rem
-                step = wk - w_last
-                for b in range(rem + 1):
-                    if (res + step * b) % q1 == 0:
-                        found.append(Monomial._of(ext, prefix + (b, rem - b)))
+                step = wk - w_last  # nonzero, as w_k = p^k for k < r
+                pows = None
+                for x in range(res, res + step * (rem + 1), step):  # res + step * b
+                    if x % q1 == 0:
+                        if pows is None:
+                            pows = spread(picks)
+                        b = (x - res) // step
+                        pows[k], pows[last] = b, rem - b
+                        append(of(ext, tuple(pows)))
                 continue
-            k += 1
-            for b in range(rem + 1):
-                stack.append((k, rem - b, res + wk * b, prefix + (b,)))
+            stack.append((k + 1, rem, res, picks))
+            for b in range(1, rem):
+                stack.append((k + 1, rem - b, res + wk * b, (k, b, picks)))
+            if (res + wk * rem) % q1 == 0:  # all of rem here, the tail all zero
+                pows = spread(picks)
+                pows[k] = rem
+                append(of(ext, tuple(pows)))
 
     if p == 2:
         walk((0,) * r, d, 0)
@@ -310,7 +332,3 @@ class TensorClass(SparseCombination):
 
     def coefficient(self, tup) -> int:
         return self.terms.get(tuple(tup), 0)
-
-    def canonical_items(self):
-        key = functools.cache(lambda m: sort_key(m, self.p))
-        return sorted(self.terms.items(), key=lambda kv: tuple(map(key, kv[0])))

@@ -74,15 +74,33 @@ def test_chi_deep_binary_class_counts_its_terms(capsys):
     assert time.perf_counter() - start < 5
 
 
-def test_chi_result_renders_tensor_terms():
-    # one term formatter: factor texts joined by ⊗, after the coefficient
-    # when it is not 1; the zero class renders as 0
+def test_chi_result_renders_tensor_terms(capsys, monkeypatch):
+    # cmd_chi renders the class chi_basic returns: factor texts joined by
+    # ⊗, after the coefficient when it is not 1, terms in canonical order
+    # whatever the order of the class's dict; the zero class renders as 0
+    from modchar import chi
+
     y1, y2 = mono.Monomial((0,), (1,)), mono.Monomial((0,), (2,))
     ab = mono.TensorClass(2, 1, 1, {(y1,): 1}).tensor(mono.TensorClass(2, 1, 1, {(y2,): 1}))
-    assert cli._chi_result(ab)["rendered"] == "y⊗y^2"
     mixed = mono.TensorClass(3, 1, 2, {(y2, y1): 1, (y1, y2): 2})
-    assert cli._chi_result(mixed)["rendered"] == "2 y⊗y^2 + y^2⊗y"
-    assert cli._chi_result(ab.scale(2)) == {"rendered": "0", "terms": []}
+
+    def printed(tc, fmt="text"):
+        monkeypatch.setattr(chi, "chi_basic", lambda p, r, alpha, n: tc)
+        code, out, _ = run(capsys, "chi", "--p", str(tc.p), "--n", "2", "--alpha", "y^3", "--format", fmt)
+        assert code == 0
+        return out
+
+    assert printed(ab) == "y⊗y^2\n"
+    assert printed(mixed) == "2 y⊗y^2 + y^2⊗y\n"
+    assert printed(mixed, "csv") == "term,coeff\ny⊗y^2,2\ny^2⊗y,1\n"
+    obj = json.loads(printed(mixed, "json"))
+    assert obj["rendered"] == "2 y⊗y^2 + y^2⊗y"
+    assert obj["terms"] == [
+        {"factors": [{"A": [0], "B": [1]}, {"A": [0], "B": [2]}], "coeff": 2},
+        {"factors": [{"A": [0], "B": [2]}, {"A": [0], "B": [1]}], "coeff": 1},
+    ]
+    assert printed(ab.scale(2)) == "0\n"
+    assert json.loads(printed(ab.scale(2), "json"))["terms"] == []
 
 
 def _spy_emit(monkeypatch):
@@ -104,10 +122,10 @@ def _unbuilt(items) -> bool:
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_chi_formats_each_distinct_factor_at_most_twice(capsys, monkeypatch, fmt):
+def test_chi_formats_each_distinct_factor_once(capsys, monkeypatch, fmt):
     # y^127 at n = 7: 5040 terms over 7 distinct factors.  alpha is
-    # formatted once, each factor once for the class and at most once
-    # more for the CSV rows, which text and json never build
+    # formatted once and each factor once, whatever the format; the CSV
+    # rows are built only for csv
     calls = []
     format_monomial = mono.format_monomial
 
@@ -119,7 +137,7 @@ def test_chi_formats_each_distinct_factor_at_most_twice(capsys, monkeypatch, fmt
     emitted = _spy_emit(monkeypatch)
     code, out, _ = run(capsys, "chi", "--p", "2", "--n", "7", "--alpha", "y^127", "--format", fmt)
     assert code == 0 and out
-    assert len(calls) <= 2 * 7 + 1
+    assert len(calls) == 7 + 1 and len(set(calls)) == 7 + 1
     ((rows, _),) = emitted
     assert _unbuilt(rows) == (fmt != "csv")
 
@@ -139,16 +157,14 @@ EMIT_CASES = {
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("command", sorted(EMIT_CASES))
 def test_each_command_builds_only_the_format_asked(capsys, tmp_path, monkeypatch, command, fmt):
-    # the rows and lines of a format not printed are never started; chi's
-    # one text line is the payload's own rendered string
+    # the rows and lines of a format not printed are never started
     argv = [a if a else _write_rep(tmp_path, reps.regular_rep(2, 2)) for a in EMIT_CASES[command]]
     emitted = _spy_emit(monkeypatch)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0 and out
     ((rows, lines),) = emitted
     assert _unbuilt(rows) == (fmt != "csv")
-    if command != "chi":
-        assert _unbuilt(lines) == (fmt != "text")
+    assert _unbuilt(lines) == (fmt != "text")
 
 
 def test_chi_non_invariant_is_input_error(capsys):
@@ -202,6 +218,22 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--p", "2"])
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_nonvanish_formats_each_distinct_alpha_once(capsys, monkeypatch, fmt):
+    # p = 3, n = 4: 160 rows over the two witness alphas
+    calls = []
+    format_monomial = mono.format_monomial
+
+    def counted(m):
+        calls.append(m)
+        return format_monomial(m)
+
+    monkeypatch.setattr(mono, "format_monomial", counted)
+    code, out, _ = run(capsys, "nonvanish", "--p", "3", "--n", "4", "--format", fmt)
+    assert code == 0 and out.count("y") >= 160
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_nonvanish_csv_column_order(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import time
 
 import pytest
 
@@ -122,7 +123,7 @@ def _basis_by_filtering(p, r, d):
 @pytest.mark.parametrize(
     "p, r, max_degree",
     [(2, 1, 30), (2, 2, 30), (2, 3, 30), (2, 4, 30), (3, 1, 20), (3, 2, 20),
-     (3, 3, 16), (5, 2, 20), (7, 2, 30)],
+     (3, 3, 16), (5, 2, 20), (7, 2, 30), (2, 12, 6), (3, 6, 6)],
 )
 def test_invariant_basis_walk_equals_filtering(p, r, max_degree):
     for d in range(max_degree + 1):
@@ -133,6 +134,17 @@ def test_invariant_basis_at_a_rank_past_the_recursion_limit():
     r = sys.getrecursionlimit() + 10
     for p in (2, 3):
         assert enumerate_invariant_basis(p, r, 0) == [Monomial.unit(r)]
+
+
+def test_invariant_basis_walk_costs_the_same_per_vector_at_any_rank():
+    # r = 900 to degree 2 tests 406,351 vectors (basis_walk_size); a walk
+    # that rebuilt the exponents or walked each zero tail slot by slot
+    # would cost r times more per vector.  Only the unit is invariant: no
+    # 2^i or 2^i + 2^j with i, j < 900 is a multiple of 2^900 - 1
+    start = time.perf_counter()
+    found = [enumerate_invariant_basis(2, 900, d) for d in range(3)]
+    assert time.perf_counter() - start < 5
+    assert found == [[Monomial.unit(900)], [], []]
 
 
 def test_basis_walk_size_counts_the_tested_vectors():
