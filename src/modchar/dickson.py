@@ -407,8 +407,8 @@ def newton_check(p: int, n: int, dmax: int) -> bool:
     unit among power series, and D * A = -D_{p^n - 1} up to dmax holds
     exactly when A equals the quotient -D_{p^n - 1} / D up to dmax.  So
     this is that comparison, with the memoised quotient of
-    `chi_total_from_inverse`, and the report's `inverse` field then reads
-    the same quotient again.  The product form, D.mul_truncated(A, dmax)
+    `chi_total_from_inverse`, and the report fills its `inverse` field
+    from the same answer.  The product form, D.mul_truncated(A, dmax)
     == -D_{p^n - 1}, is run by `verify`'s Dickson suite and the tests,
     which never read the quotient."""
     if dmax < p**n - 1:
@@ -493,15 +493,14 @@ def report(p: int, n: int, dmax: int) -> dict:
     Newton's identity, the series-inverse route, and the sign of each
     product identity by i (its failure message where neither sign
     holds), with every component of D rendered, by degree.  `newton` and
-    `inverse` are one predicate, as D is a unit (see `newton_check`);
-    both fields stay, and the quotient they compare with A is computed
-    once.  `modchar dickson` prints the report and `verify`'s Dickson
-    suite checks it, together with Newton's identity in product form."""
+    `inverse` are one predicate, as D is a unit (see `newton_check`):
+    both fields stay, filled from one comparison of the quotient with A.
+    `modchar dickson` prints the report and `verify`'s Dickson suite
+    checks it, together with Newton's identity in product form."""
     q = p**n
     components = dickson_total(p, n).components
     sparsity = set(components) <= {q - p**i for i in range(n + 1)} | {0}
-    newton = newton_check(p, n, dmax)
-    inverse = chi_total_from_inverse(p, n, dmax) == alternating_chi_total(p, n, dmax)
+    newton = inverse = newton_check(p, n, dmax)
     signs: dict = {}
     for i in range(n + 1):
         try:

@@ -701,113 +701,70 @@ ALL_SUITES = {
 
 
 def run(profile: str = "quick", names=None) -> list[SuiteResult]:
-    """Run the named suites (every suite by default) and return their
-    results in the order named.
-
-    The suites run in forked worker processes, at most one per usable
-    CPU and one per suite, each worker pinned to a CPU of its own.  They
-    start in ALL_SUITES order, so the longest, arithmetic, starts first,
-    and the CPU a worker frees goes to the next suite.  Each worker
-    sends its SuiteResult (or the exception that escaped its suite,
-    raised again here) down a pipe and leaves with os._exit, writing
-    nothing to stdout or stderr.  With one worker (one usable CPU, one
-    suite, no os.fork, or other live threads, which a fork does not
-    copy) the suites run in this process.  Every worker is reaped before
-    run returns or raises."""
+    """Run the named suites (every suite when names is None) and return
+    their results in the order named.  Taken in ALL_SUITES order (the
+    longest, arithmetic, first), the suites at positions 0, 2, 4, ... run
+    in one forked helper and the rest in this process, so a suite's
+    `seconds` is its own time in whichever process ran it.  An exception
+    that escapes a helper's suite is raised again here once this
+    process's suites are done; one raised here kills the helper first.
+    With one usable CPU, one suite, no os.fork, or other live threads
+    (which a fork does not copy), every suite runs in this process."""
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
-    keys = list(names or ALL_SUITES)
+    keys = list(ALL_SUITES if names is None else names)
     suites = [ALL_SUITES[key] for key in keys]
     try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity calls on this platform: workers run anywhere
-        cpus = [None] * (os.cpu_count() or 1)
-    if min(len(cpus), len(suites)) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform
+        cpus = os.cpu_count() or 1
+    if min(cpus, len(suites)) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [suite(profile) for suite in suites]
     # only a forking run loads these, so importing verify for random_valid_rep stays cheap
     import pickle
-    import select
     import signal
 
     position = list(ALL_SUITES)
-    pending = iter(sorted(range(len(keys)), key=lambda i: position.index(keys[i])))
-    idle = cpus[: len(suites)]
-    results = [None] * len(suites)
-    live = {}  # read end of a worker's pipe -> [pid, suite index, its CPU, chunks read]
-
-    def start(i):
-        cpu = idle.pop()
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            _worker(suites[i], profile, cpu, read_fd, write_fd)
-        os.close(write_fd)
-        live[read_fd] = [pid, i, cpu, []]
-
+    order = sorted(range(len(keys)), key=lambda i: position.index(keys[i]))
+    theirs, ours = order[0::2], order[1::2]
+    read_fd, write_fd = os.pipe()
     try:
-        for i in itertools.islice(pending, len(idle)):
-            start(i)
-        while live:
-            for fd in select.select(list(live), [], [])[0]:
-                pid, i, cpu, chunks = live[fd]
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
-                # at EOF the worker has written everything, so reaping cannot block on the pipe
-                _, status = os.waitpid(pid, 0)
-                del live[fd]
-                os.close(fd)
-                idle.append(cpu)
-                if not chunks:
-                    raise RuntimeError(
-                        f"the worker for suite {keys[i]!r} left without a result "
-                        f"(exit status {os.waitstatus_to_exitcode(status)})"
-                    )
-                done, value = pickle.loads(b"".join(chunks))
-                if not done:
-                    raise value
-                results[i] = value
-                for nxt in itertools.islice(pending, 1):
-                    start(nxt)
-    except BaseException:
-        for fd, (pid, *_) in live.items():
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the helper: it writes nothing to stdout or stderr and never returns
+        try:
+            os.close(read_fd)
+            try:
+                blob = pickle.dumps((True, [suites[i](profile) for i in theirs]))
+            except BaseException as exc:
+                try:
+                    blob = pickle.dumps((False, exc))
+                    pickle.loads(blob)  # an exception whose __init__ takes other args fails here
+                except Exception:
+                    blob = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with open(write_fd, "wb") as out:
+                out.write(blob)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            results = {i: suites[i](profile) for i in ours}
+            blob = pipe.read()
+        except BaseException:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(fd)
-        raise
-    return results
-
-
-def _worker(suite, profile, cpu, read_fd, write_fd):
-    """A forked worker's whole life: move to its CPU, run the suite,
-    pickle (True, its SuiteResult) or (False, the exception that escaped
-    it) to write_fd, and leave with os._exit, never returning into the
-    parent's code.  Unpinned, the kernel can leave a fresh worker on its
-    parent's CPU, next to the other worker, for the whole suite."""
-    import pickle
-
-    try:
-        os.close(read_fd)
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:  # the CPU left the set since run read it: run anywhere
-                pass
-        try:
-            blob = pickle.dumps((True, suite(profile)))
-        except BaseException as exc:
-            try:
-                blob = pickle.dumps((False, exc))
-                pickle.loads(blob)  # an exception whose __init__ takes other args fails here
-            except Exception:
-                blob = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(write_fd, "wb") as out:
-            out.write(blob)
-    finally:
-        os._exit(0)
+            raise
+    _, status = os.waitpid(pid, 0)  # after EOF, so the helper is not blocked on the pipe
+    if not blob:
+        helped = ", ".join(repr(keys[i]) for i in theirs)
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the helper running {helped} left without a result (exit status {code})")
+    done, value = pickle.loads(blob)
+    if not done:
+        raise value
+    results.update(zip(theirs, value))
+    return [results[i] for i in range(len(keys))]

@@ -1,10 +1,14 @@
-"""verify.run: forked workers, one per usable CPU, against the in-process
-path it falls back to, and the random representations the filtration
-suite draws."""
+"""verify.run: one forked helper beside the calling process, against the
+in-process path it falls back to, and the random representations the
+filtration suite draws.
+
+Taken in ALL_SUITES order, the helper runs the suites at positions 0, 2,
+4, ... and the caller the rest, so in ["lowest-degrees", "witnesses"]
+the helper runs lowest-degrees, and in ["witnesses", "pruned"] it runs
+witnesses."""
 
 import os
 import random
-import select
 import threading
 import time
 
@@ -12,6 +16,9 @@ import pytest
 
 from modchar import cli, verify
 from modchar.ff import FieldCtx, FieldError, MatrixFF
+
+# the names that put the injected "witnesses" suite in the caller, then in the helper
+SIDES = (["lowest-degrees", "witnesses"], ["witnesses", "pruned"])
 
 
 def _cpus(monkeypatch, n):
@@ -36,6 +43,11 @@ def _pid_suite(name):
     return lambda profile: verify.SuiteResult(name, True, f"pid {os.getpid()}", 0.0)
 
 
+def _witness(results):
+    (found,) = [r for r in results if r.name == "witnesses"]
+    return found.ok, found.detail
+
+
 def test_forked_and_in_process_runs_agree(monkeypatch):
     _cpus(monkeypatch, 2)
     forked = verify.run("quick")
@@ -55,16 +67,25 @@ def test_results_come_back_in_the_order_named(monkeypatch):
     assert all(r.ok for r in results)
 
 
+def test_an_empty_list_of_names_runs_no_suite(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert verify.run("quick", []) == []
+    _no_children_left()
+
+
 @pytest.mark.parametrize("cpus, forked", [(1, False), (2, True), (64, True)])
 def test_suites_run_in_workers_only_with_more_than_one_cpu(monkeypatch, cpus, forked):
-    for name in ("witnesses", "lowest-degrees"):
+    # in ALL_SUITES order arithmetic, lowest-degrees, witnesses: the helper
+    # takes the first and the third, whatever the CPU count past one
+    for name in ("witnesses", "lowest-degrees", "arithmetic"):
         monkeypatch.setitem(verify.ALL_SUITES, name, _pid_suite(name))
     _cpus(monkeypatch, cpus)
-    results = verify.run("quick", ["witnesses", "lowest-degrees"])
+    results = verify.run("quick", ["witnesses", "lowest-degrees", "arithmetic"])
     _no_children_left()
-    pids = {int(r.detail.removeprefix("pid ")) for r in results}
-    assert (os.getpid() not in pids) == forked
-    assert len(pids) == (2 if forked else 1)
+    witnesses, lowest, arithmetic = (int(r.detail.removeprefix("pid ")) for r in results)
+    assert lowest == os.getpid()
+    assert witnesses == arithmetic
+    assert (witnesses != os.getpid()) == forked
 
 
 def test_one_suite_or_another_live_thread_runs_in_process(monkeypatch):
@@ -101,27 +122,27 @@ def _asserts(profile):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failed_suite_reads_the_same_in_a_worker(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
-    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _fails)
-    got = verify.run("quick", ["lowest-degrees", "witnesses"])
-    assert _fields(got)[1] == ("witnesses", False, "injected failure")
-    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _raises_value_error)
-    got = verify.run("quick", ["lowest-degrees", "witnesses"])
-    assert _fields(got)[1] == ("witnesses", False, "ValueError: injected route fault")
-    _no_children_left()
+    for names in SIDES:
+        monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _fails)
+        assert _witness(verify.run("quick", names)) == (False, "injected failure")
+        monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _raises_value_error)
+        assert _witness(verify.run("quick", names)) == (False, "ValueError: injected route fault")
+        _no_children_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_an_assertion_escapes_a_worker_and_exits_4(monkeypatch, capsys, cpus):
     _cpus(monkeypatch, cpus)
     monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _asserts)
-    with pytest.raises(AssertionError, match="^injected invariant break$"):
-        verify.run("quick", ["lowest-degrees", "witnesses"])
-    _no_children_left()
-    code = cli.main(["verify", "--suite", "lowest-degrees", "--suite", "witnesses"])
-    out, err = capsys.readouterr()
-    assert code == cli.EXIT_INTERNAL
-    assert err == "internal error: injected invariant break\n"
-    _no_children_left()
+    for names in SIDES:
+        with pytest.raises(AssertionError, match="^injected invariant break$"):
+            verify.run("quick", names)
+        _no_children_left()
+        code = cli.main(["verify", "--suite", names[0], "--suite", names[1]])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL
+        assert err == "internal error: injected invariant break\n"
+        _no_children_left()
 
 
 class _TwoArgError(Exception):
@@ -137,7 +158,7 @@ def test_an_exception_that_cannot_cross_the_pipe_comes_back_by_name(monkeypatch)
 
     monkeypatch.setitem(verify.ALL_SUITES, "witnesses", raises)
     with pytest.raises(RuntimeError, match="^_TwoArgError: left and right$"):
-        verify.run("quick", ["lowest-degrees", "witnesses"])
+        verify.run("quick", ["witnesses", "pruned"])
     _no_children_left()
 
 
@@ -145,7 +166,7 @@ def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.setitem(verify.ALL_SUITES, "witnesses", lambda profile: os._exit(3))
     with pytest.raises(RuntimeError, match=r"'witnesses' left without a result \(exit status 3\)"):
-        verify.run("quick", ["lowest-degrees", "witnesses"])
+        verify.run("quick", ["witnesses", "pruned"])
     _no_children_left()
 
 
@@ -155,37 +176,44 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(monkeypatch):
     monkeypatch.setitem(
         verify.ALL_SUITES, "witnesses", lambda p: verify.SuiteResult("witnesses", True, detail, 0.0)
     )
-    results = verify.run("quick", ["witnesses", "lowest-degrees"])
+    results = verify.run("quick", ["witnesses", "pruned"])
     _no_children_left()
     assert results[0].detail == detail
 
 
-def test_a_raising_worker_kills_and_reaps_the_others(monkeypatch):
-    # the sleeper would hold run for a minute; the assertion ends it at once
+def _kills_the_sleeping_helper(monkeypatch, raised):
+    """The caller's own suite raises while the helper sleeps a minute:
+    run must kill and reap the helper at once, not wait for it."""
     _cpus(monkeypatch, 2)
     monkeypatch.setitem(verify.ALL_SUITES, "arithmetic", lambda profile: time.sleep(60))
-    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _asserts)
+
+    def raises(profile):
+        raise raised
+
+    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", raises)
     start = time.monotonic()
-    with pytest.raises(AssertionError):
-        verify.run("quick", ["arithmetic", "witnesses", "lowest-degrees"])
-    assert time.monotonic() - start < 30
-    _no_children_left()
-
-
-def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setitem(verify.ALL_SUITES, "arithmetic", lambda profile: time.sleep(60))
-    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", lambda profile: time.sleep(60))
-
-    def interrupted(*args):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(select, "select", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(type(raised)):
         verify.run("quick", ["arithmetic", "witnesses"])
     assert time.monotonic() - start < 30
     _no_children_left()
+
+
+def test_an_assertion_in_the_parent_kills_and_reaps_the_helper(monkeypatch):
+    _kills_the_sleeping_helper(monkeypatch, AssertionError("injected invariant break"))
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_helper(monkeypatch):
+    _kills_the_sleeping_helper(monkeypatch, KeyboardInterrupt())
+
+
+def test_a_forked_run_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd):
+    _cpus(monkeypatch, 2)
+    assert all(r.ok for r in verify.run("quick", ["lowest-degrees", "witnesses", "pruned"]))
+    monkeypatch.setitem(verify.ALL_SUITES, "witnesses", _asserts)
+    with pytest.raises(AssertionError):
+        verify.run("quick", ["witnesses", "pruned"])
+    _no_children_left()
+    assert capfd.readouterr() == ("", "")
 
 
 # -- random representations ---------------------------------------------------
