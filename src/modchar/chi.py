@@ -60,67 +60,60 @@ def _check_query(p: int, r: int, alpha: Monomial, n: int) -> None:
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     """Value of the alpha-class on the rank-n basic representation, as a
-    tensor class; zero when alpha has degree 0 (see _split_ids)."""
-    _check_query(p, r, alpha, n)
-    if degree(alpha, p) == 0:
-        return TensorClass.zero(p, r, n)
-    monomials, ids = _split_ids(p, r, alpha, n)
-    terms = {tuple(map(monomials.__getitem__, tup)): c for tup, c in ids.items()}
-    return TensorClass._of(p, r, n, terms)
-
-
-def _split_ids(p: int, r: int, alpha: Monomial, n: int) -> tuple[list, dict]:
-    """The class of a valid invariant alpha of nonzero degree at rank n,
-    as (monomials, id tuple -> coefficient): each term's factors are the
-    ids of its monomials, that is their positions in `monomials`, and its
-    coefficient is reduced mod p and nonzero.
+    tensor class; zero when alpha has degree 0.
 
     The left-nested n-fold splitting with every degree-0 factor removed,
-    times (-1)^(n-1).  A split with a degree-0 side is dropped as soon as
-    it appears: the unit splits only as unit (x) unit and right factors
-    are never split again, so every term it leads to has a degree-0
-    factor.  The walk also keeps only what can survive, by the token
-    weight W of the module docstring: the class is zero at once when
-    W(alpha) < (q - 1) n, and at split j (from 0) a split is kept only
-    when W(left) >= (q - 1)(n - 1 - j), as the left side must still
-    become n - 1 - j invariant factors of nonzero degree.  The bound is
-    a necessary condition only, so every branch it cuts has no
-    descendant and the class is the unpruned one term for term.
+    times (-1)^(n-1), keyed by factor tuples.  A split with a degree-0
+    side is dropped as soon as it appears: the unit splits only as
+    unit (x) unit and right factors are never split again, so every term
+    it leads to has a degree-0 factor.  The walk also keeps only what
+    can survive, by the token weight W of the module docstring: the
+    class is zero at once when W(alpha) < (q - 1) n, and at split j
+    (from 0) a split is kept only when W(left) >= (q - 1)(n - 1 - j), as
+    the left side must still become n - 1 - j invariant factors of
+    nonzero degree.  The bound is a necessary condition only, so every
+    branch it cuts has no descendant and the class is the unpruned one
+    term for term.
+
+    No two terms merge and none cancels (a term's first two factors
+    multiply to the one they split, a coproduct lists each split once,
+    and its coefficients are nonzero mod p), so the terms are carried in
+    a list and keyed once, at the end.
 
     A monomial's proper splits are computed once per process
     (_proper_splits); in a call, each left factor's W is computed once,
-    and the kept splits are given ids once per (first factor, j); tuples
-    of ints hash fast."""
+    and the kept splits are listed once per (first factor, j) with one
+    object per distinct factor, so that equal factors meet as the same
+    object in the walk's memo and in the caller's dicts."""
+    _check_query(p, r, alpha, n)
     q1 = p**r - 1
-    if _token_weight(p, r, alpha) < q1 * n:
-        return [alpha], {}
-    index = {alpha: 0}
+    if degree(alpha, p) == 0 or _token_weight(p, r, alpha) < q1 * n:
+        return TensorClass.zero(p, r, n)
     tokens = {}  # left factor -> W
-    splits = {}  # (first factor, j) -> [(left, right, coefficient)] kept, as ids
-    current = {(0,): (-1) ** (n - 1) % p}  # the sign, carried by every term
+    splits = {}  # (first factor, j) -> [(left, right, coefficient)] kept
+    same = {}  # factor -> its one object in this call
+    current = [((alpha,), (-1) ** (n - 1) % p)]  # the sign, carried by every term
     for j in range(n - 1):
         floor = q1 * (n - 1 - j)
-        monomials = list(index)
-        nxt = {}
-        for tup, c in current.items():
+        nxt = []
+        for tup, c in current:
             first, rest = tup[0], tup[1:]
-            pairs = splits.get((first, j))
-            if pairs is None:
-                kept = _proper_splits(p, r, monomials[first])
+            kept = splits.get((first, j))
+            if kept is None:
+                kept = _proper_splits(p, r, first)
                 if j < n - 2:  # at the last split every left meets the floor, q - 1
                     for left, _, _ in kept:
                         if left not in tokens:
                             tokens[left] = _token_weight(p, r, left)
                     kept = [split for split in kept if tokens[split[0]] >= floor]
-                pairs = splits[first, j] = [
-                    (index.setdefault(left, len(index)), index.setdefault(right, len(index)), c2)
+                splits[first, j] = kept = [
+                    (same.setdefault(left, left), same.setdefault(right, right), c2)
                     for left, right, c2 in kept
                 ]
-            for left, right, c2 in pairs:
-                key = (left, right) + rest
-                nxt[key] = (nxt.get(key, 0) + c * c2) % p
-        current = {k: v for k, v in nxt.items() if v}
-    return list(index), current
+            for left, right, c2 in kept:
+                nxt.append(((left, right) + rest, c * c2 % p))
+        current = nxt
+    return TensorClass._of(p, r, n, dict(current))
 
 
 # shared by every chi_basic call, which splits the same first factors

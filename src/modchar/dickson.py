@@ -11,8 +11,9 @@ Each side is computed one way here and checked against another:
 
 - `chi_y_power`, the production route for every y^k class (the report
   here and `reps.chi_of_rep`), reads the class off the splitting
-  formula of `chi.chi_basic` (`chi._split_ids`), with the tuple of
-  y-powers (b_1, ..., b_n) as the monomial z_1^b_1 ... z_n^b_n.
+  formula of `chi.chi_basic` and converts it by `tensor_to_poly`, with
+  the tuple of y-powers (b_1, ..., b_n) as the monomial
+  z_1^b_1 ... z_n^b_n.
 - `power_sum` is the oracle: it enumerates one linear form per line and
   raises it to the k-th power digit by digit through Frobenius, sharing
   no code with the splitting formula.  `verify`'s oracle and
@@ -314,21 +315,17 @@ def power_sum(p: int, n: int, k: int) -> MultiPoly:
 
 def chi_y_power(p: int, n: int, k: int) -> MultiPoly:
     """The y^k class of the rank-n basic representation over F_p by the
-    splitting formula (chi._split_ids), each tuple of y-powers
-    (b_1, ..., b_n) read as the monomial z_1^b_1 ... z_n^b_n; zero unless
-    p - 1 divides k, as y^k is invariant only then.  Over F_p a factor of
-    y^k's splitting is a pure y-power, so distinct tuples of ids give
-    distinct monomials.  It equals minus the k-th power sum (`power_sum`,
-    the oracle)."""
+    splitting formula (`chi.chi_basic`), read as a polynomial by
+    `tensor_to_poly`; zero unless p - 1 divides k, as y^k is invariant
+    only then.  It equals minus the k-th power sum (`power_sum`, the
+    oracle)."""
     if k < 1:
         raise ValueError("y^k classes are defined for k >= 1")
     if n < 1:
         raise ValueError("rank n must be >= 1")
     if k % (p - 1):
         return MultiPoly.zero(p, n)
-    monomials, ids = chi._split_ids(p, 1, Monomial((0,), (k,)), n)
-    pows = [m.pows[0] for m in monomials]
-    return MultiPoly._of(p, n, {tuple(pows[i] for i in tup): c for tup, c in ids.items()})
+    return tensor_to_poly(chi.chi_basic(p, 1, Monomial((0,), (k,)), n))
 
 
 def dickson_total(p: int, n: int) -> MultiPoly:
@@ -347,7 +344,7 @@ def dickson_total(p: int, n: int) -> MultiPoly:
 
 
 # shared by the n + 4 reads of one report and by later reports; bounded
-# like chi._proper_splits
+# like chi's memo of splits
 @lru_cache(maxsize=64)
 def _dickson_terms(p: int, n: int) -> dict:
     """The terms of dickson_total(p, n), by the Dickson recursion."""
@@ -534,16 +531,16 @@ def tensor_to_poly(tc: TensorClass) -> MultiPoly:
     """Identify a pure-polynomial tensor class over the prime field with
     a polynomial: the tuple of y-powers (b_1, ..., b_n) becomes the
     monomial z_1^b_1 ... z_n^b_n.  Mixed classes with exterior factors
-    have no such polynomial form and are rejected."""
+    have no such polynomial form and are rejected.  A pure y-power is
+    fixed by its exponent, so the terms carry over one to one."""
     if tc.r != 1:
         raise ValueError("polynomial form requires the prime field (r = 1)")
     out: dict = {}
     for tup, c in tc.terms.items():
         exps = []
         for m in tup:
-            if any(m.ext):
+            if m.ext[0]:
                 raise ValueError("exterior factors admit no polynomial form")
             exps.append(m.pows[0])
-        key = tuple(exps)
-        out[key] = (out.get(key, 0) + c) % tc.p
-    return MultiPoly(tc.p, tc.n, out)
+        out[tuple(exps)] = c
+    return MultiPoly._of(tc.p, tc.n, out)

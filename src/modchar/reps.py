@@ -630,10 +630,13 @@ def rep_to_dict(rep: Rep, basepoint=None) -> dict:
 def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
     """Parse the JSON representation file shape; returns the rep and the
     optional basepoint.  Raises ValueError with field context on bad
-    input: p, r, dim and every entry must be JSON integers (booleans are
-    not), matrices, rows and coefficient lists JSON arrays, and
-    1 <= dim <= MAX_REP_DIM.  The Rep constructor then validates the
+    input: the file must be a JSON object; p, r, dim and every entry
+    must be JSON integers (booleans are not), matrices, rows and
+    coefficient lists JSON arrays, 1 <= dim <= MAX_REP_DIM, and a
+    basepoint nonzero.  The Rep constructor then validates the
     generators, once: RepValidationError lists every violation."""
+    if not isinstance(obj, dict):
+        raise ValueError("representation file must be a JSON object")
     try:
         p, r, dim = obj["p"], obj.get("r", 1), obj["dim"]
         gen_entries = obj["generators"]
@@ -672,4 +675,6 @@ def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
             raise ValueError(f"basepoint: {exc}") from exc
         if len(basepoint) != dim:
             raise ValueError("basepoint length != dim")
+        if not any(basepoint):
+            raise ValueError("basepoint is zero")
     return rep, basepoint

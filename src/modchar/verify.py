@@ -42,6 +42,9 @@ from .mono import (
 ORACLE_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))
 Q_GRID = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))  # q in {2,3,4,5,8,9}
 DICKSON_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))  # quick profile
+INDEPENDENCE_MAX_DEGREE = 3  # total degree bound of algebraic_independence_check's relations
+RANDOM_REP_DIM_CAP = 8  # random_valid_rep's largest dimension
+RANDOM_REP_MAX_GENS = 3  # random_valid_rep's largest generator count
 
 
 class SuiteResult(Record):
@@ -252,8 +255,8 @@ def dickson_total_by_product(p: int, n: int) -> dict:
     return {d: dickson.MultiPoly(p, n, t) for d, t in by_degree.items()}
 
 
-def algebraic_independence_check(p: int, n: int, max_total_degree: int = 3) -> bool:
-    """No nonzero polynomial relation of bounded total degree among
+def algebraic_independence_check(p: int, n: int) -> bool:
+    """No nonzero relation of total degree <= INDEPENDENCE_MAX_DEGREE among
     D_{p^n-1} and the products D_{p^n-1} D_{p^n-p^i} (1 <= i <= n-1),
     verified by exact rank computation on monomial coefficients."""
     d_total = dickson.dickson_total(p, n)
@@ -263,8 +266,8 @@ def algebraic_independence_check(p: int, n: int, max_total_degree: int = 3) -> b
         gens.append(top.mul(d_total.component(p**n - p**i)))
     exponents = [
         e
-        for e in itertools.product(range(max_total_degree + 1), repeat=len(gens))
-        if sum(e) <= max_total_degree
+        for e in itertools.product(range(INDEPENDENCE_MAX_DEGREE + 1), repeat=len(gens))
+        if sum(e) <= INDEPENDENCE_MAX_DEGREE
     ]
     expanded = []
     for e in exponents:
@@ -621,7 +624,7 @@ def suite_pruned_expansion(profile="quick") -> str:
 # -- random representations ---------------------------------------------------
 
 
-def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -> reps.Rep:
+def random_valid_rep(rng: random.Random, ctx: FieldCtx) -> reps.Rep:
     """Random valid rep built compositionally (sums, tensors, socle
     restrictions, quotients, duals of the stock constructions), pulled
     back along a random exponent matrix and conjugated by a random
@@ -632,11 +635,11 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
         roll = rng.randrange(4)
         if roll == 0:
             return reps.basic_rep(p, r, 1, ctx.modulus).rep
-        if roll == 1 and 2 * r + 1 <= dim_cap:
+        if roll == 1 and 2 * r + 1 <= RANDOM_REP_DIM_CAP:
             return reps.basic_rep(p, r, 2, ctx.modulus).rep
-        if roll == 2 and p <= dim_cap:
+        if roll == 2 and p <= RANDOM_REP_DIM_CAP:
             return reps.sym_power_rep(p, r, ctx.modulus)
-        if roll == 3 and r == 1 and p**2 <= dim_cap and rng.random() < 0.5:
+        if roll == 3 and r == 1 and p**2 <= RANDOM_REP_DIM_CAP and rng.random() < 0.5:
             return reps.regular_rep(p, 2)
         return reps.basic_rep(p, r, 1, ctx.modulus).rep
 
@@ -644,9 +647,9 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
     for _ in range(rng.randrange(3)):
         other = atom()
         choice = rng.randrange(3)
-        if choice == 0 and rep.dim + other.dim <= dim_cap:
+        if choice == 0 and rep.dim + other.dim <= RANDOM_REP_DIM_CAP:
             rep = reps.direct_sum(rep, other)
-        elif choice == 1 and rep.dim * other.dim <= dim_cap:
+        elif choice == 1 and rep.dim * other.dim <= RANDOM_REP_DIM_CAP:
             rep = reps.tensor_rep(rep, other)
         elif choice == 2:
             stages = reps.socle_filtration(rep)
@@ -658,7 +661,7 @@ def random_valid_rep(rng: random.Random, ctx: FieldCtx, dim_cap=8, max_gens=3) -
         rep = reps.dual_rep(rep)
     if rep.dim < 1:
         rep = reps.basic_rep(p, r, 1, ctx.modulus).rep
-    s_new = rng.randrange(1, max_gens + 1)
+    s_new = rng.randrange(1, RANDOM_REP_MAX_GENS + 1)
     exponents = [
         [rng.randrange(p) for _ in range(s_new)] for _ in range(rep.rank)
     ]

@@ -5,9 +5,11 @@ Primary oracle: a direct enumeration of admissible splittings with
 big-integer multinomials, plus the power-sum route from the dickson
 module (an entirely different computation path)."""
 
+import ast
 import itertools
 import math
 import operator
+import pathlib
 import random
 
 import pytest
@@ -706,3 +708,44 @@ def test_splitting_search_never_reads_the_bound(monkeypatch):
     # is_chi_nonzero against r1_predicate, kinds y and xy, m <= 300
     result = verify.suite_digit_criterion("full")
     assert result.ok, result.detail
+
+
+def _private_chi_reads(tree):
+    """(line, name) of every private chi name a module's AST reads: a
+    `from .chi import _x`, or `c._x` where c is bound to the chi module."""
+    aliases = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for name in node.names:
+                if module in (".", "modchar") and name.name == "chi":
+                    aliases.add(name.asname or "chi")
+                elif module in (".chi", "modchar.chi") and name.name.startswith("_"):
+                    reads.append((node.lineno, name.name))
+        elif isinstance(node, ast.Import):
+            aliases.update(name.asname for name in node.names if name.name == "modchar.chi" and name.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return reads
+
+
+def test_private_chi_reads_are_caught():
+    src = "from . import chi as c\nfrom .chi import _a, b\nimport modchar.chi as m\nc._b(m._c, c.d)\n"
+    assert sorted(_private_chi_reads(ast.parse(src))) == [(2, "_a"), (4, "c._b"), (4, "m._c")]
+
+
+def test_no_module_but_chi_reads_a_private_chi_name():
+    src = pathlib.Path(chi.__file__).parent
+    found = {
+        path.name: reads
+        for path in sorted(src.glob("*.py"))
+        if path.name != "chi.py" and (reads := _private_chi_reads(ast.parse(path.read_text())))
+    }
+    assert found == {}

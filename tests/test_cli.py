@@ -976,6 +976,23 @@ def test_rep_analyze_malformed_file_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "generator 0" in err
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"p": 2, "dim": 2, "generators": [[[1, 1], [0, 1]]], "basepoint": [0, 0]}, "basepoint is zero"),
+        ([1, 2], "representation file must be a JSON object"),
+    ],
+    ids=["zero-basepoint", "top-level-array"],
+)
+def test_rep_analyze_rejected_file_exits_3(capsys, tmp_path, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rep-analyze", str(path), "--format", "json")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_rep_analyze_classifies_once_without_annihilator_route(capsys, tmp_path, monkeypatch):
     def forbidden(rep):
         raise AssertionError("the annihilator route is a cross-check only")

@@ -593,12 +593,16 @@ def test_rep_from_dict_errors():
         ({"dim": -1, "generators": []}, "dim = -1"),
         ({"basepoint": [True, False]}, "basepoint"),
         ({"basepoint": "10"}, "basepoint"),
+        ({"basepoint": [0, 0]}, "basepoint is zero"),
         ({"r": 2, "modulus": [True, True, 1], "generators": []}, "modulus"),
         ({"r": 2, "generators": [[[[1, False], 0], [0, 1]]]}, "generator 0"),
     ]
     for change, match in bad_inputs:
         with pytest.raises(ValueError, match=match):
             rep_from_dict({**good, **change})
+    for top in ([1, 2], "rep", 3, None):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            rep_from_dict(top)
 
 
 def test_random_reps_filtration_agreement():

@@ -135,7 +135,8 @@ REP_FIELDS = [(2, 1), (5, 1), (2, 2), (3, 2), (251, 2)]
 
 @st.composite
 def rep_files(draw):
-    """A valid rep from a drawn seed, and a basepoint drawn apart."""
+    """A valid rep from a drawn seed, and a basepoint drawn apart (zero
+    at times, which the file format refuses)."""
     ctx = field(draw(st.sampled_from(REP_FIELDS)))
     rep = random_valid_rep(random.Random(draw(st.integers(0, 2**32 - 1))), ctx)
     entry = st.integers(0, ctx.q - 1)
@@ -164,6 +165,10 @@ def test_rep_file_round_trip(case):
     else:
         assert all(isinstance(e, list) and len(e) == rep.ctx.r for e in entries)
     text = json.dumps(obj, sort_keys=True)
+    if basepoint is not None and not any(basepoint):
+        with pytest.raises(ValueError, match="basepoint is zero"):
+            reps.rep_from_dict(json.loads(text))
+        return
     back, back_point = reps.rep_from_dict(json.loads(text))
     assert back == rep and back_point == basepoint
     assert json.dumps(reps.rep_to_dict(back, back_point), sort_keys=True) == text
