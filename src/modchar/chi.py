@@ -8,6 +8,14 @@ all terms containing a degree-zero factor removed.  It is nonzero
 exactly when one splitting exists whose factors are nonzero, invariant,
 and whose polynomial exponents add without base-p carries.
 
+The class is dealt right-nested and depth first (chi_terms): the first
+factor runs over the proper splits of alpha, and the right side is dealt
+into the factors left.  The coproduct is coassociative, shuffle signs
+included, so this splitting equals the left-nested one term for term.
+Each monomial's splits are sorted once by their left side's sort key,
+and distinct splits have distinct left sides, so the terms come out in
+canonical order with no sort.
+
 The splitting walk is pruned by token weight.  A monomial's tokens are
 one of weight p^k per exterior generator x_k and, per base-p digit d of
 b_k at place t, d of weight p^((k+t) mod r); its token weight W is their
@@ -60,74 +68,64 @@ def _check_query(p: int, r: int, alpha: Monomial, n: int) -> None:
 
 def chi_basic(p: int, r: int, alpha: Monomial, n: int) -> TensorClass:
     """Value of the alpha-class on the rank-n basic representation, as a
-    tensor class; zero when alpha has degree 0.
+    tensor class keyed by factor tuples in canonical order (chi_terms);
+    zero when alpha has degree 0."""
+    return TensorClass._of(p, r, n, dict(chi_terms(p, r, alpha, n)))
 
-    The left-nested n-fold splitting with every degree-0 factor removed,
-    times (-1)^(n-1), keyed by factor tuples.  A split with a degree-0
-    side is dropped as soon as it appears: the unit splits only as
-    unit (x) unit and right factors are never split again, so every term
-    it leads to has a degree-0 factor.  The walk also keeps only what
-    can survive, by the token weight W of the module docstring: the
-    class is zero at once when W(alpha) < (q - 1) n, and at split j
-    (from 0) a split is kept only when W(left) >= (q - 1)(n - 1 - j), as
-    the left side must still become n - 1 - j invariant factors of
-    nonzero degree.  The bound is a necessary condition only, so every
-    branch it cuts has no descendant and the class is the unpruned one
-    term for term.
 
-    No two terms merge and none cancels (a term's first two factors
-    multiply to the one they split, a coproduct lists each split once,
-    and its coefficients are nonzero mod p), so the terms are carried in
-    a list and keyed once, at the end.
+def chi_terms(p: int, r: int, alpha: Monomial, n: int):
+    """The terms (factor tuple, coefficient) of the alpha-class on the
+    rank-n basic representation, in canonical order: lexicographic by
+    each factor's sort key.  The query is checked at the call, not at
+    the first term.
 
-    A monomial's proper splits are computed once per process
-    (_proper_splits); in a call, each left factor's W is computed once,
-    and the kept splits are listed once per (first factor, j) with one
-    object per distinct factor, so that equal factors meet as the same
-    object in the walk's memo and in the caller's dicts."""
+    The right-nested walk of the module docstring, from an explicit
+    stack.  A split with a degree-0 side is never dealt: the unit splits
+    only as unit (x) unit, so every term it leads to has a degree-0
+    factor.  The class is zero at once when W(alpha) < (q - 1) n, and
+    with k factors still to deal a split is kept only when
+    W(right) >= (q - 1)(k - 1), as the right side must still become
+    k - 1 factors.  No two terms merge and none cancels: a coproduct
+    lists each split once, with nonzero coefficients mod p."""
     _check_query(p, r, alpha, n)
+    return _deal(p, r, alpha, n)
+
+
+def _deal(p: int, r: int, alpha: Monomial, n: int):
     q1 = p**r - 1
     if degree(alpha, p) == 0 or _token_weight(p, r, alpha) < q1 * n:
-        return TensorClass.zero(p, r, n)
-    tokens = {}  # left factor -> W
-    splits = {}  # (first factor, j) -> [(left, right, coefficient)] kept
-    same = {}  # factor -> its one object in this call
-    current = [((alpha,), (-1) ** (n - 1) % p)]  # the sign, carried by every term
-    for j in range(n - 1):
-        floor = q1 * (n - 1 - j)
-        nxt = []
-        for tup, c in current:
-            first, rest = tup[0], tup[1:]
-            kept = splits.get((first, j))
-            if kept is None:
-                kept = _proper_splits(p, r, first)
-                if j < n - 2:  # at the last split every left meets the floor, q - 1
-                    for left, _, _ in kept:
-                        if left not in tokens:
-                            tokens[left] = _token_weight(p, r, left)
-                    kept = [split for split in kept if tokens[split[0]] >= floor]
-                splits[first, j] = kept = [
-                    (same.setdefault(left, left), same.setdefault(right, right), c2)
-                    for left, right, c2 in kept
-                ]
-            for left, right, c2 in kept:
-                nxt.append(((left, right) + rest, c * c2 % p))
-        current = nxt
-    return TensorClass._of(p, r, n, dict(current))
+        return
+    if n == 1:
+        yield (alpha,), 1
+        return
+    tokens = {}  # right side -> W, in this call only
+    stack = [((), alpha, n, (-1) ** (n - 1) % p)]  # the sign, carried by every term
+    while stack:
+        prefix, rem, k, c = stack.pop()
+        splits = _proper_splits(p, r, rem)
+        if k == 2:  # the right side is the last factor, and meets the floor q - 1
+            for left, right, c2 in splits:
+                yield prefix + (left, right), c * c2 % p
+            continue
+        floor = q1 * (k - 1)
+        for left, right, c2 in reversed(splits):  # popped smallest first
+            w = tokens.get(right)
+            if w is None:
+                w = tokens[right] = _token_weight(p, r, right)
+            if w >= floor:
+                stack.append((prefix + (left,), right, k - 1, c * c2 % p))
 
 
-# shared by every chi_basic call, which splits the same first factors
-# again and again; bounded like _splittable
+# shared by every class, whose walks split the same remainders again and
+# again; bounded like _splittable
 @lru_cache(maxsize=4096)
 def _proper_splits(p: int, r: int, m: Monomial) -> tuple:
     """The coproduct terms (left, right, coefficient) of m whose two
-    sides both have nonzero degree, that is neither side the unit."""
+    sides both have nonzero degree, that is neither side the unit,
+    sorted by the left side's sort key."""
     unit = Monomial.unit(r)
-    return tuple(
-        (left, right, c)
-        for (left, right), c in coalg.coproduct(p, r, m).items()
-        if left != unit and right != unit
-    )
+    splits = [(left, right, c) for (left, right), c in coalg.coproduct(p, r, m).items() if unit not in (left, right)]
+    return tuple(sorted(splits, key=lambda split: sort_key(split[0], p)))
 
 
 def _token_weight(p: int, r: int, m: Monomial) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -140,7 +141,7 @@ def _emit(args, payload, header, rows, lines, ok: bool = True) -> tuple[str, int
         obj = payload() if callable(payload) else payload
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        text = "".join(",".join(map(str, row)) + "\n" for row in itertools.chain((header,), rows))
     else:
         text = "".join(f"{line}\n" for line in lines)
     return text, EXIT_OK if ok else EXIT_CHECK_FAILURE
@@ -225,29 +226,26 @@ def cmd_chi(args) -> int:
     def output():
         from . import chi
 
-        tc = chi.chi_basic(args.p, args.r, alpha, args.n)
-        # the terms in canonical order (by each factor's sort key in turn),
-        # compared through each distinct factor's rank in that order
-        factors = sorted({m for tup in tc.terms for m in tup}, key=lambda m: mono.sort_key(m, tc.p))
-        rank = {m: i for i, m in enumerate(factors)}
-        terms = sorted(tc.terms.items(), key=lambda kv: tuple(map(rank.__getitem__, kv[0])))
-        text = {m: mono.format_monomial(m) for m in factors}
+        # the terms in canonical order, formatted as the walk yields them
+        terms = chi.chi_terms(args.p, args.r, alpha, args.n)
+        text = functools.cache(mono.format_monomial)  # a few factors over many terms
 
-        def rows():
-            return (("⊗".join(map(text.__getitem__, tup)), c) for tup, c in terms)
+        def rows(terms):
+            return (("⊗".join(map(text, tup)), c) for tup, c in terms)
 
-        def rendered():
-            return " + ".join(mono.format_term(t, c) for t, c in rows()) or "0"
+        def rendered(terms):
+            return " + ".join(mono.format_term(t, c) for t, c in rows(terms)) or "0"
 
         def payload():
-            obj = {m: m.to_json() for m in factors}
-            json_terms = [{"factors": [obj[m] for m in tup], "coeff": c} for tup, c in terms]
-            return {"schema": SCHEMA, **params, "rendered": rendered(), "terms": json_terms}
+            held = list(terms)  # read twice, for rendered and for terms
+            obj = functools.cache(mono.Monomial.to_json)
+            json_terms = [{"factors": [obj(m) for m in tup], "coeff": c} for tup, c in held]
+            return {"schema": SCHEMA, **params, "rendered": rendered(held), "terms": json_terms}
 
         def lines():
-            yield rendered()
+            yield rendered(terms)
 
-        return _emit(args, payload, ("term", "coeff"), rows(), lines())
+        return _emit(args, payload, ("term", "coeff"), rows(terms), lines())
 
     return _cached(args, "chi", params, output)
 

@@ -188,7 +188,8 @@ def basis_walk_size(p: int, r: int, max_degree: int) -> int:
 
 # -- text grammar ------------------------------------------------------------
 
-_TOKEN = re.compile(r"([xy])(\d*)(?:\^(\d+))?$")
+# ASCII digits only: \d would also take any Unicode decimal digit
+_TOKEN = re.compile(r"([xy])([0-9]*)(?:\^([0-9]+))?$")
 
 
 def parse_monomial(text: str, r: int) -> Monomial:

@@ -585,12 +585,12 @@ def suite_witnesses(profile="quick") -> str:
 
 @_suite("pruned-expansion")
 def suite_pruned_expansion(profile="quick") -> str:
-    """Criterion 11: chi_basic, which drops unit splits as they appear
-    and cuts splits by token weight, against the unpruned route: the
-    whole left-nested iterated coproduct, then every tuple with a
-    degree-0 factor dropped, then the sign (-1)^(n-1).  Invariant y^k at
-    (p, n) = (2,4), k <= 20; (3,3), k <= 32; (5,2), k <= 48; and every
-    basis monomial over GF(4) up to degree 12 and over GF(9) up to
+    """Criterion 11: chi_basic, dealt right-nested with unit splits
+    dropped and splits cut by token weight, against a route sharing
+    neither: the whole left-nested iterated coproduct, then every tuple
+    with a degree-0 factor dropped, then the sign (-1)^(n-1).  Invariant
+    y^k at (p, n) = (2,4), k <= 20; (3,3), k <= 32; (5,2), k <= 48; and
+    every basis monomial over GF(4) up to degree 12 and over GF(9) up to
     degree 16, at n = 2 (quick) or at n = 2 and 3 (full).  Full adds
     classes where the token-weight bound cuts splits: y^63 at (2,6), and
     every basis monomial over GF(8) of degrees 1-24 at n = 3."""

@@ -42,6 +42,7 @@ from modchar.mono import (
     degree,
     enumerate_invariant_basis,
     is_invariant,
+    sort_key,
     weight,
 )
 
@@ -595,9 +596,8 @@ def test_band_splits_each_first_factor_once(monkeypatch):
     calls = _count_coproducts(monkeypatch)
     for m in MEMO_BAND:
         chi_basic(2, 2, m, 3)
-    # without the memo each chi_basic call splits its own first factors,
-    # 1,165 coproducts over this band; without the token-weight bound the
-    # memo splits 209 first factors
+    # a memo cleared at each chi_basic call would split 490 remainders
+    # over this band; without the token-weight bound the memo splits 209
     assert len(calls) == len(set(calls)) == 159
     assert len(calls) < 209
 
@@ -672,9 +672,30 @@ def test_token_weight_bound_keeps_every_term():
     assert surviving >= 50
 
 
+# the deepest classes: 40,320, 82,410 and 2,667 terms
+DEEP_CLASSES = [(2, 1, y(255), 8), (3, 1, y(728), 4), (5, 1, y(624), 3)]
+
+
+def test_chi_terms_come_in_canonical_order():
+    # lexicographic by each factor's sort key in turn, whatever order the
+    # coproduct lists a monomial's splits in; the class holds the same terms
+    for p, r, alpha, n in BOUND_GRID + DEEP_CLASSES:
+        canonical = sorted(
+            chi_basic(p, r, alpha, n).terms.items(), key=lambda term: tuple(sort_key(m, p) for m in term[0])
+        )
+        assert list(chi.chi_terms(p, r, alpha, n)) == canonical, (p, r, alpha, n)
+
+
+def test_chi_terms_checks_the_query_at_the_call():
+    with pytest.raises(NotInvariant):
+        chi.chi_terms(3, 1, y(1), 2)
+    with pytest.raises(ValueError, match="rank n"):
+        chi.chi_terms(2, 1, y(3), 0)
+
+
 def test_one_step_stricter_bound_drops_terms(monkeypatch):
     # an invariant monomial's W is a multiple of q - 1, so W - 1 >= floor
-    # asks for one more factor than the left side must still become
+    # asks for one more factor than the right side must still become
     real = chi._token_weight
     monkeypatch.setattr(chi, "_token_weight", lambda p, r, m: real(p, r, m) - 1)
     wrong = [

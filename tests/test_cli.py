@@ -75,32 +75,34 @@ def test_chi_deep_binary_class_counts_its_terms(capsys):
 
 
 def test_chi_result_renders_tensor_terms(capsys, monkeypatch):
-    # cmd_chi renders the class chi_basic returns: factor texts joined by
-    # ⊗, after the coefficient when it is not 1, terms in canonical order
-    # whatever the order of the class's dict; the zero class renders as 0
+    # cmd_chi renders the terms chi_terms yields, in the order it yields
+    # them: factor texts joined by ⊗, after the coefficient when it is not
+    # 1; no term at all renders as 0
     from modchar import chi
 
     y1, y2 = mono.Monomial((0,), (1,)), mono.Monomial((0,), (2,))
-    ab = mono.TensorClass(2, 1, 1, {(y1,): 1}).tensor(mono.TensorClass(2, 1, 1, {(y2,): 1}))
-    mixed = mono.TensorClass(3, 1, 2, {(y2, y1): 1, (y1, y2): 2})
+    terms = [((y1, y2), 2), ((y2, y1), 1)]
 
-    def printed(tc, fmt="text"):
-        monkeypatch.setattr(chi, "chi_basic", lambda p, r, alpha, n: tc)
-        code, out, _ = run(capsys, "chi", "--p", str(tc.p), "--n", "2", "--alpha", "y^3", "--format", fmt)
+    def printed(terms, fmt="text"):
+        monkeypatch.setattr(chi, "chi_terms", lambda p, r, alpha, n: iter(terms))
+        code, out, _ = run(capsys, "chi", "--p", "3", "--n", "2", "--alpha", "y^3", "--format", fmt)
         assert code == 0
         return out
 
-    assert printed(ab) == "y⊗y^2\n"
-    assert printed(mixed) == "2 y⊗y^2 + y^2⊗y\n"
-    assert printed(mixed, "csv") == "term,coeff\ny⊗y^2,2\ny^2⊗y,1\n"
-    obj = json.loads(printed(mixed, "json"))
+    assert printed(terms[1:]) == "y^2⊗y\n"
+    assert printed(terms) == "2 y⊗y^2 + y^2⊗y\n"
+    assert printed(terms[::-1]) == "y^2⊗y + 2 y⊗y^2\n"
+    assert printed(terms, "csv") == "term,coeff\ny⊗y^2,2\ny^2⊗y,1\n"
+    obj = json.loads(printed(terms, "json"))
     assert obj["rendered"] == "2 y⊗y^2 + y^2⊗y"
     assert obj["terms"] == [
         {"factors": [{"A": [0], "B": [1]}, {"A": [0], "B": [2]}], "coeff": 2},
         {"factors": [{"A": [0], "B": [2]}, {"A": [0], "B": [1]}], "coeff": 1},
     ]
-    assert printed(ab.scale(2)) == "0\n"
-    assert json.loads(printed(ab.scale(2), "json"))["terms"] == []
+    assert printed([]) == "0\n"
+    assert printed([], "csv") == "term,coeff\n"
+    obj = json.loads(printed([], "json"))
+    assert (obj["rendered"], obj["terms"]) == ("0", [])
 
 
 def _spy_emit(monkeypatch):
@@ -205,6 +207,13 @@ def test_chi_parse_error(capsys):
     code, _, err = run(capsys, "chi", "--p", "3", "--n", "1", "--alpha", "q^2")
     assert code == cli.EXIT_INPUT
     assert "parse" in err
+
+
+def test_chi_non_ascii_digit_is_a_parse_error(capsys):
+    # y^3 with an Arabic-Indic digit three, which int() would accept
+    code, out, err = run(capsys, "chi", "--p", "2", "--n", "2", "--alpha", "y^\u0663")
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: cannot parse alpha: bad token 'y^\u0663' at position 0\n"
 
 
 @pytest.mark.parametrize("alpha", ["", "   "])

@@ -219,6 +219,16 @@ def test_parse_errors_carry_position():
         parse_monomial("x^2", 1)
 
 
+# Unicode decimal digits that int() would read: Arabic-Indic 3, fullwidth 3
+# and Devanagari 1, as an exponent and as an index
+@pytest.mark.parametrize("text, r", [
+    ("y^\u0663", 1), ("y^\uff13", 1), ("y^1\u0663", 1), ("y\u0967^2", 2), ("x\u0967 y0^3", 2),
+])
+def test_parse_rejects_non_ascii_digits(text, r):
+    with pytest.raises(ParseError, match="bad token"):
+        parse_monomial(text, r)
+
+
 def test_monomial_rejects_invalid_exponents():
     with pytest.raises(ValueError, match="equal length"):
         Monomial((0, 0), (1,))
