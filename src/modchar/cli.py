@@ -16,8 +16,11 @@ Each command imports the modules it runs after the input checks that
 need none of them (the computing ones inside output(), so a cache hit
 loads no compute layer), and the result cache only when a cache root is
 set, so an input error those checks catch exits before the compute
-layers load.  json, too, is imported only by JSON output and by
-rep-analyze, which reads a JSON file.
+layers load.  rep-analyze reads its file through modchar.repfile, which
+loads no compute layer, and checks --chi against the file's r before it
+imports reps, so a malformed file exits before ff or reps loads.  json,
+too, is imported only by JSON output and by rep-analyze, which reads a
+JSON file.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 input error,
 4 internal error (a broken internal invariant, never a check result),
@@ -399,24 +402,38 @@ def cmd_rep_analyze(args) -> int:
     wanted = [] if args.chi is None else _chi_exponents(args.chi)
     import json
 
-    from . import reps
+    from . import repfile
 
     try:
         with open(args.path, encoding="utf-8") as fh:
+            size, bound = os.fstat(fh.fileno()).st_size, repfile.MAX_REP_FILE_BYTES
+            if size > bound:
+                raise InputError(
+                    f"{args.path}: file size = {size} bytes exceeds the representation "
+                    f"bound size <= MAX_REP_FILE_BYTES = {bound}"
+                )
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {args.path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays nested past the interpreter's limit
+        raise InputError(f"{args.path} nests its JSON too deeply: {exc}") from exc
     try:
-        rep, basepoint = reps.rep_from_dict(obj)
-    except ValueError as exc:  # FieldError and RepValidationError too
+        parsed = repfile.parse(obj)
+    except ValueError as exc:
         raise InputError(f"{args.path}: {exc}") from exc
-    if wanted and rep.ctx.r != 1:
+    if wanted and parsed.r != 1:
         raise InputError(
             "polynomial classes are only available over the prime field "
-            "(r = 1); this file has r = " + str(rep.ctx.r)
+            "(r = 1); this file has r = " + str(parsed.r)
         )
+    from . import reps
+
+    try:
+        rep, basepoint = reps.rep_from_file(parsed)
+    except ValueError as exc:  # FieldError and RepValidationError too
+        raise InputError(f"{args.path}: {exc}") from exc
     stages = reps.socle_filtration(rep)
     red = reps.classify(rep)  # reads J_0 and J_1 from the walk just made
     dims = [s.dim for s in stages]

@@ -7,9 +7,9 @@ The prime field uses plain modular arithmetic; an extension field reads
 exponent, logarithm and Zech logarithm tables built once per field
 (Lidl-Niederreiter, Finite Fields, ch. 2), which is why extension
 fields are bounded by q <= MAX_EXTENSION_ORDER.  Coefficient lists
-appear only at the file boundary: from_coeffs, to_coeffs and
-MatrixFF.from_ints.  Contexts, matrices and subspaces are immutable and
-hash and compare by value.
+appear only at the file boundary: to_coeffs writes them, and
+modchar.repfile's decoder reads them.  Contexts, matrices and subspaces
+are immutable and hash and compare by value.
 
 Matrix work runs as whole-row operations, on one of two row kernels
 chosen by the field alone:
@@ -48,11 +48,6 @@ class DimensionError(ValueError):
 # the per-field tables O(q) and the irreducibility search short: the
 # largest admitted field, GF(251^2), builds its tables in under a second.
 MAX_EXTENSION_ORDER = 1 << 16
-
-
-def is_int(x) -> bool:
-    """True for a genuine integer: bool is an int subclass but not one here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_field(p: int, r: int) -> None:
@@ -235,16 +230,6 @@ class FieldCtx:
         """Embed an integer residue into the field."""
         return c % self.p
 
-    def from_coeffs(self, coeffs):
-        if not isinstance(coeffs, (list, tuple)) or not all(map(is_int, coeffs)):
-            raise FieldError(f"element {coeffs!r} is not a list of integer coefficients")
-        if len(coeffs) != self.r:
-            raise FieldError(f"element needs {self.r} coefficients, got {len(coeffs)}")
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c % self.p
-        return out
-
     def to_coeffs(self, a) -> list[int]:
         """Coefficients of a on 1, t, ..., t^(r-1)."""
         return _digits(a, self.p, self.r)
@@ -369,18 +354,6 @@ class MatrixFF:
         if ctx.q == 2:
             return cls._packed(ctx, tuple(1 << i for i in range(n)), n)
         return cls._of(ctx, tuple(tuple([int(i == j) for j in range(n)]) for i in range(n)))
-
-    @classmethod
-    def from_ints(cls, ctx, rows):
-        """Build from rows (lists) of file entries: an integer is a
-        prime-field scalar, a list the coefficients of an element;
-        booleans are not integers."""
-        out = []
-        for row in rows:
-            if not isinstance(row, (list, tuple)):
-                raise FieldError(f"row {row!r} is not a list")
-            out.append([ctx.scalar(e) if is_int(e) else ctx.from_coeffs(e) for e in row])
-        return cls(ctx, out)
 
     def _check(self, other):
         if self.ctx != other.ctx:

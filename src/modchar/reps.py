@@ -42,19 +42,7 @@ import math
 
 from . import Frozen, ff
 from .ff import FieldCtx, MatrixFF, Subspace
-
-
-# Largest dim a representation file may declare, checked before any matrix
-# is built: without it a 60-byte file with a huge dim and no generators
-# builds a dim x dim identity.  On packed GF(2) rows, rep-analyze of a
-# regular_rep(2, 8) file (dim 256) takes 0.27-0.28 s wall in three runs, and
-# of that file with its generators listed 4 times (32) 0.82-0.86 s.  The
-# same work in-process (parse, the checking constructor, socle_filtration
-# and classify) takes 0.95-0.98 s on regular_rep(2, 9) (dim 512) and
-# 4.6-4.8 s on regular_rep(2, 10) (dim 1024), half of it parsing (2-vCPU
-# host, Python 3.11.7).  The bound rises only with a measured end-to-end
-# rep-analyze of a regular_rep(2, 10) file in about 5 s.
-MAX_REP_DIM = 256
+from .repfile import MAX_REP_DIM, RepFile, parse  # MAX_REP_DIM is re-exported here
 
 
 class RepValidationError(ValueError):
@@ -628,53 +616,20 @@ def rep_to_dict(rep: Rep, basepoint=None) -> dict:
 
 
 def rep_from_dict(obj: dict) -> tuple[Rep, tuple | None]:
-    """Parse the JSON representation file shape; returns the rep and the
-    optional basepoint.  Raises ValueError with field context on bad
-    input: the file must be a JSON object; p, r, dim and every entry
-    must be JSON integers (booleans are not), matrices, rows and
-    coefficient lists JSON arrays, 1 <= dim <= MAX_REP_DIM, and a
-    basepoint nonzero.  The Rep constructor then validates the
-    generators, once: RepValidationError lists every violation."""
-    if not isinstance(obj, dict):
-        raise ValueError("representation file must be a JSON object")
-    try:
-        p, r, dim = obj["p"], obj.get("r", 1), obj["dim"]
-        gen_entries = obj["generators"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"representation file missing or bad field: {exc}") from exc
-    for key, value in (("p", p), ("r", r), ("dim", dim)):
-        if not ff.is_int(value):
-            raise ValueError(f"representation file bad field: {key} = {value!r} is not an integer")
-    if dim < 1:
-        raise ValueError(f"dim = {dim} must be >= 1")
-    if dim > MAX_REP_DIM:
-        raise ValueError(
-            f"dim = {dim} exceeds the representation bound dim <= MAX_REP_DIM = {MAX_REP_DIM}"
-        )
-    modulus = obj.get("modulus")
-    if modulus is not None and not (isinstance(modulus, list) and all(map(ff.is_int, modulus))):
-        raise ValueError("modulus must be a list of integer coefficients")
-    if not isinstance(gen_entries, list):
-        raise ValueError("generators must be a list of matrices")
-    ctx = FieldCtx(p, r, tuple(modulus) if modulus is not None else None)
-    gens = []
-    for gi, mat in enumerate(gen_entries):
-        try:
-            gen = MatrixFF.from_ints(ctx, mat)
-        except (ff.FieldError, ff.DimensionError, TypeError) as exc:
-            raise ValueError(f"generator {gi}: {exc}") from exc
-        if (gen.nrows, gen.ncols) != (dim, dim):
-            raise ValueError(f"generator {gi} is not {dim}x{dim}")
-        gens.append(gen)
-    rep = Rep(ctx, dim, tuple(gens))
-    basepoint = None
-    if "basepoint" in obj:
-        try:
-            basepoint = MatrixFF.from_ints(ctx, [obj["basepoint"]]).rows[0]
-        except ff.FieldError as exc:
-            raise ValueError(f"basepoint: {exc}") from exc
-        if len(basepoint) != dim:
-            raise ValueError("basepoint length != dim")
-        if not any(basepoint):
-            raise ValueError("basepoint is zero")
-    return rep, basepoint
+    """The rep and optional basepoint of a JSON representation file:
+    repfile.parse checks the file's shape, its bounds and every entry,
+    then rep_from_file builds the rep.  Raises ValueError with field
+    context on bad input (see repfile.parse), FieldError when p, r and
+    the modulus do not make an admitted field, and RepValidationError
+    listing every violation when the generators break the contract."""
+    return rep_from_file(parse(obj))
+
+
+def rep_from_file(data: RepFile) -> tuple[Rep, tuple | None]:
+    """The rep and basepoint of a parsed file.  FieldCtx checks the
+    field; the generator rows are already decoded and dim x dim, so each
+    becomes a matrix as it is, and the Rep constructor validates them
+    once."""
+    ctx = FieldCtx(data.p, data.r, data.modulus)
+    rep = Rep(ctx, data.dim, tuple(MatrixFF._of(ctx, rows) for rows in data.generators))
+    return rep, data.basepoint

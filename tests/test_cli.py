@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from modchar import cache, cli, ff, mono, reps
+from modchar import cache, cli, ff, mono, repfile, reps
 from modchar.cli import main
 
 
@@ -497,9 +497,33 @@ _LOADED_AT_EXIT = """\
 import sys
 from modchar.cli import main
 code = main(sys.argv[1:])
-print(sorted(name for name in ("modchar.chi", "modchar.dickson", "modchar.ff") if name in sys.modules))
+layers = ("modchar.chi", "modchar.dickson", "modchar.ff", "modchar.reps")
+print(sorted(name for name in layers if name in sys.modules))
 sys.exit(code)
 """
+
+
+def _write_bad_rep_files(tmp_path) -> dict:
+    """Rep files that the file checks refuse, by name: the three malformed
+    files of the benchmark's cli workload, a dim over the bound, a file
+    over GF(4), one over the generator bound, and a sparse one over the
+    size bound."""
+    objs = {
+        "row_as_string": {"p": 2, "dim": 2, "generators": [["11", "01"]]},
+        "boolean_entries": {"p": 2, "dim": 2, "generators": [[[True, True], [False, True]]]},
+        "dim_zero": {"p": 2, "dim": 0, "generators": []},
+        "dim_huge": {"p": 2, "dim": 100000, "generators": []},
+        "gf4": reps.rep_to_dict(reps.big_rep(2, 2, 2)),
+        "many_generators": {"p": 2, "dim": 1, "generators": [[[1]]] * (repfile.MAX_REP_GENERATORS + 1)},
+    }
+    files = {}
+    for name, obj in objs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    files["oversize"] = tmp_path / "oversize.json"
+    with open(files["oversize"], "wb") as fh:
+        fh.truncate(repfile.MAX_REP_FILE_BYTES + 1)
+    return {name: str(path) for name, path in files.items()}
 
 
 @pytest.mark.parametrize(
@@ -520,20 +544,48 @@ sys.exit(code)
             ["rep-analyze", "no-such-rep.json", "--chi", "3,,5"],
             "bad --chi list '3,,5': part '' is not a decimal exponent",
         ),
+        (["rep-analyze", "{row_as_string}"], "{row_as_string}: generator 0: row '11' is not a list"),
+        (
+            ["rep-analyze", "{boolean_entries}"],
+            "{boolean_entries}: generator 0: element True is not a list of integer coefficients",
+        ),
+        (["rep-analyze", "{dim_zero}"], "{dim_zero}: dim = 0 must be >= 1"),
+        (
+            ["rep-analyze", "{dim_huge}"],
+            "{dim_huge}: dim = 100000 exceeds the representation bound dim <= MAX_REP_DIM = 256",
+        ),
+        (
+            ["rep-analyze", "{gf4}", "--chi", "3"],
+            "polynomial classes are only available over the prime field (r = 1); "
+            "this file has r = 2",
+        ),
+        (
+            ["rep-analyze", "{many_generators}"],
+            "{many_generators}: 33 generators exceed the representation bound "
+            "generators <= MAX_REP_GENERATORS = 32",
+        ),
+        (
+            ["rep-analyze", "{oversize}"],
+            "{oversize}: file size = 67108865 bytes exceeds the representation bound "
+            "size <= MAX_REP_FILE_BYTES = 67108864",
+        ),
     ],
-    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max", "chi-n0", "tuples-n0", "rep-chi"],
+    ids=["chi", "dickson", "tuples", "nonvanish", "tuples-max", "chi-n0", "tuples-n0", "rep-chi",
+         "rep-row-as-string", "rep-boolean-entries", "rep-dim-zero", "rep-dim-huge",
+         "rep-chi-over-gf4", "rep-many-generators", "rep-oversize"],
 )
-def test_input_errors_exit_before_importing_the_compute_layers(argv, bound):
+def test_input_errors_exit_before_importing_the_compute_layers(tmp_path, argv, bound):
+    files = _write_bad_rep_files(tmp_path) if argv[0] == "rep-analyze" else {}
     src = str(Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AT_EXIT, *argv],
+        [sys.executable, "-c", _LOADED_AT_EXIT, *(arg.format(**files) for arg in argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
     assert proc.returncode == cli.EXIT_INPUT
-    assert proc.stderr == f"error: {bound}\n"
+    assert proc.stderr == f"error: {bound.format(**files)}\n"
     assert proc.stdout == "[]\n"
 
 
@@ -1142,6 +1194,80 @@ def test_rep_analyze_rejects_dim_over_the_bound(capsys, tmp_path, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, "rep-analyze", str(path))
     assert code == 0 and out.startswith(f"socle dims: {reps.MAX_REP_DIM}\n")
+
+
+def test_rep_analyze_generator_bound_edges(capsys, tmp_path):
+    obj = reps.rep_to_dict(reps.regular_rep(2, 3))
+    obj["generators"] = (obj["generators"] * repfile.MAX_REP_GENERATORS)[: repfile.MAX_REP_GENERATORS]
+    path = tmp_path / "at-bound.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "rep-analyze", str(path))
+    assert code == 0 and out.startswith("socle dims: 1, 4, 7, 8\n")
+    obj["generators"].append(obj["generators"][0])
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (
+        f"error: {path}: 33 generators exceed the representation bound "
+        "generators <= MAX_REP_GENERATORS = 32\n"
+    )
+
+
+def test_rep_analyze_size_bound_edges(capsys, tmp_path, monkeypatch):
+    assert repfile.MAX_REP_FILE_BYTES == repfile.BYTES_PER_ENTRY * repfile.MAX_REP_GENERATORS * repfile.MAX_REP_DIM**2
+    path = _write_rep(tmp_path, reps.regular_rep(2, 2))
+    size = os.path.getsize(path)
+    monkeypatch.setattr(repfile, "MAX_REP_FILE_BYTES", size)
+    code, out, _ = run(capsys, "rep-analyze", path)
+    assert code == 0 and out.startswith("socle dims: 1, 3, 4\n")
+    monkeypatch.setattr(repfile, "MAX_REP_FILE_BYTES", size - 1)
+    code, out, err = run(capsys, "rep-analyze", path)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (
+        f"error: {path}: file size = {size} bytes exceeds the representation bound "
+        f"size <= MAX_REP_FILE_BYTES = {size - 1}\n"
+    )
+
+
+@pytest.mark.parametrize("entry", [2**64 - 59, [2] * 8, [1] * 8], ids=["residue", "gf3^8", "gf2^8"])
+def test_rep_file_bound_admits_compact_files_at_the_other_bounds(entry):
+    # a compact file of MAX_REP_GENERATORS dim-MAX_REP_DIM generators with
+    # every entry at its widest still fits the size bound
+    n = repfile.MAX_REP_DIM
+    matrix = json.dumps([[entry] * n] * n)
+    generators = len(matrix) * repfile.MAX_REP_GENERATORS + 2 * repfile.MAX_REP_GENERATORS
+    header = len(json.dumps({"p": 18446744073709551557, "r": 8, "modulus": [1] * 9, "dim": n, "generators": []}))
+    assert header + generators <= repfile.MAX_REP_FILE_BYTES
+
+
+def test_rep_analyze_parses_each_file_once(capsys, tmp_path, monkeypatch):
+    calls = {"parse": 0, "decode_row": 0}
+
+    def counted(name):
+        original = getattr(repfile, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(repfile, name, wrapper)
+
+    counted("parse")
+    counted("decode_row")
+    pr = reps.basic_rep(3, 1, 2)
+    path = _write_rep(tmp_path, pr.rep, pr.basepoint)
+    code, _, _ = run(capsys, "rep-analyze", path, "--chi", "4")
+    assert code == 0
+    # one parse, and each generator row and the basepoint decoded once
+    assert calls == {"parse": 1, "decode_row": pr.rep.rank * pr.rep.dim + 1}
+
+
+def test_rep_analyze_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "rep-analyze", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith(f"error: {path} nests its JSON too deeply: maximum recursion depth exceeded")
 
 
 def test_rep_analyze_largest_admitted_extension_field(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modchar import ff, reps
+from modchar import ff, repfile, reps
 from modchar.ff import (
     FieldCtx,
     FieldError,
@@ -152,9 +152,9 @@ def test_pow_matches_repeated_multiplication():
 
 def test_kernel_frozen_examples():
     ctx = FieldCtx(2, 1)
-    zero = MatrixFF.from_ints(ctx, [[0, 0], [0, 0]])
+    zero = MatrixFF(ctx, [[0, 0], [0, 0]])
     assert kernel(zero) == Subspace.full(ctx, 2)
-    m = MatrixFF.from_ints(ctx, [[1, 1], [1, 1]])
+    m = MatrixFF(ctx, [[1, 1], [1, 1]])
     k = kernel(m)
     assert k.dim == 1 and k.basis == ((1, 1),)
     ident = MatrixFF.identity(ctx, 3)
@@ -164,16 +164,16 @@ def test_kernel_frozen_examples():
 def test_sub_checks_shapes():
     ctx = FieldCtx(3, 1)
     a = MatrixFF.identity(ctx, 2)
-    assert a.sub(a) == MatrixFF.from_ints(ctx, [[0, 0], [0, 0]])
+    assert a.sub(a) == MatrixFF(ctx, [[0, 0], [0, 0]])
     with pytest.raises(ff.DimensionError, match="shape"):
         a.sub(MatrixFF.identity(ctx, 3))
     with pytest.raises(ff.DimensionError, match="shape"):
-        a.sub(MatrixFF.from_ints(ctx, [[1, 0, 0], [0, 1, 0]]))
+        a.sub(MatrixFF(ctx, [[1, 0, 0], [0, 1, 0]]))
 
 
 def test_preimage_examples():
     ctx = FieldCtx(3, 1)
-    m = MatrixFF.from_ints(ctx, [[1, 0], [0, 0]])
+    m = MatrixFF(ctx, [[1, 0], [0, 0]])
     line = Subspace.from_vectors(ctx, 2, [[1, 0]])
     assert preimage(m, line) == Subspace.full(ctx, 2)
     assert preimage(m, Subspace.zero_space(ctx, 2)) == kernel(m)
@@ -257,10 +257,10 @@ def test_preimage_contains_kernel_random():
 
 def test_matrix_inverse_and_singular():
     ctx = FieldCtx(5, 1)
-    m = MatrixFF.from_ints(ctx, [[1, 2], [3, 4]])
+    m = MatrixFF(ctx, [[1, 2], [3, 4]])
     inv = m.inverse()
     assert m.mul(inv) == MatrixFF.identity(ctx, 2)
-    singular = MatrixFF.from_ints(ctx, [[1, 2], [2, 4]])
+    singular = MatrixFF(ctx, [[1, 2], [2, 4]])
     with pytest.raises(FieldError):
         singular.inverse()
 
@@ -428,7 +428,7 @@ def test_modulus_validation():
         FieldCtx(2, 9, (1, 1) + (0,) * 7 + (1,))  # the r cap holds with a modulus too
     ctx = FieldCtx(3, 2, (2, 1, 1))  # t^2 + t + 2, another irreducible
     t = ctx.gen()
-    assert ctx.mul(t, t) == ctx.from_coeffs([1, 2]) == 7  # t^2 = 2t + 1
+    assert ctx.mul(t, t) == repfile.decode_entry([1, 2], 3, 2) == 7  # t^2 = 2t + 1
     assert ctx.mul(t, ctx.inv(t)) == ctx.one
 
 
@@ -437,10 +437,10 @@ def test_elements_are_ints_with_coefficient_digits():
     assert ctx.gen() == 3 and ctx.to_coeffs(ctx.gen()) == [0, 1]
     assert list(ctx.elements()) == list(range(9))
     for a in ctx.elements():
-        assert ctx.from_coeffs(ctx.to_coeffs(a)) == a
-    assert FieldCtx(5, 1).from_coeffs([7]) == 2 == FieldCtx(5, 1).scalar(7)
-    with pytest.raises(FieldError):
-        ctx.from_coeffs([1])
+        assert repfile.decode_entry(ctx.to_coeffs(a), 3, 2) == a
+    assert repfile.decode_entry([7], 5, 1) == 2 == FieldCtx(5, 1).scalar(7)
+    with pytest.raises(ValueError, match="element needs 2 coefficients, got 1"):
+        repfile.decode_entry([1], 3, 2)
 
 
 def test_extension_fields_are_bounded():

@@ -1,14 +1,20 @@
 """Representations: constructions, socle filtration, classification,
 conjugation onto the basic model, tensor compatibility, serialization."""
 
+import collections
+import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from modchar import dickson, ff, reps
+from modchar import dickson, ff, repfile, reps
 from modchar.ff import FieldCtx, MatrixFF, Subspace
 from modchar.reps import (
     PointedRep,
@@ -38,7 +44,7 @@ from modchar.reps import (
 
 
 def ints(ctx, rows):
-    return MatrixFF.from_ints(ctx, rows)
+    return MatrixFF(ctx, rows)
 
 
 def test_validate_catches_violations():
@@ -603,6 +609,89 @@ def test_rep_from_dict_errors():
     for top in ([1, 2], "rep", 3, None):
         with pytest.raises(ValueError, match="must be a JSON object"):
             rep_from_dict(top)
+
+
+def test_parse_decodes_each_entry_once_into_field_ints():
+    parsed = repfile.parse({"p": 5, "dim": 2, "generators": [[[6, -4], [10, 11]]], "basepoint": [7, 0]})
+    assert parsed == repfile.RepFile(5, 1, None, 2, (((1, 1), (0, 1)),), (2, 0))
+    # over GF(9) a list is the coefficients, constant first, and an integer a scalar
+    obj = {"p": 3, "r": 2, "modulus": [2, 1, 1], "dim": 2, "generators": [[[[1, 0], [1, 1]], [0, 4]]]}
+    parsed = repfile.parse(obj)
+    assert (parsed.modulus, parsed.generators) == ((2, 1, 1), (((1, 4), (0, 1)),))
+    assert rep_from_dict(obj) == reps.rep_from_file(parsed)
+
+
+# What a draw may put in place of a node of a valid file: booleans,
+# strings, floats, nested lists, objects and integers of every size.
+_FUZZ_SWAPS = (True, False, "1", "", 1.5, -0.0, None, [], [[1]], [[[0, 1]]], {"p": 2},
+               0, 1, -1, 2, 9, 2**70, [True], [1, [0]], [0, 1], [1.0, 0])
+
+
+def _mutate(obj, rng):
+    """Change one node of obj in place: walk down from a random key, then
+    swap the node for one of _FUZZ_SWAPS, delete it, or repeat it in its
+    list (an object's node is wrapped in a list instead)."""
+    container = obj
+    key = rng.choice(list(container))
+    while isinstance(container[key], (dict, list)) and container[key] and rng.random() < 0.75:
+        container = container[key]
+        key = rng.choice(list(container)) if isinstance(container, dict) else rng.randrange(len(container))
+    op = rng.randrange(4)
+    if op < 2:
+        container[key] = copy.deepcopy(rng.choice(_FUZZ_SWAPS))
+    elif op == 2:
+        del container[key]
+    elif isinstance(container, list):
+        container.insert(key, copy.deepcopy(container[key]))
+    else:
+        container[key] = [container[key]]
+
+
+def test_mutated_rep_files_parse_or_raise_value_error(tmp_path):
+    # seeded and fixed in size: a failing draw is a fault to mend, never
+    # one to reseed away
+    rng = random.Random(20261022)
+    bases = [
+        json.dumps(rep_to_dict(regular_rep(2, 2))),
+        json.dumps(rep_to_dict(basic_rep(3, 1, 2).rep, basic_rep(3, 1, 2).basepoint)),
+        json.dumps(rep_to_dict(basic_rep(2, 2, 1).rep, basic_rep(2, 2, 1).basepoint)),
+        json.dumps(rep_to_dict(basic_rep(3, 2, 1).rep, basic_rep(3, 2, 1).basepoint)),
+    ]
+    outcomes, through_cli = collections.Counter(), []
+    for draw in range(3000):
+        obj = json.loads(rng.choice(bases))
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            if obj:
+                _mutate(obj, rng)
+        try:
+            parsed = repfile.parse(obj)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                rep_from_dict(obj)
+            assert str(info.value) == str(exc)  # the library route reports the parser's fault
+            outcomes["refused by the parser"] += 1
+        else:
+            try:
+                assert rep_from_dict(obj) == reps.rep_from_file(parsed)
+                outcomes["accepted"] += 1
+            except ValueError:  # a field fault or a violation
+                outcomes["refused after parsing"] += 1
+        if draw % 250 == 0:
+            through_cli.append(obj)
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 3, outcomes
+    src = str(Path(repfile.__file__).resolve().parent.parent)
+    for i, obj in enumerate(through_cli):
+        path = tmp_path / f"draw{i}.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modchar.cli", "rep-analyze", str(path), *(["--chi", "3"] if i % 2 else [])],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_random_reps_filtration_agreement():

@@ -16,7 +16,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from modchar import ff, reps  # noqa: E402
+from modchar import repfile, reps  # noqa: E402
 from modchar.coalg import coproduct, iterated_coproduct  # noqa: E402
 from modchar.ff import FieldCtx, MatrixFF, kernel  # noqa: E402
 from modchar.mono import (  # noqa: E402
@@ -58,7 +58,8 @@ def _high_first(ctx, a):
 
 
 def _from_high_first(ctx, coeffs):
-    return ctx.from_coeffs([int(c) % ctx.p for c in reversed(coeffs)] + [0] * (ctx.r - len(coeffs)))
+    digits = [int(c) % ctx.p for c in reversed(coeffs)] + [0] * (ctx.r - len(coeffs))
+    return repfile.decode_entry(digits, ctx.p, ctx.r)
 
 
 @PROPS
@@ -95,7 +96,7 @@ def test_int_coefficient_round_trip(case):
     coeffs = ctx.to_coeffs(a)
     assert len(coeffs) == ctx.r and all(0 <= c < ctx.p for c in coeffs)
     assert sum(c * ctx.p**i for i, c in enumerate(coeffs)) == a
-    assert ctx.from_coeffs(coeffs) == a
+    assert repfile.decode_entry(coeffs, ctx.p, ctx.r) == a
 
 
 def test_moduli_are_irreducible_by_sympy():
@@ -161,7 +162,7 @@ def test_rep_file_round_trip(case):
     obj = reps.rep_to_dict(rep, basepoint)
     entries = [e for g in obj["generators"] for row in g for e in row] + obj.get("basepoint", [])
     if rep.ctx.r == 1:
-        assert all(ff.is_int(e) for e in entries)
+        assert all(repfile.is_int(e) for e in entries)
     else:
         assert all(isinstance(e, list) and len(e) == rep.ctx.r for e in entries)
     text = json.dumps(obj, sort_keys=True)

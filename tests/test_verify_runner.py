@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from modchar import cli, verify
+from modchar import cli, repfile, verify
 from modchar.ff import FieldCtx, FieldError, MatrixFF
 
 # the names that put the injected "witnesses" suite in the caller, then in the helper
@@ -219,13 +219,14 @@ def test_a_forked_run_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd):
 # -- random representations ---------------------------------------------------
 
 
-def _invertible_by_from_coeffs(rng, ctx, dim):
+def _invertible_by_decoded_coeffs(rng, ctx, dim):
     """The conjugator as random_valid_rep drew it before: every entry
-    through FieldCtx.from_coeffs, singular draws drawn again."""
+    decoded from its coefficient list (repfile.decode_entry), singular
+    draws drawn again."""
     p, r = ctx.p, ctx.r
     while True:
         cand = [
-            [ctx.from_coeffs([rng.randrange(p) for _ in range(r)]) for _ in range(dim)]
+            [repfile.decode_entry([rng.randrange(p) for _ in range(r)], p, r) for _ in range(dim)]
             for _ in range(dim)
         ]
         mat = MatrixFF(ctx, cand)
@@ -241,7 +242,7 @@ def test_random_valid_rep_keeps_its_draws(monkeypatch, p, r):
     ctx = FieldCtx(p, r)
     for seed in (0, 1, 97, 20260809):
         streams = []
-        for conjugator in (verify._random_invertible, _invertible_by_from_coeffs):
+        for conjugator in (verify._random_invertible, _invertible_by_decoded_coeffs):
             monkeypatch.setattr(verify, "_random_invertible", conjugator)
             rng = random.Random(seed)
             reps = [verify.random_valid_rep(rng, ctx) for _ in range(12)]
