@@ -34,7 +34,7 @@ from bisect import bisect_left
 from functools import lru_cache
 
 from . import Frozen, coalg
-from .coalg import base_p_digits, no_carry
+from .coalg import base_p_digits
 from .mono import (
     Monomial,
     NotInvariant,
@@ -281,50 +281,6 @@ def witness_degree(p: int, r: int, n: int, kind: str) -> int:
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def witness_splitting(p: int, r: int, n: int, kind: str) -> list[Monomial]:
-    """Explicit factors exhibiting a nonzero term for the witness
-    monomials: the y-power witness splits its exponent p^n - 1 into the
-    digit blocks p^(i-1)(p-1); the mixed witness gives all exterior
-    generators to the first factor."""
-    if kind == KIND_Y_POWER:
-        return [
-            Monomial((0,) * r, (p ** (i - 1) * (p - 1),) * r)
-            for i in range(1, n + 1)
-        ]
-    if kind == KIND_MIXED:
-        if p == 2:
-            raise ValueError("mixed witness requires odd p")
-        factors = [Monomial((1,) * r, (p - 2,) * r)]
-        for i in range(2, n + 1):
-            factors.append(
-                Monomial((0,) * r, (p ** (i - 2) * ((p - 2) * p + 1),) * r)
-            )
-        return factors
-    raise ValueError(f"unknown witness kind {kind!r}")
-
-
-def splitting_is_admissible(
-    p: int, r: int, alpha: Monomial, factors: list[Monomial]
-) -> bool:
-    """Whether the factors form a term of the splitting sum for alpha
-    with nonzero coefficient: exponents add up exactly, the polynomial
-    additions are carry-free in every slot, and every factor is nonzero
-    and invariant."""
-    if any(f.r != r for f in factors) or alpha.r != r:
-        return False
-    for k in range(r):
-        if sum(f.ext[k] for f in factors) != alpha.ext[k]:
-            return False
-        parts = [f.pows[k] for f in factors]
-        if sum(parts) != alpha.pows[k]:
-            return False
-        if not no_carry(p, parts):
-            return False
-    return all(
-        degree(f, p) > 0 and is_invariant(f, p) for f in factors
-    )
-
-
 class DegreeTableRow(Frozen):
     """A nonzero universal class: the alpha-class on the defining
     N-dimensional representation, with its degree and strength.  A row
@@ -440,16 +396,3 @@ def indecomposable_tuples(p: int, n: int, max_total: int):
             deal((), step, total, n)
     return results
 
-
-def wedge_split_check(p: int, r: int, alpha: Monomial, a: int, b: int) -> bool:
-    """Consistency of splitting a rank-(a+b) basic class through the
-    coproduct: chi(alpha, a+b) must equal minus the sum over coproduct
-    terms of chi(alpha_1, a) tensor chi(alpha_2, b)."""
-    if a < 1 or b < 1:
-        raise ValueError("ranks must be >= 1")
-    lhs = chi_basic(p, r, alpha, a + b)
-    acc = TensorClass.zero(p, r, a + b)
-    for left, right, c in _proper_splits(p, r, alpha):
-        piece = chi_basic(p, r, left, a).tensor(chi_basic(p, r, right, b))
-        acc = acc.add(piece.scale(c))
-    return lhs == acc.neg()

@@ -206,7 +206,10 @@ def cmd_basis(args) -> int:
             monomials = mono.enumerate_invariant_basis(args.p, args.r, d)
             if monomials:
                 basis[d] = [mono.format_monomial(m) for m in monomials]
-        payload = {"schema": SCHEMA, **params, "basis": {str(d): ms for d, ms in basis.items()}}
+
+        def payload():
+            return {"schema": SCHEMA, **params, "basis": {str(d): ms for d, ms in basis.items()}}
+
         rows = ((d, m) for d, monomials in basis.items() for m in monomials)
         lines = (f"{d}: " + ", ".join(monomials) for d, monomials in basis.items())
         return _emit(args, payload, ("degree", "monomial"), rows, lines)

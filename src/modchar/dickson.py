@@ -10,10 +10,10 @@ y-power classes, D * A collapses to the single term -D_{p^n - 1}.
 Each side is computed one way here and checked against another:
 
 - `chi_y_power`, the production route for every y^k class (the report
-  here and `reps.chi_of_rep`), reads the class off the splitting
-  formula of `chi.chi_basic` and converts it by `tensor_to_poly`, with
-  the tuple of y-powers (b_1, ..., b_n) as the monomial
-  z_1^b_1 ... z_n^b_n.
+  here and `reps.chi_of_rep`), reads the class straight off the
+  splitting walk `chi.chi_terms`: every factor of a y-power is a
+  y-power, so each term's tuple of y-powers (y^b_1, ..., y^b_n) becomes
+  the monomial z_1^b_1 ... z_n^b_n.
 - `power_sum` is the oracle: it enumerates one linear form per line and
   raises it to the k-th power digit by digit through Frobenius, sharing
   no code with the splitting formula.  `verify`'s oracle and
@@ -58,7 +58,7 @@ import operator
 from functools import lru_cache
 
 from . import chi
-from .mono import Monomial, SparseCombination, TensorClass, format_term
+from .mono import Monomial, SparseCombination, format_term
 
 
 def _compositions(total: int, parts: int):
@@ -315,17 +315,19 @@ def power_sum(p: int, n: int, k: int) -> MultiPoly:
 
 def chi_y_power(p: int, n: int, k: int) -> MultiPoly:
     """The y^k class of the rank-n basic representation over F_p by the
-    splitting formula (`chi.chi_basic`), read as a polynomial by
-    `tensor_to_poly`; zero unless p - 1 divides k, as y^k is invariant
-    only then.  It equals minus the k-th power sum (`power_sum`, the
-    oracle)."""
+    splitting formula, read off the walk `chi.chi_terms`: every factor
+    of y^k is a y-power, fixed by its exponent, so the term with factors
+    (y^b_1, ..., y^b_n) is the monomial z_1^b_1 ... z_n^b_n, one to one.
+    Zero unless p - 1 divides k, as y^k is invariant only then.  It
+    equals minus the k-th power sum (`power_sum`, the oracle)."""
     if k < 1:
         raise ValueError("y^k classes are defined for k >= 1")
     if n < 1:
         raise ValueError("rank n must be >= 1")
     if k % (p - 1):
         return MultiPoly.zero(p, n)
-    return tensor_to_poly(chi.chi_basic(p, 1, Monomial((0,), (k,)), n))
+    terms = chi.chi_terms(p, 1, Monomial((0,), (k,)), n)
+    return MultiPoly._of(p, n, {tuple(m.pows[0] for m in tup): c for tup, c in terms})
 
 
 def dickson_total(p: int, n: int) -> MultiPoly:
@@ -526,21 +528,3 @@ def nonzero_chi_degrees(p: int, n: int) -> list[int]:
         if not chi_y_power(p, n, k).is_zero()
     ]
 
-
-def tensor_to_poly(tc: TensorClass) -> MultiPoly:
-    """Identify a pure-polynomial tensor class over the prime field with
-    a polynomial: the tuple of y-powers (b_1, ..., b_n) becomes the
-    monomial z_1^b_1 ... z_n^b_n.  Mixed classes with exterior factors
-    have no such polynomial form and are rejected.  A pure y-power is
-    fixed by its exponent, so the terms carry over one to one."""
-    if tc.r != 1:
-        raise ValueError("polynomial form requires the prime field (r = 1)")
-    out: dict = {}
-    for tup, c in tc.terms.items():
-        exps = []
-        for m in tup:
-            if m.ext[0]:
-                raise ValueError("exterior factors admit no polynomial form")
-            exps.append(m.pows[0])
-        out[tuple(exps)] = c
-    return MultiPoly._of(tc.p, tc.n, out)

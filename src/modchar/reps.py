@@ -42,7 +42,7 @@ import math
 
 from . import Frozen, ff
 from .ff import FieldCtx, MatrixFF, Subspace
-from .repfile import MAX_REP_DIM, RepFile, parse  # MAX_REP_DIM is re-exported here
+from .repfile import RepFile, parse
 
 
 class RepValidationError(ValueError):
@@ -283,7 +283,7 @@ def _basic_on(ctx: FieldCtx, n: int) -> PointedRep:
     for i in range(1, n + 1):
         for j in range(r):
             rows = [list(row) for row in MatrixFF.identity(ctx, n + 1).rows]
-            rows[0][i] = ctx.pow(ctx.gen(), j) if r > 1 else 1
+            rows[0][i] = ctx.p**j  # t^j: one base-p digit 1, at place j
             gens.append(MatrixFF(ctx, rows))
     basepoint = (1,) + (0,) * n
     return PointedRep(Rep._of(ctx, n + 1, tuple(gens)), basepoint)
@@ -296,7 +296,7 @@ def sym_power_rep(p: int, r: int, modulus=None) -> Rep:
     ctx = FieldCtx(p, r, modulus)
     gens = []
     for jj in range(r):
-        a = ctx.pow(ctx.gen(), jj) if r > 1 else 1
+        a = ctx.p**jj  # t^jj
         a_pows = [1]
         for _ in range(p - 1):
             a_pows.append(ctx.mul(a_pows[-1], a))
@@ -457,7 +457,7 @@ def _basic_rule(ctx: FieldCtx, rows, n: int) -> MatrixFF:
     base = [rows[i * r] for i in range(n)]
     for i in range(n):
         for j in range(1, r):
-            tj = ctx.pow(ctx.gen(), j)
+            tj = ctx.p**j
             if rows[i * r + j] != [ctx.mul(tj, e) for e in base[i]]:
                 raise ReductionError(
                     "generators are not aligned with the field structure "
@@ -567,28 +567,6 @@ def chi_of_rep(rep: Rep, k: int) -> "MultiPoly":
         return MultiPoly.zero(p, rep.rank)
     base = chi_y_power(p, red.quotient_rank, k)
     return base.substitute([list(row) for row in red.projection], rep.rank)
-
-
-def socle_tensor_check(r1: Rep, r2: Rep, i: int) -> bool:
-    """Stage i of the tensor product's socle filtration must equal the
-    sum of J_a tensor J_b over a + b = i."""
-    product = tensor_rep(r1, r2)
-    stages = socle_filtration(product)
-    lhs = stages[min(i, len(stages) - 1)]
-    f1 = socle_filtration(r1)
-    f2 = socle_filtration(r2)
-    ctx = product.ctx
-    rhs = Subspace.zero_space(ctx, product.dim)
-    for a in range(i + 1):
-        b = i - a
-        s1 = f1[min(a, len(f1) - 1)]
-        s2 = f2[min(b, len(f2) - 1)]
-        vecs = []
-        for u in s1.basis:
-            for v in s2.basis:
-                vecs.append(tuple(ctx.mul(x, y) for x in u for y in v))
-        rhs = rhs.sum(Subspace.from_vectors(ctx, product.dim, vecs))
-    return lhs == rhs
 
 
 # -- serialization -----------------------------------------------------------

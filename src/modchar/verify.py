@@ -1,6 +1,8 @@
 """Cross-check suites: every exact identity the library promises, run on
 fixed grids with independent oracles (big-integer combinatorics, power
-sums, brute-force minima, dual filtration routes)."""
+sums, brute-force minima, dual filtration routes).  The checks that only
+these suites and the tests run (the witness splittings, the rank and
+tensor-socle splittings) live here, not in the production modules."""
 
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import random
 import threading
 import time
 
-from . import chi as chi_mod
 from . import Record, coalg, dickson, reps
 from .chi import (
     KIND_MIXED,
@@ -24,12 +25,10 @@ from .chi import (
     is_chi_nonzero,
     min_m_for_digit_sum,
     r1_predicate,
-    wedge_split_check,
     witness_alpha,
     witness_degree,
-    witness_splitting,
 )
-from .ff import FieldCtx, FieldError, MatrixFF
+from .ff import FieldCtx, FieldError, MatrixFF, Subspace
 from .mono import (
     Monomial,
     TensorClass,
@@ -84,15 +83,16 @@ def _suite(name: str):
 
 @_suite("oracle-equivalence")
 def suite_oracle_equivalence(profile="quick") -> str:
-    """Criterion 1: the splitting formula and the power-sum route give
-    the same polynomial for every y^k class on the oracle grid."""
+    """Criterion 1: the splitting formula, as production reads it
+    (`dickson.chi_y_power`), and the power-sum route give the same
+    polynomial for every y^k class on the oracle grid."""
     checked = 0
     for p, n in ORACLE_GRID:
         for k in range(1, 2 * (p**n - 1) + 2 * p + 1):
             alpha = Monomial((0,), (k,))
             if not is_invariant(alpha, p):
                 continue
-            lhs = dickson.tensor_to_poly(chi_basic(p, 1, alpha, n))
+            lhs = dickson.chi_y_power(p, n, k)
             rhs = dickson.power_sum(p, n, k).neg()
             if lhs != rhs:
                 raise SuiteFailure(f"mismatch at p={p}, n={n}, k={k}")
@@ -214,6 +214,24 @@ def suite_coalgebra_laws(profile="quick") -> str:
                     raise SuiteFailure(f"invariance fails at q={p**r}, {m}")
             checked += 1
     return f"{checked} monomials satisfied the laws"
+
+
+def wedge_split_check(p: int, r: int, alpha: Monomial, a: int, b: int) -> bool:
+    """Consistency of splitting a rank-(a+b) basic class through the
+    coproduct: chi(alpha, a+b) must equal minus the sum over coproduct
+    terms of chi(alpha_1, a) tensor chi(alpha_2, b).  A split with a
+    unit side is skipped, as the class of the unit is zero."""
+    if a < 1 or b < 1:
+        raise ValueError("ranks must be >= 1")
+    lhs = chi_basic(p, r, alpha, a + b)
+    acc = TensorClass.zero(p, r, a + b)
+    unit = Monomial.unit(r)
+    for (left, right), c in coalg.coproduct(p, r, alpha).items():
+        if unit in (left, right):
+            continue
+        piece = chi_basic(p, r, left, a).tensor(chi_basic(p, r, right, b))
+        acc = acc.add(piece.scale(c))
+    return lhs == acc.neg()
 
 
 @_suite("wedge-consistency")
@@ -384,7 +402,7 @@ def suite_filtration(profile="quick") -> str:
         xi = reps.sym_power_rep(p, r)
         prod_dim = xi.dim**2
         for i in range(prod_dim):
-            if not reps.socle_tensor_check(xi, xi, i):
+            if not socle_tensor_check(xi, xi, i):
                 raise SuiteFailure(f"tensor socle fails at q={p**r}, i={i}")
             checked += 1
     if profile != "full":
@@ -399,6 +417,28 @@ def suite_filtration(profile="quick") -> str:
         f"{checked + 3} cases: random reps, big-rep conjugations, tensor socle stages, "
         "regular_rep(2, 8) by both routes, a 32-generator validate"
     )
+
+
+def socle_tensor_check(r1: reps.Rep, r2: reps.Rep, i: int) -> bool:
+    """Stage i of the tensor product's socle filtration must equal the
+    sum of J_a tensor J_b over a + b = i."""
+    product = reps.tensor_rep(r1, r2)
+    stages = reps.socle_filtration(product)
+    lhs = stages[min(i, len(stages) - 1)]
+    f1 = reps.socle_filtration(r1)
+    f2 = reps.socle_filtration(r2)
+    ctx = product.ctx
+    rhs = Subspace.zero_space(ctx, product.dim)
+    for a in range(i + 1):
+        b = i - a
+        s1 = f1[min(a, len(f1) - 1)]
+        s2 = f2[min(b, len(f2) - 1)]
+        vecs = []
+        for u in s1.basis:
+            for v in s2.basis:
+                vecs.append(tuple(ctx.mul(x, y) for x in u for y in v))
+        rhs = rhs.sum(Subspace.from_vectors(ctx, product.dim, vecs))
+    return lhs == rhs
 
 
 def loewy_dims(p: int, n: int) -> list[int]:
@@ -546,6 +586,50 @@ def _min_digit_sum_dp(p, s):
     return best[s]
 
 
+def witness_splitting(p: int, r: int, n: int, kind: str) -> list[Monomial]:
+    """Explicit factors exhibiting a nonzero term for the witness
+    monomials: the y-power witness splits its exponent p^n - 1 into the
+    digit blocks p^(i-1)(p-1); the mixed witness gives all exterior
+    generators to the first factor."""
+    if kind == KIND_Y_POWER:
+        return [
+            Monomial((0,) * r, (p ** (i - 1) * (p - 1),) * r)
+            for i in range(1, n + 1)
+        ]
+    if kind == KIND_MIXED:
+        if p == 2:
+            raise ValueError("mixed witness requires odd p")
+        factors = [Monomial((1,) * r, (p - 2,) * r)]
+        for i in range(2, n + 1):
+            factors.append(
+                Monomial((0,) * r, (p ** (i - 2) * ((p - 2) * p + 1),) * r)
+            )
+        return factors
+    raise ValueError(f"unknown witness kind {kind!r}")
+
+
+def splitting_is_admissible(
+    p: int, r: int, alpha: Monomial, factors: list[Monomial]
+) -> bool:
+    """Whether the factors form a term of the splitting sum for alpha
+    with nonzero coefficient: exponents add up exactly, the polynomial
+    additions are carry-free in every slot, and every factor is nonzero
+    and invariant."""
+    if any(f.r != r for f in factors) or alpha.r != r:
+        return False
+    for k in range(r):
+        if sum(f.ext[k] for f in factors) != alpha.ext[k]:
+            return False
+        parts = [f.pows[k] for f in factors]
+        if sum(parts) != alpha.pows[k]:
+            return False
+        if not coalg.no_carry(p, parts):
+            return False
+    return all(
+        degree(f, p) > 0 and is_invariant(f, p) for f in factors
+    )
+
+
 @_suite("witnesses")
 def suite_witnesses(profile="quick") -> str:
     """Criterion 10: the explicit splittings behind the witness classes
@@ -563,7 +647,7 @@ def suite_witnesses(profile="quick") -> str:
                     factors = witness_splitting(p, r, n, kind)
                     if len(factors) != n:
                         raise SuiteFailure(f"splitting arity ({p},{r},{n})")
-                    if not chi_mod.splitting_is_admissible(p, r, alpha, factors):
+                    if not splitting_is_admissible(p, r, alpha, factors):
                         raise SuiteFailure(f"splitting inadmissible ({p},{r},{n},{kind})")
                     if degree(alpha, p) != witness_degree(p, r, n, kind):
                         raise SuiteFailure(f"degree formula ({p},{r},{n},{kind})")

@@ -28,12 +28,9 @@ from modchar.chi import (
     is_chi_nonzero,
     min_m_for_digit_sum,
     r1_predicate,
-    splitting_is_admissible,
     universal_table,
-    wedge_split_check,
     witness_alpha,
     witness_degree,
-    witness_splitting,
 )
 from modchar.mono import (
     Monomial,
@@ -45,6 +42,7 @@ from modchar.mono import (
     sort_key,
     weight,
 )
+from modchar.verify import splitting_is_admissible, wedge_split_check, witness_splitting
 
 
 def y(k):
@@ -237,9 +235,7 @@ def test_chi_matches_word_expansion_q4_and_q9():
 
 def test_chi_matches_power_sum_oracle_spot():
     for p, n, k in [(2, 2, 3), (3, 1, 2), (3, 2, 8), (5, 1, 4)]:
-        alpha = y(k)
-        lhs = dickson.tensor_to_poly(chi_basic(p, 1, alpha, n))
-        assert lhs == dickson.power_sum(p, n, k).neg()
+        assert dickson.chi_y_power(p, n, k) == dickson.power_sum(p, n, k).neg()
 
 
 def test_chi_signs_odd_p():
@@ -551,7 +547,7 @@ def test_nonzero_classes_square_to_nonzero():
             alpha = y(m)
             if not is_invariant(alpha, p):
                 continue
-            image = dickson.tensor_to_poly(chi_basic(p, 1, alpha, n))
+            image = dickson.chi_y_power(p, n, m)
             if image.is_zero():
                 continue
             assert not image.mul(image).is_zero()

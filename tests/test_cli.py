@@ -590,7 +590,8 @@ def test_input_errors_exit_before_importing_the_compute_layers(tmp_path, argv, b
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize at start-up; no
-# command may load either.  json loads only for JSON output and rep files.
+# command may load either.  json loads only for JSON output and rep files,
+# and modchar.verify, which holds the cross-checks, only for verify.
 _START_UP_MODULES = """\
 import sys
 before = set(sys.modules)
@@ -598,7 +599,8 @@ from modchar.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 new = set(sys.modules) - before
-sys.stderr.write(f"loaded: {sorted(name for name in ('dataclasses', 'inspect', 'json') if name in new)}\\n")
+watched = ('dataclasses', 'inspect', 'json', 'modchar.verify')
+sys.stderr.write(f"loaded: {sorted(name for name in watched if name in new)}\\n")
 sys.exit(code)
 """
 
@@ -613,7 +615,7 @@ sys.exit(code)
         (["dickson", "--p", "2", "--n", "2"], 0, []),
         (["rep-analyze", "{regular}", "--chi", "3,7"], 0, ["json"]),
         (["rep-analyze", "{noncommuting}"], 3, ["json"]),
-        (["verify", "--suite", "filtration"], 0, []),
+        (["verify", "--suite", "filtration"], 0, ["modchar.verify"]),
     ],
     ids=["basis", "chi", "nonvanish", "tuples", "dickson", "rep-analyze-chi", "rep-error", "verify"],
 )
@@ -756,6 +758,25 @@ def test_basis_csv_and_json(capsys):
     )
     payload = json.loads(out)
     assert payload["basis"] == {"0": ["1"], "3": ["x y"], "4": ["y^2"]}
+
+
+@pytest.mark.parametrize("fmt, builds", [("text", 0), ("csv", 0), ("json", 1)])
+def test_basis_builds_its_json_payload_only_for_json(capsys, monkeypatch, fmt, builds):
+    emit, calls = cli._emit, []
+
+    def counting_emit(args, payload, *rest):
+        assert callable(payload)
+
+        def counted():
+            calls.append(fmt)
+            return payload()
+
+        return emit(args, counted, *rest)
+
+    monkeypatch.setattr(cli, "_emit", counting_emit)
+    code, out, _ = run(capsys, "basis", "--p", "3", "--max-degree", "4", "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) == builds
 
 
 def test_rep_analyze_json(capsys, tmp_path):
@@ -1190,10 +1211,10 @@ def test_rep_analyze_rejects_dim_over_the_bound(capsys, tmp_path, monkeypatch):
     assert code == cli.EXIT_INPUT and out == ""
     assert "MAX_REP_DIM = 256" in err
     # the bound itself is admitted
-    path.write_text(json.dumps({"p": 2, "dim": reps.MAX_REP_DIM, "generators": []}))
+    path.write_text(json.dumps({"p": 2, "dim": repfile.MAX_REP_DIM, "generators": []}))
     monkeypatch.undo()
     code, out, _ = run(capsys, "rep-analyze", str(path))
-    assert code == 0 and out.startswith(f"socle dims: {reps.MAX_REP_DIM}\n")
+    assert code == 0 and out.startswith(f"socle dims: {repfile.MAX_REP_DIM}\n")
 
 
 def test_rep_analyze_generator_bound_edges(capsys, tmp_path):

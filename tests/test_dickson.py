@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from modchar import dickson, reps
+from modchar import chi, dickson, reps
 from modchar.dickson import (
     IdentityFailure,
     MultiPoly,
@@ -25,9 +25,8 @@ from modchar.dickson import (
     power_sum,
     product_identity_check,
     series_quotient,
-    tensor_to_poly,
 )
-from modchar.mono import ContextMismatch, Monomial, TensorClass
+from modchar.mono import ContextMismatch, Monomial
 from modchar.verify import (
     DICKSON_GRID,
     algebraic_independence_check,
@@ -439,17 +438,15 @@ def test_algebraic_independence_witness():
     assert algebraic_independence_check(3, 2)
 
 
-def test_tensor_to_poly():
-    y1 = Monomial((0,), (1,))
-    y2 = Monomial((0,), (2,))
-    tc = TensorClass(2, 1, 2, {(y1, y2): 1})
-    assert tensor_to_poly(tc) == poly(2, 2, {(1, 2): 1})
-    assert tensor_to_poly(TensorClass.zero(3, 1, 2)).is_zero()
-    mixed = TensorClass(3, 1, 1, {(Monomial((1,), (1,)),): 1})
-    with pytest.raises(ValueError):
-        tensor_to_poly(mixed)
-    with pytest.raises(ValueError):
-        tensor_to_poly(TensorClass.zero(2, 2, 1))
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_chi_y_power_reads_chi_basic_term_for_term(p, n):
+    # every factor of a y-power class is a y-power, so its exponent names
+    # it, and the class read as a polynomial keeps chi_basic's terms and order
+    for k in range(p - 1, 2 * (p**n - 1) + 1, p - 1):
+        tc = chi.chi_basic(p, 1, Monomial((0,), (k,)), n)
+        assert all(m.ext == (0,) for tup in tc.terms for m in tup)
+        want = [(tuple(m.pows[0] for m in tup), c) for tup, c in tc.terms.items()]
+        assert list(chi_y_power(p, n, k).terms.items()) == want, (p, n, k)
 
 
 def test_multipoly_substitute():

@@ -35,12 +35,12 @@ from modchar.reps import (
     rep_to_dict,
     restrict,
     socle_filtration,
-    socle_tensor_check,
     sym_power_rep,
     tensor_rep,
     validate,
     wedge_sum,
 )
+from modchar.verify import socle_tensor_check
 
 
 def ints(ctx, rows):
